@@ -1,14 +1,10 @@
-//! Regenerates every figure of the paper's evaluation section, runs the
-//! ad-hoc benches, and drives the fluxreg experiment registry.
+//! Regenerates every figure of the paper's evaluation section and drives
+//! the fluxreg experiment registry.
 //!
 //! Usage:
 //!
 //! ```text
 //! repro <target> [--quick] [--seed <u64>] [--json <path>] [--telemetry <path>]
-//! repro --bench-smoke [--bench-out <path>]
-//! repro --bench-grid [--bench-out <path>]
-//! repro --bench-fleet [--bench-out <path>]
-//! repro --bench-serve [--bench-out <path>]
 //! repro --plan <file> [--registry <path>] [--gate] [--report <path>]
 //! repro --registry-import <file> [--registry <path>]
 //! repro --report <path> [--registry <path>]
@@ -23,27 +19,6 @@
 //!   all        (everything)
 //! ```
 //!
-//! `--bench-smoke` skips the figure generators and instead times the
-//! combination filter at N=200/K=3 on the legacy column path vs the Gram
-//! cache, writing `BENCH_3.json` (default; override with `--bench-out`).
-//!
-//! `--bench-grid` times S tracking sessions × R rounds driven through
-//! one shared pool vs a sharded grid at matched thread budgets, writing
-//! `BENCH_5.json` (default; override with `--bench-out`).
-//!
-//! `--bench-fleet` drives mostly-idle fleets (5% of S sessions active
-//! per round) with hibernation on vs off, asserting bit-identity per
-//! cell, and measures 512-round checkpoint compaction and delta
-//! streaming, writing `BENCH_9.json` (default; override with
-//! `--bench-out`). `FLUXPRINT_FLEET_MAX_S` appends a larger fleet cell.
-//!
-//! `--bench-serve` spawns a loopback fluxd and replays mobility traffic
-//! from N concurrent closed-loop client connections, asserting each
-//! served trajectory bit-identical to an in-process grid run, then
-//! reports rounds/s, ack-latency percentiles, and credit-window stall
-//! time (plus a slow-client isolation cell), writing `BENCH_10.json`
-//! (default; override with `--bench-out`).
-//!
 //! `--plan` executes a declarative ablation plan (see DESIGN.md §13)
 //! through the engine/grid path and appends one registry row per job to
 //! the NDJSON registry (`registry/fluxreg.ndjson` unless `--registry`
@@ -52,9 +27,8 @@
 //! plan's per-KPI tolerances. `--report` renders the whole registry
 //! (including this run's rows) as a trajectory table — HTML when the
 //! path ends in `.html`, markdown otherwise — and also works standalone.
-//! `--registry-import` folds a legacy result file (`BENCH_3.json`,
-//! `BENCH_5.json`, `docs/repro_results.jsonl`) into the registry; it may
-//! be repeated.
+//! `--registry-import` folds the recorded figure/ablation results
+//! (`docs/repro_results.jsonl`) into the registry; it may be repeated.
 //!
 //! Exit codes mirror fluxlint v2: `0` success / gate pass, `1` gate
 //! regression, `2` usage error, `3` internal error.
@@ -107,10 +81,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <target> [--quick] [--seed <u64>] [--json <path>] [--telemetry <path>]"
     );
-    eprintln!("       repro --bench-smoke [--bench-out <path>]");
-    eprintln!("       repro --bench-grid [--bench-out <path>]");
-    eprintln!("       repro --bench-fleet [--bench-out <path>]");
-    eprintln!("       repro --bench-serve [--bench-out <path>]");
     eprintln!("       repro --plan <file> [--registry <path>] [--gate] [--report <path>]");
     eprintln!("       repro --registry-import <file> [--registry <path>]");
     eprintln!("       repro --report <path> [--registry <path>]");
@@ -219,11 +189,6 @@ fn main() -> ExitCode {
     let mut spec = RunSpec::full();
     let mut json_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
-    let mut bench_smoke = false;
-    let mut bench_grid = false;
-    let mut bench_fleet = false;
-    let mut bench_serve = false;
-    let mut bench_out: Option<String> = None;
     let mut mode = RegistryMode {
         plan: None,
         registry: DEFAULT_REGISTRY.to_string(),
@@ -241,11 +206,6 @@ fn main() -> ExitCode {
             }
             "--json" => json_path = Some(it.next().unwrap_or_else(|| usage())),
             "--telemetry" => telemetry_path = Some(it.next().unwrap_or_else(|| usage())),
-            "--bench-smoke" => bench_smoke = true,
-            "--bench-grid" => bench_grid = true,
-            "--bench-fleet" => bench_fleet = true,
-            "--bench-serve" => bench_serve = true,
-            "--bench-out" => bench_out = Some(it.next().unwrap_or_else(|| usage())),
             "--plan" => mode.plan = Some(it.next().unwrap_or_else(|| usage())),
             "--registry" => mode.registry = it.next().unwrap_or_else(|| usage()),
             "--gate" => mode.gate = true,
@@ -260,15 +220,9 @@ fn main() -> ExitCode {
     }
     let registry_mode = mode.plan.is_some() || mode.report.is_some() || !mode.imports.is_empty();
     if registry_mode {
-        // Registry modes do not compose with figure targets or benches,
-        // and --gate without --plan has nothing to gate.
-        if target.is_some()
-            || bench_smoke
-            || bench_grid
-            || bench_fleet
-            || bench_serve
-            || (mode.gate && mode.plan.is_none())
-        {
+        // Registry modes do not compose with figure targets, and --gate
+        // without --plan has nothing to gate.
+        if target.is_some() || (mode.gate && mode.plan.is_none()) {
             usage();
         }
         return match run_registry_mode(&mode) {
@@ -278,29 +232,6 @@ fn main() -> ExitCode {
                 ExitCode::from(3)
             }
         };
-    }
-    if bench_smoke || bench_grid || bench_fleet || bench_serve {
-        let picked = usize::from(bench_smoke)
-            + usize::from(bench_grid)
-            + usize::from(bench_fleet)
-            + usize::from(bench_serve);
-        if target.is_some() || picked > 1 {
-            usage();
-        }
-        if bench_smoke {
-            let out = bench_out.as_deref().unwrap_or("BENCH_3.json");
-            fluxprint_bench::bench_smoke::run_bench_smoke(out);
-        } else if bench_grid {
-            let out = bench_out.as_deref().unwrap_or("BENCH_5.json");
-            fluxprint_bench::bench_grid::run_bench_grid(out);
-        } else if bench_fleet {
-            let out = bench_out.as_deref().unwrap_or("BENCH_9.json");
-            fluxprint_bench::bench_fleet::run_bench_fleet(out);
-        } else {
-            let out = bench_out.as_deref().unwrap_or("BENCH_10.json");
-            fluxprint_bench::bench_serve::run_bench_serve(out);
-        }
-        return ExitCode::SUCCESS;
     }
     let target = target.unwrap_or_else(|| usage());
 

@@ -1,27 +1,19 @@
 //! Folding pre-registry history into registry rows.
 //!
-//! Four legacy shapes exist, all from earlier PRs:
+//! One legacy shape is importable: `docs/repro_results.jsonl`, the
+//! recorded full-run figure/ablation results (`repro all --json <path>`
+//! regenerates it). Each figure or ablation record becomes one row, the
+//! figure or ablation id as a param and every numeric top-level scalar as
+//! a KPI (nested series stay in the original file; the registry carries
+//! the comparable scalars).
 //!
-//! * `BENCH_3.json` — the PR-3 filter smoke (`"bench":
-//!   "filter_candidates"`): one row, per-target wall times and the
-//!   headline speedup as KPIs.
-//! * `BENCH_5.json` — the PR-5 many-sink sweep (`"bench":
-//!   "grid_many_sink"`): one row per sweep cell, the cell's `(sessions,
-//!   threads, shards)` as params.
-//! * `BENCH_9.json` — the PR-9 fleet-hibernation sweep (`"bench":
-//!   "fleet_hibernation"`): one row per fleet cell keyed by `(sessions,
-//!   active_pct)`, plus one `section: "compaction"` row for the
-//!   checkpoint-stream measurements.
-//! * `docs/repro_results.jsonl` — recorded full-run figure/ablation
-//!   results: one row per record, the figure or ablation id as a param
-//!   and every numeric top-level scalar as a KPI (nested series stay in
-//!   the original file; the registry carries the comparable scalars).
-//!
-//! Imported rows get `source: "import:<kind>"`, seed 0 (the recorded
-//! runs used the default stream), no commit (it was not recorded at the
-//! time), and a plan hash derived from a canonical pseudo-plan naming
-//! the import kind — so history groups cleanly in reports without
-//! colliding with any real plan.
+//! Imported rows get `source: "import:repro-results"`, seed 0 (the
+//! recorded runs used the default stream), no commit (it was not
+//! recorded at the time), and a plan hash derived from a canonical
+//! pseudo-plan naming the import kind — so history groups cleanly in
+//! reports without colliding with any real plan. The registry's older
+//! `import:bench-*` rows came from since-retired ad-hoc bench files; they
+//! stay as history and render like any other row.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -31,17 +23,15 @@ use serde_json::{json, Value};
 use super::plan::plan_hash;
 use super::registry::Row;
 
-fn pseudo_plan_hash(kind: &str) -> String {
-    plan_hash(&json!({ "name": format!("import-{kind}"), "import": true }))
-}
+const KIND: &str = "repro-results";
 
-fn import_row(kind: &str, params: BTreeMap<String, Value>, kpis: BTreeMap<String, f64>) -> Row {
+fn import_row(params: BTreeMap<String, Value>, kpis: BTreeMap<String, f64>) -> Row {
     Row {
-        plan: format!("import-{kind}"),
-        plan_hash: pseudo_plan_hash(kind),
+        plan: format!("import-{KIND}"),
+        plan_hash: plan_hash(&json!({ "name": format!("import-{KIND}"), "import": true })),
         seed: 0,
         commit: None,
-        source: format!("import:{kind}"),
+        source: format!("import:{KIND}"),
         params,
         kpis,
         run_meta: Value::Null,
@@ -65,89 +55,6 @@ fn scalar_kpis(value: &Value) -> BTreeMap<String, f64> {
         .unwrap_or_default()
 }
 
-fn import_bench_smoke(value: &Value) -> Result<Vec<Row>, String> {
-    let targets = value["targets"]
-        .as_array()
-        .ok_or_else(|| "bench smoke record lacks targets".to_string())?;
-    let mut params = BTreeMap::new();
-    for key in ["n_candidates", "k"] {
-        if let Some(v) = value.get(key) {
-            params.insert(key.to_string(), v.clone());
-        }
-    }
-    let mut kpis = BTreeMap::new();
-    for target in targets {
-        let name = target["name"]
-            .as_str()
-            .ok_or_else(|| "bench smoke target lacks a name".to_string())?;
-        for (kpi, v) in scalar_kpis(target) {
-            if kpi != "threads" {
-                kpis.insert(format!("{name}_{kpi}"), v);
-            }
-        }
-    }
-    if let Some(speedup) = value["speedup"].as_f64() {
-        kpis.insert("speedup".to_string(), speedup);
-    }
-    Ok(vec![import_row("bench-smoke", params, kpis)])
-}
-
-fn import_bench_grid(value: &Value) -> Result<Vec<Row>, String> {
-    let targets = value["targets"]
-        .as_array()
-        .ok_or_else(|| "bench grid record lacks targets".to_string())?;
-    targets
-        .iter()
-        .map(|cell| {
-            let mut params = BTreeMap::new();
-            for key in ["sessions", "threads", "shards"] {
-                let v = cell
-                    .get(key)
-                    .filter(|v| !v.is_null())
-                    .ok_or_else(|| format!("bench grid cell lacks {key}"))?;
-                params.insert(key.to_string(), v.clone());
-            }
-            let kpis = scalar_kpis(cell)
-                .into_iter()
-                .filter(|(k, _)| !params.contains_key(k))
-                .collect();
-            Ok(import_row("bench-grid", params, kpis))
-        })
-        .collect()
-}
-
-fn import_bench_fleet(value: &Value) -> Result<Vec<Row>, String> {
-    let targets = value["targets"]
-        .as_array()
-        .ok_or_else(|| "bench fleet record lacks targets".to_string())?;
-    let mut rows: Vec<Row> = targets
-        .iter()
-        .map(|cell| {
-            let mut params = BTreeMap::new();
-            for key in ["sessions", "active_pct"] {
-                let v = cell
-                    .get(key)
-                    .filter(|v| !v.is_null())
-                    .ok_or_else(|| format!("bench fleet cell lacks {key}"))?;
-                params.insert(key.to_string(), v.clone());
-            }
-            let kpis = scalar_kpis(cell)
-                .into_iter()
-                .filter(|(k, _)| !params.contains_key(k))
-                .collect();
-            Ok(import_row("bench-fleet", params, kpis))
-        })
-        .collect::<Result<_, String>>()?;
-    // The compaction section is one more cell in the same key-space,
-    // distinguished by a `section` param instead of a fleet size.
-    if let Some(compaction) = value.get("compaction").filter(|v| v.as_object().is_some()) {
-        let mut params = BTreeMap::new();
-        params.insert("section".to_string(), json!("compaction"));
-        rows.push(import_row("bench-fleet", params, scalar_kpis(compaction)));
-    }
-    Ok(rows)
-}
-
 fn import_results_line(value: &Value) -> Option<Row> {
     let (key, id) = if let Some(figure) = value["figure"].as_str() {
         ("figure", figure)
@@ -159,29 +66,20 @@ fn import_results_line(value: &Value) -> Option<Row> {
     let mut params = BTreeMap::new();
     params.insert(key.to_string(), Value::String(id.to_string()));
     let kpis = scalar_kpis(value);
-    Some(import_row("repro-results", params, kpis))
+    Some(import_row(params, kpis))
 }
 
-/// Imports one legacy file, detecting its shape from the content.
+/// Imports a figure/ablation results NDJSON file.
 ///
 /// # Errors
 ///
-/// Unreadable files, unrecognised shapes, or malformed records.
+/// Unreadable files, files with no figure/ablation record, or lines that
+/// are not JSON.
 pub fn import_file(path: &Path) -> Result<Vec<Row>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    // Whole-file JSON first: the BENCH_* shapes are single objects.
-    if let Ok(value) = serde_json::from_str::<Value>(&text) {
-        match value["bench"].as_str() {
-            Some("filter_candidates") => return import_bench_smoke(&value),
-            Some("grid_many_sink") => return import_bench_grid(&value),
-            Some("fleet_hibernation") => return import_bench_fleet(&value),
-            _ => {}
-        }
-    }
-    // Otherwise: NDJSON results (figure/ablation records; run_meta and
-    // unrecognised records are skipped, not errors — the results file
-    // interleaves shapes).
+    // Figure/ablation records; run_meta and unrecognised records are
+    // skipped, not errors — the results file interleaves shapes.
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -195,7 +93,7 @@ pub fn import_file(path: &Path) -> Result<Vec<Row>, String> {
     }
     if rows.is_empty() {
         return Err(format!(
-            "{}: no importable records (expected BENCH_* JSON or figure/ablation NDJSON)",
+            "{}: no importable records (expected figure/ablation NDJSON)",
             path.display()
         ));
     }
@@ -205,96 +103,6 @@ pub fn import_file(path: &Path) -> Result<Vec<Row>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_smoke_folds_to_one_row_with_per_target_kpis() {
-        let dir = std::env::temp_dir().join("fluxreg_import_smoke");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_3.json");
-        std::fs::write(
-            &path,
-            r#"{"bench":"filter_candidates","n_candidates":200,"k":3,
-                "targets":[{"name":"column_path","wall_ms":8.6,"evals":2401,"threads":1},
-                           {"name":"gram_cache","wall_ms":2.4,"evals":2401,"threads":1}],
-                "speedup":3.5}"#,
-        )
-        .unwrap();
-        let rows = import_file(&path).unwrap();
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert_eq!(row.source, "import:bench-smoke");
-        assert_eq!(row.params["n_candidates"], json!(200));
-        assert_eq!(row.kpis["column_path_wall_ms"], 8.6);
-        assert_eq!(row.kpis["gram_cache_wall_ms"], 2.4);
-        assert_eq!(row.kpis["speedup"], 3.5);
-        assert!(!row.kpis.contains_key("gram_cache_threads"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_grid_folds_to_one_row_per_cell() {
-        let dir = std::env::temp_dir().join("fluxreg_import_grid");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_5.json");
-        std::fs::write(
-            &path,
-            r#"{"bench":"grid_many_sink","rounds_per_session":3,"reps":2,
-                "targets":[
-                  {"sessions":1,"threads":1,"shards":1,"rounds":3,"grid_ms":0.25,"speedup":1.0},
-                  {"sessions":256,"threads":4,"shards":4,"rounds":768,"grid_ms":70.2,"speedup":4.2}],
-                "headline":{"sessions":256,"threads":4,"speedup":4.2}}"#,
-        )
-        .unwrap();
-        let rows = import_file(&path).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].params["sessions"], json!(256));
-        assert_eq!(rows[1].kpis["speedup"], 4.2);
-        assert!(
-            !rows[1].kpis.contains_key("sessions"),
-            "params are not KPIs"
-        );
-        // Cells share one key-space: identical plan hash, distinct params.
-        assert_eq!(rows[0].plan_hash, rows[1].plan_hash);
-        assert_ne!(rows[0].key(), rows[1].key());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_fleet_folds_cells_and_the_compaction_section() {
-        let dir = std::env::temp_dir().join("fluxreg_import_fleet");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_9.json");
-        std::fs::write(
-            &path,
-            r#"{"bench":"fleet_hibernation","rounds_per_trace":6,"active_pct":5,
-                "targets":[
-                  {"sessions":1024,"active_pct":5,"rounds":307,"resident_reduction":19.7,
-                   "bytes_per_session":723.9},
-                  {"sessions":4096,"active_pct":5,"rounds":1228,"resident_reduction":20.4,
-                   "bytes_per_session":731.2}],
-                "headline":{"sessions":4096,"resident_reduction":20.4},
-                "compaction":{"rounds":512,"single_shot_ratio":6.1,"stream_ratio":11.8}}"#,
-        )
-        .unwrap();
-        let rows = import_file(&path).unwrap();
-        assert_eq!(rows.len(), 3, "two cells plus the compaction section");
-        assert_eq!(rows[0].source, "import:bench-fleet");
-        assert_eq!(rows[1].params["sessions"], json!(4096));
-        assert_eq!(rows[1].kpis["resident_reduction"], 20.4);
-        assert!(
-            !rows[1].kpis.contains_key("sessions"),
-            "params are not KPIs"
-        );
-        assert_eq!(rows[2].params["section"], json!("compaction"));
-        assert_eq!(rows[2].kpis["stream_ratio"], 11.8);
-        // All three share one pseudo-plan; keys stay distinct.
-        assert_eq!(rows[0].plan_hash, rows[2].plan_hash);
-        assert_ne!(rows[0].key(), rows[1].key());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn results_ndjson_folds_figures_and_ablations_skipping_series() {
@@ -326,8 +134,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("junk.json");
-        std::fs::write(&path, "{\"nothing\":1}").unwrap();
-        assert!(import_file(&path).is_err());
+        // Bench-style single objects, one-line or pretty-printed, are not
+        // results records.
+        let bench_blob = r#"{"bench":"grid_many_sink","targets":[{"sessions":1,"speedup":1.0}]}"#;
+        let pretty_bench_blob = "{\n  \"bench\": \"filter_candidates\",\n  \"speedup\": 3.5\n}\n";
+        for junk in ["{\"nothing\":1}", bench_blob, pretty_bench_blob] {
+            std::fs::write(&path, junk).unwrap();
+            assert!(import_file(&path).is_err(), "accepted {junk}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

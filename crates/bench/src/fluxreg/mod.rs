@@ -2,8 +2,8 @@
 //!
 //! The paper's claims are comparative — accuracy and cost across sniffer
 //! counts, noise levels, and user loads — and so is every performance PR
-//! this workspace lands. fluxreg turns ad-hoc `BENCH_*.json` blobs into
-//! an auditable trajectory:
+//! this workspace lands. fluxreg records them as an auditable
+//! trajectory:
 //!
 //! 1. **Plans** ([`plan`]) — declarative ablation plans: a JSON file
 //!    naming a factor grid (threads / shards / sessions / N / K / noise),
@@ -26,9 +26,9 @@
 //!    fluxlint v2: `0` pass, `1` regression, `2` usage, `3` internal.
 //! 5. **Reports** ([`report`]) — a static markdown/HTML trajectory table
 //!    per plan, rendered straight from the registry.
-//! 6. **Import** ([`import`]) — folds the pre-registry history
-//!    (`BENCH_3.json`, `BENCH_5.json`, `docs/repro_results.jsonl`) in as
-//!    first-class rows, so the trajectory starts at PR 3, not here.
+//! 6. **Import** ([`import`]) — folds the recorded figure/ablation
+//!    results (`docs/repro_results.jsonl`) in as first-class rows, so
+//!    the trajectory starts before the registry did.
 //!
 //! The committed smoke plan lives at `plans/smoke.json`; the seeded
 //! registry at `registry/fluxreg.ndjson`. DESIGN.md §13 specifies the

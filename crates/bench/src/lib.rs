@@ -17,10 +17,6 @@
 #![allow(clippy::field_reassign_with_default)]
 
 pub mod ablations;
-pub mod bench_fleet;
-pub mod bench_grid;
-pub mod bench_serve;
-pub mod bench_smoke;
 pub mod common;
 pub mod fig10;
 pub mod fig3;

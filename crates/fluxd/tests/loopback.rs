@@ -1,10 +1,12 @@
 //! Loopback serving correctness: trajectories served over TCP must be
-//! bit-identical to the same workload ingested in-process, with four
-//! concurrent connections interleaving arbitrarily. Honors
+//! bit-identical to the same workload ingested in-process, with
+//! concurrent connections interleaving arbitrarily and a slowed client
+//! stalling only itself on its credit window. Honors
 //! `FLUXPRINT_THREADS` for the server grid so CI can pin the worker
 //! count (the determinism contract holds at any value).
 
 use std::net::SocketAddr;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,9 +75,13 @@ fn threads_from_env() -> usize {
 /// In-process reference: the same per-connection workload ingested
 /// through solo sessions (the grid is bit-identical to these by the
 /// engine's determinism contract).
-fn reference_outcomes(net: &Network, trace: &[ObservationRound]) -> Vec<Vec<StepOutcome>> {
+fn reference_outcomes(
+    net: &Network,
+    trace: &[ObservationRound],
+    connections: usize,
+) -> Vec<Vec<StepOutcome>> {
     let engine = Engine::for_network(net, FluxModel::default()).expect("valid engine");
-    (0..CONNECTIONS)
+    (0..connections)
         .map(|conn| {
             let config = SessionConfig {
                 users: 1,
@@ -137,11 +143,13 @@ fn spawn_server(net: &Network, queue_capacity: usize) -> fluxprint_fluxd::Server
 }
 
 /// One connection's full conversation: open a session, stream the trace
-/// in small batches, and return the served trajectory.
+/// in small batches (sleeping `pause` after each), and return the served
+/// trajectory with the client's credit-stall time.
 fn drive_connection(
     addr: SocketAddr,
     conn: usize,
     trace: &[ObservationRound],
+    pause: Duration,
 ) -> (Vec<WireOutcome>, u64) {
     let mut client = Client::connect(addr).expect("client connects");
     let session = client
@@ -152,6 +160,7 @@ fn drive_connection(
         .expect("session opens");
     for batch in trace.chunks(2) {
         client.submit(session, batch).expect("batch submits");
+        std::thread::sleep(pause);
     }
     client.wait_acks().expect("acks arrive");
     let outcomes = client.take_outcomes(session);
@@ -171,7 +180,7 @@ fn drive_connection(
 fn served_trajectories_are_bit_identical_to_in_process() {
     let net = test_network();
     let trace = test_trace(&net);
-    let reference = reference_outcomes(&net, &trace);
+    let reference = reference_outcomes(&net, &trace, CONNECTIONS);
 
     let server = spawn_server(&net, 16);
     let addr = server.addr();
@@ -182,7 +191,7 @@ fn served_trajectories_are_bit_identical_to_in_process() {
         let handles: Vec<_> = (0..CONNECTIONS)
             .map(|conn| {
                 let trace = &trace;
-                scope.spawn(move || drive_connection(addr, conn, trace))
+                scope.spawn(move || drive_connection(addr, conn, trace, Duration::ZERO))
             })
             .collect();
         handles
@@ -202,31 +211,64 @@ fn served_trajectories_are_bit_identical_to_in_process() {
 fn credit_window_stalls_a_fast_client_without_corrupting_results() {
     let net = test_network();
     let trace = test_trace(&net);
-    let reference = reference_outcomes(&net, &trace);
+    // Connection 0 is driven inline; 1..=CONNECTIONS run at full speed
+    // alongside it and SLOW pauses between batches.
+    const SLOW: usize = CONNECTIONS + 1;
+    let reference = reference_outcomes(&net, &trace, SLOW + 1);
 
-    // A tiny window (2 credits) forces the client to stall on its own
-    // acks between batches; the served trajectory must be unaffected.
+    // A tiny window (2 credits) forces every client to stall on its own
+    // acks between batches; no served trajectory may be affected, and a
+    // slow client must not corrupt anyone else's.
     let server = spawn_server(&net, 2);
-    let mut client = Client::connect(server.addr()).expect("client connects");
-    assert_eq!(client.credits(), 2, "window mirrors queue capacity");
-    let session = client
-        .open_session(&SessionSpec {
-            seed: session_seed(0),
-            ..spec()
-        })
-        .expect("session opens");
-    for batch in trace.chunks(2) {
-        client.submit(session, batch).expect("batch submits");
+    let addr = server.addr();
+    let concurrent: Vec<(Vec<WireOutcome>, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..=SLOW)
+            .map(|conn| {
+                let trace = &trace;
+                let pause = if conn == SLOW {
+                    Duration::from_millis(2)
+                } else {
+                    Duration::ZERO
+                };
+                scope.spawn(move || drive_connection(addr, conn, trace, pause))
+            })
+            .collect();
+
+        let mut client = Client::connect(addr).expect("client connects");
+        assert_eq!(client.credits(), 2, "window mirrors queue capacity");
+        let session = client
+            .open_session(&SessionSpec {
+                seed: session_seed(0),
+                ..spec()
+            })
+            .expect("session opens");
+        for batch in trace.chunks(2) {
+            client.submit(session, batch).expect("batch submits");
+        }
+        client.wait_acks().expect("acks arrive");
+        let outcomes = client.take_outcomes(session);
+        assert_bit_identical(0, &outcomes, &reference[0]);
+        assert_eq!(
+            client.latencies_ns().len(),
+            trace.chunks(2).count(),
+            "one latency sample per acked batch"
+        );
+        client.goodbye().expect("orderly goodbye");
+
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("connection thread"))
+            .collect()
+    });
+
+    for (conn, (outcomes, _)) in (1..).zip(&concurrent) {
+        assert_bit_identical(conn, outcomes, &reference[conn]);
     }
-    client.wait_acks().expect("acks arrive");
-    let outcomes = client.take_outcomes(session);
-    assert_bit_identical(0, &outcomes, &reference[0]);
-    assert_eq!(
-        client.latencies_ns().len(),
-        trace.chunks(2).count(),
-        "one latency sample per acked batch"
+    let (_, slow_stall_ns) = &concurrent[SLOW - 1];
+    assert!(
+        *slow_stall_ns > 0,
+        "the slowed client stalls on its own window"
     );
-    client.goodbye().expect("orderly goodbye");
     server.shutdown().expect("clean shutdown");
 }
 

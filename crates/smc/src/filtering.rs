@@ -16,9 +16,9 @@
 //! assembly, an `O(k³)` active-set solve, and one exact residual pass —
 //! instead of rebuilding `n × k` normal equations from scratch. Candidate
 //! scans fan out on a deterministic worker pool; results are
-//! **bit-identical** to the sequential column path
-//! ([`crate::reference::filter_candidates_reference`]) at any thread
-//! count, which the integration tests enforce.
+//! **bit-identical** to the sequential column path (the test-only
+//! `reference::filter_candidates_reference`) at any thread count, which
+//! the tests below enforce.
 
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;

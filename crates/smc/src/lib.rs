@@ -56,7 +56,8 @@ mod config;
 mod error;
 mod estimate;
 mod filtering;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 mod state;
 mod tracker;
 

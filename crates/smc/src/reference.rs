@@ -6,10 +6,8 @@
 //! production filter ([`crate::filter_candidates`]) answers the same
 //! queries from a per-window [`ScoringCache`](fluxprint_solver::ScoringCache)
 //! and must stay **bit-identical** to this module at any thread count —
-//! the integration tests diff the two paths field by field, and the bench
-//! smoke (`repro -- --bench-smoke`) times them against each other.
-//!
-//! Nothing here is called on the tracking hot path.
+//! the `filtering` tests diff the two paths field by field. The module is
+//! compiled for tests only.
 
 use fluxprint_geometry::Point2;
 use fluxprint_solver::{FluxObjective, SinkFit};

@@ -19,7 +19,7 @@ pub struct SmoothSolverReport {
     pub fit: SinkFit,
     /// Iterations performed.
     pub iterations: usize,
-    /// Whether the step-size convergence criterion was met.
+    /// Whether the step-size convergence test was met.
     pub converged: bool,
 }
 

@@ -18,7 +18,7 @@ pub struct NelderMeadConfig {
     /// *and* its coordinate spread falls below `x_tol` (checking only the
     /// objective spread stalls on plateaus and ties).
     pub f_tol: f64,
-    /// Coordinate-spread part of the termination criterion.
+    /// Coordinate-spread part of the termination test.
     pub x_tol: f64,
     /// Initial simplex edge length per coordinate.
     pub initial_step: f64,

@@ -286,8 +286,9 @@ fn drive_loopback_fluxd() {
 }
 
 /// A two-session grid with a one-round idle threshold: one session goes
-/// quiet and hibernates (eviction + bytes), then a late submit revives
-/// it — so all three hibernation counters and the bytes histogram move.
+/// quiet and hibernates (eviction + bytes), then the drain after a late
+/// submit revives it — so all three hibernation counters and the bytes
+/// histogram move.
 fn drive_hibernating_grid() {
     use fluxprint_engine::{Engine, Grid, GridConfig, SessionConfig};
     use fluxprint_fluxmodel::FluxModel;
@@ -340,7 +341,7 @@ fn drive_hibernating_grid() {
     grid.submit(busy, rounds[1].clone()).expect("submit");
     grid.drain().expect("drain");
     assert!(grid.is_hibernated(idle).expect("known id"));
-    // The late round revives it.
+    // The late round revives it at the join's drain.
     grid.submit(idle, rounds[2].clone()).expect("submit");
     grid.join().expect("join");
 }

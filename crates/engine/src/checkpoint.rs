@@ -183,13 +183,20 @@ impl CompactCheckpoint {
     /// Returns [`EngineError::UnsupportedVersion`],
     /// [`EngineError::BadCheckpoint`], or a tracker validation error.
     pub fn validate(&self) -> Result<(), EngineError> {
+        self.validate_envelope()?;
+        self.tracker.validate().map_err(EngineError::Smc)
+    }
+
+    /// The engine-level checks of [`validate`](Self::validate), which
+    /// come first there; returns the decoded RNG stream position.
+    pub(crate) fn validate_envelope(&self) -> Result<[u64; 4], EngineError> {
         if !(COMPACT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&self.version) {
             return Err(EngineError::UnsupportedVersion {
                 found: self.version,
                 supported: CHECKPOINT_VERSION,
             });
         }
-        decode_rng_words(&self.rng)?;
+        let rng = decode_rng_words(&self.rng)?;
         if self.users.len() != self.tracker.users.len() {
             return Err(EngineError::BadCheckpoint { field: "users" });
         }
@@ -198,7 +205,7 @@ impl CompactCheckpoint {
                 return Err(EngineError::BadCheckpoint { field: "warm" });
             }
         }
-        self.tracker.validate().map_err(EngineError::Smc)
+        Ok(rng)
     }
 
     /// Expands back into the full [`SessionCheckpoint`] form. The
@@ -211,7 +218,7 @@ impl CompactCheckpoint {
     /// rules (a lossy `history_cap` under nonzero `heading_bias` is
     /// refused).
     pub fn expand(&self) -> Result<SessionCheckpoint, EngineError> {
-        self.validate()?;
+        self.validate_envelope()?;
         let tracker = self
             .tracker
             .expand(self.config, self.model)
@@ -224,6 +231,42 @@ impl CompactCheckpoint {
             rounds_ingested: self.rounds_ingested,
             warm: self.warm.clone(),
         })
+    }
+
+    /// The bytes this value occupies in memory: its inline size plus the
+    /// length of every heap buffer it owns — the per-user entries with
+    /// their three base64 blobs and heading histories, the RNG words,
+    /// the lifecycle states and the warm flags. Spare capacity and
+    /// allocator overhead are not counted, so the figure depends only on
+    /// the value. This is what a hibernated grid resident costs (see
+    /// [`Grid::hibernated_bytes`](crate::Grid::hibernated_bytes)).
+    pub fn in_memory_bytes(&self) -> usize {
+        let users: usize = self
+            .tracker
+            .users
+            .iter()
+            .map(|u| {
+                std::mem::size_of_val(u)
+                    + u.pos_pool.len()
+                    + u.w_pool.len()
+                    + u.samples.len()
+                    + std::mem::size_of_val(u.history.as_slice())
+            })
+            .sum();
+        let rng: usize = self
+            .rng
+            .iter()
+            .map(|w| std::mem::size_of_val(w) + w.len())
+            .sum();
+        let warm = self
+            .warm
+            .as_ref()
+            .map_or(0, |w| std::mem::size_of_val(w.hot.as_slice()));
+        std::mem::size_of_val(self)
+            + users
+            + rng
+            + std::mem::size_of_val(self.users.as_slice())
+            + warm
     }
 }
 

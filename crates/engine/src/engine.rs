@@ -196,20 +196,37 @@ impl Engine {
     /// propagates tracker snapshot validation errors.
     pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Session, EngineError> {
         checkpoint.validate()?;
-        let model = checkpoint.tracker.model;
         let tracker = Tracker::from_state(checkpoint.tracker.clone(), Arc::clone(&self.boundary))?;
+        Ok(self.resume(
+            tracker,
+            checkpoint.decode_rng()?,
+            &checkpoint.users,
+            checkpoint.rounds_ingested,
+            &checkpoint.warm,
+        ))
+    }
+
+    /// Assembles a restored session around an already-validated tracker.
+    fn resume(
+        &self,
+        tracker: Tracker,
+        rng: [u64; 4],
+        users: &[UserState],
+        rounds_ingested: u64,
+        warm: &Option<WarmState>,
+    ) -> Session {
         telemetry::counter(names::ENGINE_RESTORES, 1);
-        Ok(Session {
+        Session {
             boundary: Arc::clone(&self.boundary),
-            model,
+            model: *tracker.model(),
             node_positions: Arc::clone(&self.node_positions),
             tracker,
-            rng: StdRng::from_state(checkpoint.decode_rng()?),
-            users: checkpoint.users.clone(),
-            rounds_ingested: checkpoint.rounds_ingested,
+            rng: StdRng::from_state(rng),
+            users: users.to_vec(),
+            rounds_ingested,
             template: None,
-            warm: checkpoint.warm.clone(),
-        })
+            warm: warm.clone(),
+        }
     }
 
     /// [`restore`](Engine::restore) from a JSON string produced by
@@ -230,11 +247,28 @@ impl Engine {
     /// The expansion is bit-exact, so the revived session continues
     /// bit-identically, same as a full restore.
     ///
+    /// The tracker is built straight from the compact blobs, each decoded
+    /// once, with the same checks (and the same error for any malformed
+    /// input) as expanding and then restoring.
+    ///
     /// # Errors
     ///
     /// As [`CompactCheckpoint::expand`] and [`restore`](Engine::restore).
     pub fn restore_compact(&self, checkpoint: &CompactCheckpoint) -> Result<Session, EngineError> {
-        self.restore(&checkpoint.expand()?)
+        let rng = checkpoint.validate_envelope()?;
+        let tracker = Tracker::from_compact(
+            &checkpoint.tracker,
+            checkpoint.config,
+            checkpoint.model,
+            Arc::clone(&self.boundary),
+        )?;
+        Ok(self.resume(
+            tracker,
+            rng,
+            &checkpoint.users,
+            checkpoint.rounds_ingested,
+            &checkpoint.warm,
+        ))
     }
 
     /// [`restore_compact`](Engine::restore_compact) from a JSON string.
@@ -384,5 +418,61 @@ mod tests {
 
         let restored = engine.restore(&good).unwrap();
         assert_eq!(restored.checkpoint().tracker, good.tracker);
+    }
+
+    /// `restore_compact` decodes each blob once, yet succeeds and fails
+    /// exactly like expanding and then restoring.
+    #[test]
+    fn restore_compact_matches_expand_then_restore() {
+        let engine = Engine::new(boundary(), FluxModel::default(), grid()).unwrap();
+        let config = SessionConfig {
+            users: 2,
+            ..Default::default()
+        };
+        let good = engine
+            .open_session(&config, 7)
+            .unwrap()
+            .checkpoint_compact(2);
+        let via_expand = |c: &CompactCheckpoint| c.expand().and_then(|full| engine.restore(&full));
+        assert_eq!(
+            engine.restore_compact(&good).unwrap().checkpoint(),
+            via_expand(&good).unwrap().checkpoint()
+        );
+
+        let mut bad = Vec::new();
+        let mut c = good.clone();
+        c.version = 2;
+        bad.push(c);
+        let mut c = good.clone();
+        c.rng.pop();
+        bad.push(c);
+        let mut c = good.clone();
+        c.users.pop();
+        bad.push(c);
+        let mut c = good.clone();
+        c.tracker.users.clear();
+        c.users.clear();
+        bad.push(c);
+        let mut c = good.clone();
+        c.tracker.users[1].w_pool = "!!!!".into();
+        bad.push(c);
+        let mut c = good.clone();
+        c.tracker.users[0].n += 1;
+        bad.push(c);
+        let mut c = good.clone();
+        c.tracker.history_cap = 1;
+        c.config.heading_bias = 0.3;
+        bad.push(c);
+        let mut c = good.clone();
+        c.tracker.last_step_time = f64::NAN;
+        bad.push(c);
+        let mut c = good;
+        c.config.keep_m = 0;
+        bad.push(c);
+        for c in &bad {
+            let want = via_expand(c).unwrap_err();
+            let got = engine.restore_compact(c).unwrap_err();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
     }
 }

@@ -74,7 +74,7 @@ pub enum EngineError {
         found: u64,
     },
     /// A read-only grid access named a hibernated session; revive it
-    /// first (submit a round, or use a mutable accessor).
+    /// first (submit a round and drain, or use a mutable accessor).
     SessionHibernated {
         /// The hibernated session's id.
         session: usize,

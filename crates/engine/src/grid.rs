@@ -1,29 +1,35 @@
-//! fluxgrid: the sharded multi-session scheduler.
+//! fluxgrid: the multi-session scheduler.
 //!
-//! A [`Grid`] owns N shards, each holding a dedicated [`Pool`] slice
-//! (see [`Pool::split`]), a reusable solver scratch, and the sessions
-//! assigned to it. Rounds are [`submit`](Grid::submit)ted into bounded
-//! per-session queues — a full queue hands the round straight back as
-//! [`Submit::Backpressure`] instead of blocking — and a
-//! [`drain`](Grid::drain) barrier spawns one scoped worker thread per
-//! shard to ingest every queued round as a contiguous batch
+//! A [`Grid`] owns N shards — drain workers, each holding a dedicated
+//! [`Pool`] slice (see [`Pool::split`]) and a reusable solver scratch —
+//! and one table of resident sessions indexed by id. Rounds are
+//! [`submit`](Grid::submit)ted into bounded per-session queues — a full
+//! queue hands the round straight back as [`Submit::Backpressure`]
+//! instead of blocking — and a [`drain`](Grid::drain) barrier ingests
+//! every queued round, each session's queue as one contiguous batch
 //! ([`Session::ingest_batch_into`]).
 //!
-//! Shard workers are plain [`std::thread::scope`] threads, *not* pool
-//! workers, so each can still dispatch on its own pool slice; with
-//! one-thread slices (the default when `shards == threads`) every solver
-//! dispatch takes the sequential fast path and the shard threads
-//! themselves are the parallelism — no per-dispatch spawns at all.
+//! # Scheduling
+//!
+//! A drain first lists, in id order, the residents with work: queued
+//! rounds, or an idle streak that has reached the eviction threshold.
+//! The workers then claim entries from that one shared list until it is
+//! empty, so no worker idles while another still has a backlog, however
+//! the active sessions' ids happen to be distributed. The calling thread
+//! serves as the first worker; the others are plain
+//! [`std::thread::scope`] threads, *not* pool workers, so each can still
+//! dispatch on its own pool slice. With one-thread slices (the default
+//! when `shards == threads`) every solver dispatch takes the sequential
+//! fast path and the workers themselves are the parallelism.
 //!
 //! # Determinism
 //!
 //! Each session's rounds are processed in submission order by exactly
-//! one shard, and every solver construct underneath is bit-identical at
+//! one worker, and every solver construct underneath is bit-identical at
 //! any thread count, so grid results are **bit-identical to driving each
 //! session alone** with [`Session::ingest`] — for any shard count, any
 //! thread budget, and any interleaving of submissions across sessions.
-//! The session→shard assignment is the fixed map `id % shards`; it
-//! affects only scheduling, never results.
+//! Which worker serves a session affects only scheduling, never results.
 //!
 //! # Checkpointing
 //!
@@ -35,16 +41,18 @@
 //!
 //! With [`GridConfig::hibernate_after`] set, a resident that sits
 //! through that many consecutive drains without ingesting a round is
-//! evicted to its compact serialized form (a [`CompactCheckpoint`] JSON
-//! string) in the shard's in-memory hibernarium; the live [`Session`] —
-//! samples, template, scratch references — is dropped. The next
-//! [`submit`](Grid::submit) (or a drain of restored pending rounds)
-//! revives it transparently. Eviction and revival are bit-transparent:
-//! the compact form expands exactly, so a fleet run with any eviction
-//! threshold is bit-identical to the always-resident run.
-//! [`Grid::checkpoint`] round-trips hibernated residents *without
+//! evicted to its [`CompactCheckpoint`], held as a value in the grid's
+//! in-memory hibernarium; the live [`Session`] — samples, template,
+//! scratch references — is dropped. Submitting to a cold resident only
+//! queues the round: the drain worker that ingests it revives it first
+//! (as does [`session_mut`](Grid::session_mut)). Eviction and revival
+//! are bit-transparent: the compact form expands exactly, so a fleet run
+//! with any eviction threshold is bit-identical to the always-resident
+//! run. [`Grid::checkpoint`] round-trips hibernated residents *without
 //! reviving them*, so checkpointing a 100k-session fleet touches only
 //! the hot few.
+
+use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -77,10 +85,10 @@ pub struct GridConfig {
     /// `0` means the process-wide pool's width.
     pub threads: usize,
     /// Hibernation threshold: a resident idle for this many consecutive
-    /// drains (no rounds ingested) is evicted to its compact serialized
-    /// form; `0` (the default) keeps every session resident forever.
-    /// Results never depend on this — eviction/revival is
-    /// bit-transparent — only peak memory does.
+    /// drains (no rounds ingested) is evicted to its compact form; `0`
+    /// (the default) keeps every session resident forever. Results
+    /// never depend on this — eviction/revival is bit-transparent —
+    /// only peak memory does.
     pub hibernate_after: u64,
 }
 
@@ -136,15 +144,9 @@ pub enum Submit {
 enum Residency {
     /// A live session, ready to ingest.
     Hot(Box<Session>),
-    /// Evicted to the hibernarium: the session's compact checkpoint
-    /// JSON is all that remains in memory.
-    Cold(Hibernated),
-}
-
-/// One hibernarium entry: the compact serialized session.
-#[derive(Debug)]
-struct Hibernated {
-    json: String,
+    /// Evicted to the hibernarium: the session's compact checkpoint is
+    /// all that remains in memory.
+    Cold(Box<CompactCheckpoint>),
 }
 
 /// One resident session: its state (hot or hibernated), its queue of
@@ -162,52 +164,54 @@ struct Resident {
     rounds_idle: u64,
 }
 
-impl Resident {
-    /// Ensures the resident is hot, reviving it from the hibernarium if
-    /// needed.
-    fn revive(&mut self, engine: &Engine) -> Result<(), EngineError> {
-        if let Residency::Cold(hibernated) = &self.residency {
-            let session = engine.restore_compact_json(&hibernated.json)?;
+impl Residency {
+    /// The live session, revived from the hibernarium first if needed.
+    /// `id` names the resident in errors.
+    fn revive(&mut self, engine: &Engine, id: usize) -> Result<&mut Session, EngineError> {
+        if let Residency::Cold(checkpoint) = self {
+            let session = engine.restore_compact(checkpoint)?;
             telemetry::counter(names::GRID_HIBERNATE_REVIVALS, 1);
-            self.residency = Residency::Hot(Box::new(session));
+            *self = Residency::Hot(Box::new(session));
         }
-        Ok(())
+        match self {
+            Residency::Hot(session) => Ok(session),
+            Residency::Cold(_) => Err(EngineError::SessionHibernated { session: id }),
+        }
     }
 
-    /// Evicts a hot resident to its compact serialized form; a no-op on
-    /// an already-cold one.
-    fn hibernate(&mut self) -> Result<(), EngineError> {
-        if let Residency::Hot(session) = &self.residency {
-            let compact = session.checkpoint_compact(HIBERNATE_HISTORY_CAP);
-            let json = serde_json::to_string(&compact)
-                .map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
+    /// Evicts a hot session to its compact form; a no-op on an
+    /// already-cold one.
+    fn hibernate(&mut self) {
+        if let Residency::Hot(session) = self {
+            let checkpoint = session.checkpoint_compact(HIBERNATE_HISTORY_CAP);
             telemetry::counter(names::GRID_HIBERNATE_EVICTIONS, 1);
             telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
-            telemetry::record(names::HIST_GRID_HIBERNATE_BYTES, json.len() as f64);
-            self.residency = Residency::Cold(Hibernated { json });
+            telemetry::record(
+                names::HIST_GRID_HIBERNATE_BYTES,
+                checkpoint.in_memory_bytes() as f64,
+            );
+            *self = Residency::Cold(Box::new(checkpoint));
         }
-        Ok(())
     }
 }
 
-/// One shard: a dedicated pool slice, a reusable solver scratch, and the
-/// residents assigned to it (in session-id order).
+/// One shard: a drain worker's dedicated pool slice and reusable solver
+/// scratch.
 #[derive(Debug)]
 struct Shard {
     pool: Pool,
     scratch: CacheScratch,
-    residents: Vec<Resident>,
 }
 
-/// The sharded multi-session scheduler. See the [module docs](self).
+/// The multi-session scheduler. See the [module docs](self).
 #[derive(Debug)]
 pub struct Grid {
     engine: Engine,
     shards: Vec<Shard>,
+    /// Every resident, indexed by session id.
+    residents: Vec<Resident>,
     queue_capacity: usize,
     hibernate_after: u64,
-    /// `assignments[id] == (shard, slot)` for every resident session.
-    assignments: Vec<(usize, usize)>,
     rounds_ingested: u64,
 }
 
@@ -238,21 +242,20 @@ impl Grid {
             .map(|pool| Shard {
                 pool,
                 scratch: CacheScratch::new(),
-                residents: Vec::new(),
             })
             .collect();
         Ok(Grid {
             engine,
             shards,
+            residents: Vec::new(),
             queue_capacity: config.queue_capacity,
             hibernate_after: config.hibernate_after,
-            assignments: Vec::new(),
             rounds_ingested: 0,
         })
     }
 
-    /// Opens a new session (see [`Engine::open_session`]) and assigns it
-    /// to shard `id % shards`. Returns the session's dense id.
+    /// Opens a new session (see [`Engine::open_session`]) and returns
+    /// its dense id.
     ///
     /// # Errors
     ///
@@ -269,125 +272,133 @@ impl Grid {
     /// Inserts a resident (with any pending rounds) under the next id.
     fn adopt(&mut self, residency: Residency, pending: Vec<ObservationRound>) -> SessionId {
         telemetry::counter(names::GRID_SESSIONS_RESIDENT, 1);
-        if let Residency::Cold(hibernated) = &residency {
+        if let Residency::Cold(checkpoint) = &residency {
             telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
             telemetry::record(
                 names::HIST_GRID_HIBERNATE_BYTES,
-                hibernated.json.len() as f64,
+                checkpoint.in_memory_bytes() as f64,
             );
         }
-        let id = self.assignments.len();
-        let shard = id % self.shards.len();
-        let slot = self.shards[shard].residents.len();
-        self.shards[shard].residents.push(Resident {
+        let id = self.residents.len();
+        self.residents.push(Resident {
             id,
             residency,
             pending,
             outcomes: Vec::new(),
             rounds_idle: 0,
         });
-        self.assignments.push((shard, slot));
         SessionId(id)
     }
 
-    /// Queues one round for a session, reviving it from the hibernarium
-    /// first if the idle policy evicted it. Never blocks: a full queue
-    /// hands the round back as [`Submit::Backpressure`] (with a
-    /// `grid.backpressure.events` count) and the caller decides whether
-    /// to [`drain`](Grid::drain) and resubmit or shed load.
+    /// Queues one round for a session. Never blocks and never runs the
+    /// tracker: a hibernated session stays cold until the drain that
+    /// ingests the round revives it. A full queue hands the round back
+    /// as [`Submit::Backpressure`] (with a `grid.backpressure.events`
+    /// count) and the caller decides whether to [`drain`](Grid::drain)
+    /// and resubmit or shed load.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownSession`] for an id this grid never
-    /// issued and propagates revival errors.
+    /// issued.
     pub fn submit(
         &mut self,
         id: SessionId,
         round: ObservationRound,
     ) -> Result<Submit, EngineError> {
-        let (shard, slot) = self.locate(id)?;
-        let engine = &self.engine;
-        let resident = &mut self.shards[shard].residents[slot];
+        let index = self.locate(id)?;
+        let resident = &mut self.residents[index];
         if resident.pending.len() >= self.queue_capacity {
             telemetry::counter(names::GRID_BACKPRESSURE_EVENTS, 1);
             return Ok(Submit::Backpressure(round));
         }
-        resident.revive(engine)?;
-        resident.rounds_idle = 0;
         resident.pending.push(round);
         telemetry::counter(names::GRID_ROUNDS_QUEUED, 1);
         Ok(Submit::Queued)
     }
 
-    /// The drain barrier: ingests every queued round, one scoped worker
-    /// thread per shard, each session's queue as one contiguous batch
-    /// over the shard's pool slice and reused scratch. Returns the number
-    /// of rounds ingested by this call.
+    /// The drain barrier: ingests every queued round, each session's
+    /// queue as one contiguous batch over a shard's pool slice and
+    /// reused scratch, and applies the hibernation policy. Residents
+    /// that ingest nothing extend their idle streak and are evicted once
+    /// it reaches [`GridConfig::hibernate_after`]; cold residents with
+    /// queued rounds are revived first. The work is spread over the
+    /// shards' workers through one shared list (see the
+    /// [module docs](self)). Returns the number of rounds ingested by
+    /// this call.
     ///
-    /// On success all queues are empty. On error, the first failure in
-    /// (shard, session) order is returned as
-    /// [`EngineError::SessionFailed`]; the failing session keeps its
-    /// un-attempted rounds queued (the failing round itself is consumed),
-    /// other sessions' drains are unaffected, and every outcome produced
-    /// anywhere is retained — so a caller that can make progress simply
-    /// drains again.
+    /// On success all queues are empty. A failing session does not stop
+    /// the drain: every other resident is still served, and every
+    /// outcome produced anywhere is retained. The failing session's
+    /// failing round is consumed and its un-attempted rounds stay queued,
+    /// so a caller that can make progress simply drains again. Of all
+    /// failures, the one with the lowest session id is returned — the
+    /// same error at any shard or thread count.
     ///
     /// # Errors
     ///
-    /// [`EngineError::SessionFailed`] wrapping the first session error.
+    /// [`EngineError::SessionFailed`] wrapping the lowest-id session's
+    /// ingest error, or that session's revival error as is (its queue
+    /// then stays intact).
     pub fn drain(&mut self) -> Result<u64, EngineError> {
         let _span = telemetry::span(names::SPAN_GRID_DRAIN);
-        for shard in &self.shards {
-            let depth: usize = shard.residents.iter().map(|r| r.pending.len()).sum();
-            telemetry::record(names::HIST_GRID_QUEUE_DEPTH, depth as f64);
-        }
-        let engine = &self.engine;
         let hibernate_after = self.hibernate_after;
-        let results: Vec<(u64, Option<EngineError>)> = if self.shards.len() <= 1 {
-            self.shards
-                .iter_mut()
-                .map(|shard| drain_shard(shard, engine, hibernate_after))
-                .collect()
-        } else {
-            // fluxlint: allow(thread-confinement) — sanctioned drain fan-out
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| {
-                        // fluxlint: allow(thread-confinement) — shard-ordered join
-                        scope.spawn(move || {
-                            let r = drain_shard(shard, engine, hibernate_after);
-                            // Scope exit does not wait for TLS destructors;
-                            // merge this worker's telemetry first, exactly
-                            // as fluxpar workers do.
-                            telemetry::flush();
-                            r
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(v) => v,
-                        // Re-raise a shard worker's panic with its
-                        // original payload.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            })
-        };
-        let mut total = 0u64;
-        let mut first_error = None;
-        for (ingested, error) in results {
-            total += ingested;
-            if first_error.is_none() {
-                first_error = error;
+        let mut depth = 0;
+        let mut work: Vec<&mut Resident> = Vec::new();
+        for resident in &mut self.residents {
+            if resident.pending.is_empty() {
+                resident.rounds_idle += 1;
+                let evict = hibernate_after > 0
+                    && resident.rounds_idle >= hibernate_after
+                    && matches!(resident.residency, Residency::Hot(_));
+                if !evict {
+                    continue;
+                }
             }
+            depth += resident.pending.len();
+            work.push(resident);
         }
+        telemetry::record(names::HIST_GRID_QUEUE_DEPTH, depth as f64);
+
+        let engine = &self.engine;
+        let workers = self.shards.len().min(work.len()).max(1);
+        let queue = &Mutex::new(work.into_iter());
+        let (first, helpers) = self.shards[..workers].split_at_mut(1);
+        // fluxlint: allow(thread-confinement) — sanctioned drain fan-out
+        let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = helpers
+                .iter_mut()
+                .map(|shard| {
+                    // fluxlint: allow(thread-confinement) — joined in shard order
+                    scope.spawn(move || {
+                        let r = drain_worker(queue, engine, shard);
+                        // Scope exit does not wait for TLS destructors;
+                        // merge this worker's telemetry first, exactly as
+                        // fluxpar workers do.
+                        telemetry::flush();
+                        r
+                    })
+                })
+                .collect();
+            // The calling thread is the first worker.
+            let mut results = vec![drain_worker(queue, engine, &mut first[0])];
+            for handle in handles {
+                match handle.join() {
+                    Ok(r) => results.push(r),
+                    // Re-raise a worker's panic with its original payload.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            results
+        });
+        let total = results.iter().map(|r| r.ingested).sum();
         self.rounds_ingested += total;
-        match first_error {
-            Some(e) => Err(e),
+        match results
+            .into_iter()
+            .filter_map(|r| r.failure)
+            .min_by_key(|&(id, _)| id)
+        {
+            Some((_, e)) => Err(e),
             None => Ok(total),
         }
     }
@@ -406,7 +417,7 @@ impl Grid {
 
     /// Number of resident sessions (hot and hibernated).
     pub fn sessions(&self) -> usize {
-        self.assignments.len()
+        self.residents.len()
     }
 
     /// Number of sessions currently hot (live in memory).
@@ -416,20 +427,20 @@ impl Grid {
 
     /// Number of sessions currently hibernated.
     pub fn hibernated_sessions(&self) -> usize {
-        self.shards
+        self.residents
             .iter()
-            .flat_map(|s| &s.residents)
             .filter(|r| matches!(r.residency, Residency::Cold(_)))
             .count()
     }
 
-    /// Total serialized bytes held by the hibernarium across all shards.
+    /// Total bytes the hibernarium holds: the sum of
+    /// [`CompactCheckpoint::in_memory_bytes`] over every hibernated
+    /// resident.
     pub fn hibernated_bytes(&self) -> usize {
-        self.shards
+        self.residents
             .iter()
-            .flat_map(|s| &s.residents)
             .map(|r| match &r.residency {
-                Residency::Cold(h) => h.json.len(),
+                Residency::Cold(checkpoint) => checkpoint.in_memory_bytes(),
                 Residency::Hot(_) => 0,
             })
             .sum()
@@ -441,9 +452,9 @@ impl Grid {
     ///
     /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn is_hibernated(&self, id: SessionId) -> Result<bool, EngineError> {
-        let (shard, slot) = self.locate(id)?;
+        let index = self.locate(id)?;
         Ok(matches!(
-            self.shards[shard].residents[slot].residency,
+            self.residents[index].residency,
             Residency::Cold(_)
         ))
     }
@@ -466,11 +477,7 @@ impl Grid {
     /// barrier would clear. Drain schedulers use this to amortize the
     /// barrier over many connections instead of paying it per submit.
     pub fn queued_total(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| &s.residents)
-            .map(|r| r.pending.len())
-            .sum()
+        self.residents.iter().map(|r| r.pending.len()).sum()
     }
 
     /// Rounds ingested over the grid's lifetime.
@@ -490,10 +497,10 @@ impl Grid {
     /// Returns [`EngineError::UnknownSession`] for an unknown id and
     /// [`EngineError::SessionHibernated`] for a cold resident (a shared
     /// reference cannot revive; use [`session_mut`](Grid::session_mut)
-    /// or submit a round).
+    /// or submit a round and drain).
     pub fn session(&self, id: SessionId) -> Result<&Session, EngineError> {
-        let (shard, slot) = self.locate(id)?;
-        match &self.shards[shard].residents[slot].residency {
+        let index = self.locate(id)?;
+        match &self.residents[index].residency {
             Residency::Hot(session) => Ok(session),
             Residency::Cold(_) => Err(EngineError::SessionHibernated { session: id.0 }),
         }
@@ -510,14 +517,8 @@ impl Grid {
     /// Returns [`EngineError::UnknownSession`] for an unknown id and
     /// propagates revival errors.
     pub fn session_mut(&mut self, id: SessionId) -> Result<&mut Session, EngineError> {
-        let (shard, slot) = self.locate(id)?;
-        let engine = &self.engine;
-        let resident = &mut self.shards[shard].residents[slot];
-        resident.revive(engine)?;
-        match &mut resident.residency {
-            Residency::Hot(session) => Ok(session),
-            Residency::Cold(_) => Err(EngineError::SessionHibernated { session: id.0 }),
-        }
+        let index = self.locate(id)?;
+        self.residents[index].residency.revive(&self.engine, id.0)
     }
 
     /// Rounds currently queued (submitted, not yet drained) for a session.
@@ -526,8 +527,8 @@ impl Grid {
     ///
     /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn queued(&self, id: SessionId) -> Result<usize, EngineError> {
-        let (shard, slot) = self.locate(id)?;
-        Ok(self.shards[shard].residents[slot].pending.len())
+        let index = self.locate(id)?;
+        Ok(self.residents[index].pending.len())
     }
 
     /// Takes (and clears) the session's accumulated drain outcomes, one
@@ -537,50 +538,40 @@ impl Grid {
     ///
     /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn take_outcomes(&mut self, id: SessionId) -> Result<Vec<StepOutcome>, EngineError> {
-        let (shard, slot) = self.locate(id)?;
-        Ok(std::mem::take(
-            &mut self.shards[shard].residents[slot].outcomes,
-        ))
+        let index = self.locate(id)?;
+        Ok(std::mem::take(&mut self.residents[index].outcomes))
     }
 
     /// Snapshots every resident session — including rounds still queued —
     /// into one versioned checkpoint. Hot residents are captured in the
     /// full checkpoint form; hibernated residents are captured in their
-    /// compact form *without being revived* (the stored JSON is parsed,
+    /// compact form *without being revived* (the stored value is copied,
     /// never expanded into a live session). Outcome logs are derived
     /// data and are not captured; take them first if you need them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::CheckpointCodec`] when a hibernarium entry
-    /// fails to parse (never happens for entries this grid wrote).
-    pub fn checkpoint(&self) -> Result<GridCheckpoint, EngineError> {
+    pub fn checkpoint(&self) -> GridCheckpoint {
         let sessions = self
-            .assignments
+            .residents
             .iter()
-            .map(|&(shard, slot)| {
-                let resident = &self.shards[shard].residents[slot];
+            .map(|resident| {
                 let (session, hibernated) = match &resident.residency {
                     Residency::Hot(session) => (Some(session.checkpoint()), None),
-                    Residency::Cold(h) => {
-                        let compact: CompactCheckpoint = serde_json::from_str(&h.json)
-                            .map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-                        (None, Some(compact))
+                    Residency::Cold(checkpoint) => {
+                        (None, Some(CompactCheckpoint::clone(checkpoint)))
                     }
                 };
-                Ok(GridSessionCheckpoint {
+                GridSessionCheckpoint {
                     session,
                     hibernated,
                     pending: resident.pending.clone(),
-                })
+                }
             })
-            .collect::<Result<Vec<_>, EngineError>>()?;
-        Ok(GridCheckpoint {
+            .collect();
+        GridCheckpoint {
             version: CHECKPOINT_VERSION,
             shards: self.shards.len(),
             queue_capacity: self.queue_capacity,
             sessions,
-        })
+        }
     }
 
     /// [`checkpoint`](Grid::checkpoint) serialized to a JSON string.
@@ -589,7 +580,7 @@ impl Grid {
     ///
     /// Returns [`EngineError::CheckpointCodec`] when encoding fails.
     pub fn checkpoint_json(&self) -> Result<String, EngineError> {
-        serde_json::to_string(&self.checkpoint()?)
+        serde_json::to_string(&self.checkpoint())
             .map_err(|e| EngineError::CheckpointCodec(e.to_string()))
     }
 
@@ -600,9 +591,9 @@ impl Grid {
     /// entries are validated and adopted *cold* — straight back into the
     /// hibernarium without ever building a live session, so a restored
     /// fleet's memory stays bounded from the first instant. The config
-    /// must keep the checkpoint's shard count (the session→shard map is
-    /// `id % shards`); the thread budget, queue capacity, and
-    /// hibernation threshold are free to change — none affects results.
+    /// must keep the checkpoint's shard count; the thread budget, queue
+    /// capacity, and hibernation threshold are free to change — none
+    /// affects results.
     ///
     /// # Errors
     ///
@@ -637,9 +628,7 @@ impl Grid {
                         });
                     }
                     compact.validate()?;
-                    let json = serde_json::to_string(compact)
-                        .map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-                    Residency::Cold(Hibernated { json })
+                    Residency::Cold(Box::new(compact.clone()))
                 }
                 _ => {
                     return Err(EngineError::BadCheckpoint { field: "sessions" });
@@ -666,79 +655,95 @@ impl Grid {
         Grid::restore(engine, config, &checkpoint)
     }
 
-    fn locate(&self, id: SessionId) -> Result<(usize, usize), EngineError> {
-        self.assignments
-            .get(id.0)
-            .copied()
-            .ok_or(EngineError::UnknownSession {
+    /// The index of a known session id.
+    fn locate(&self, id: SessionId) -> Result<usize, EngineError> {
+        if id.0 < self.residents.len() {
+            Ok(id.0)
+        } else {
+            Err(EngineError::UnknownSession {
                 index: id.0,
-                sessions: self.assignments.len(),
+                sessions: self.residents.len(),
             })
+        }
     }
 }
 
-/// Ingests one shard's queues in session-id order, then applies the
-/// hibernation policy: residents that ingested nothing extend their idle
-/// streak and are evicted once it reaches `hibernate_after` (0 = never).
-/// Returns the rounds ingested and the first failure, if any. Runs on a
-/// shard worker thread during parallel drains.
-fn drain_shard(
-    shard: &mut Shard,
-    engine: &Engine,
-    hibernate_after: u64,
-) -> (u64, Option<EngineError>) {
-    let Shard {
-        pool,
-        scratch,
-        residents,
-    } = shard;
-    let mut ingested = 0u64;
-    for resident in residents.iter_mut() {
-        if resident.pending.is_empty() {
-            // Idle this drain: extend the streak, evict at the
-            // threshold. Eviction is bit-transparent, so doing it here
-            // (in parallel, per shard) never affects results.
-            resident.rounds_idle += 1;
-            if hibernate_after > 0 && resident.rounds_idle >= hibernate_after {
-                if let Err(e) = resident.hibernate() {
-                    return (ingested, Some(e));
-                }
-            }
-            continue;
-        }
-        // Pending rounds for a cold resident (a restored checkpoint of
-        // a hibernated session with a queued backlog): revive first.
-        if let Err(e) = resident.revive(engine) {
-            return (ingested, Some(e));
-        }
-        resident.rounds_idle = 0;
-        let Residency::Hot(session) = &mut resident.residency else {
-            // revive() just guaranteed hotness.
-            continue;
+/// What one drain worker did: rounds ingested, and its lowest-id
+/// failure with that session's id.
+struct WorkerResult {
+    ingested: u64,
+    failure: Option<(usize, EngineError)>,
+}
+
+/// One drain worker: claims residents from the shared work list until
+/// it is empty and serves each on this shard's pool slice and scratch.
+/// Every claimed resident is served even after a failure.
+fn drain_worker<'a, I>(queue: &Mutex<I>, engine: &Engine, shard: &mut Shard) -> WorkerResult
+where
+    I: Iterator<Item = &'a mut Resident>,
+{
+    let mut result = WorkerResult {
+        ingested: 0,
+        failure: None,
+    };
+    loop {
+        // The lock guards only the claim. A poisoned lock means another
+        // worker panicked mid-claim; its panic is re-raised at the join,
+        // so carrying on here is harmless.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some(resident) = next else {
+            return result;
         };
-        let batch = std::mem::take(&mut resident.pending);
-        telemetry::counter(names::GRID_BATCHES, 1);
-        let before = resident.outcomes.len();
-        let result = session.ingest_batch_into(&batch, pool, scratch, &mut resident.outcomes);
-        let done = resident.outcomes.len() - before;
-        ingested += done as u64;
-        telemetry::counter(names::GRID_ROUNDS_INGESTED, done as u64);
-        if let Err(e) = result {
-            // Round `done` failed and was consumed by the attempt (a
-            // malformed round would otherwise wedge the queue forever);
-            // the un-attempted remainder goes back in order.
-            resident.pending = batch.into_iter().skip(done + 1).collect();
-            return (
-                ingested,
-                Some(EngineError::SessionFailed {
-                    session: resident.id,
-                    round: done,
-                    source: Box::new(e),
-                }),
-            );
+        if let Err(e) = serve(resident, engine, shard, &mut result.ingested) {
+            // Claims run in id order, so the first failure is this
+            // worker's lowest.
+            if result.failure.is_none() {
+                result.failure = Some((resident.id, e));
+            }
         }
     }
-    (ingested, None)
+}
+
+/// Serves one work-list entry. An entry without queued rounds is an idle
+/// resident due for eviction. Otherwise the resident is revived if cold
+/// and its whole queue is ingested as one batch, adding the rounds
+/// ingested to `ingested`.
+fn serve(
+    resident: &mut Resident,
+    engine: &Engine,
+    shard: &mut Shard,
+    ingested: &mut u64,
+) -> Result<(), EngineError> {
+    if resident.pending.is_empty() {
+        resident.residency.hibernate();
+        return Ok(());
+    }
+    resident.rounds_idle = 0;
+    // A revival failure leaves the queue intact.
+    let session = resident.residency.revive(engine, resident.id)?;
+    let batch = std::mem::take(&mut resident.pending);
+    telemetry::counter(names::GRID_BATCHES, 1);
+    let before = resident.outcomes.len();
+    let result = session.ingest_batch_into(
+        &batch,
+        &shard.pool,
+        &mut shard.scratch,
+        &mut resident.outcomes,
+    );
+    let done = resident.outcomes.len() - before;
+    *ingested += done as u64;
+    telemetry::counter(names::GRID_ROUNDS_INGESTED, done as u64);
+    result.map_err(|e| {
+        // Round `done` failed and was consumed by the attempt (a
+        // malformed round would otherwise wedge the queue forever); the
+        // un-attempted remainder goes back in order.
+        resident.pending = batch.into_iter().skip(done + 1).collect();
+        EngineError::SessionFailed {
+            session: resident.id,
+            round: done,
+            source: Box::new(e),
+        }
+    })
 }
 
 /// One session's slice of a [`GridCheckpoint`]: exactly one of
@@ -765,8 +770,7 @@ pub struct GridSessionCheckpoint {
 pub struct GridCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// Shard count at checkpoint time (restore must keep it: the
-    /// session→shard map is `id % shards`).
+    /// Shard count at checkpoint time (restore must keep it).
     pub shards: usize,
     /// Queue capacity at checkpoint time (informational; restore may
     /// change it).

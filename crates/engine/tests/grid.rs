@@ -333,6 +333,95 @@ fn drain_reports_session_failure_and_recovers() {
     }
 }
 
+/// A failing session does not stop the drain: every healthy resident is
+/// still ingested and every idle streak still advances, even when the
+/// failures sit among healthy sessions whose ids share a residue mod the
+/// shard count. The error is the lowest failing id's, the same at any
+/// thread budget.
+#[test]
+fn drain_serves_every_session_past_failures() {
+    let net = network(40);
+    let mut srng = StdRng::seed_from_u64(41);
+    let sniffer = Sniffer::random_count(&net, 24, &mut srng).unwrap();
+    let trace = rounds(&net, &sniffer, 2, 42);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    const SESSIONS: usize = 8;
+    // Odd ids 1 and 3 fail; 5 is healthy and 7 stays idle.
+    let failing = |s: usize| s == 1 || s == 3;
+    let idle = 7;
+    let reference = solo_outcomes(&engine, SESSIONS, &trace);
+    let bad = ObservationRound {
+        time: 1.5,
+        ids: Vec::new(),
+        fluxes: Vec::new(),
+    };
+
+    let mut errors = Vec::new();
+    for threads in [1usize, 4] {
+        let mut grid = Grid::open(
+            engine.clone(),
+            &GridConfig {
+                shards: 2,
+                queue_capacity: 8,
+                threads,
+                hibernate_after: 1,
+            },
+        )
+        .unwrap();
+        let ids: Vec<SessionId> = (0..SESSIONS)
+            .map(|s| grid.open_session(&config(1), 100 + s as u64).unwrap())
+            .collect();
+        for (s, &id) in ids.iter().enumerate() {
+            if s == idle {
+                continue;
+            }
+            grid.submit(id, trace[0].clone()).unwrap();
+            if failing(s) {
+                grid.submit(id, bad.clone()).unwrap();
+            }
+            grid.submit(id, trace[1].clone()).unwrap();
+        }
+
+        let err = grid.drain().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::SessionFailed {
+                    session: 1,
+                    round: 1,
+                    ..
+                }
+            ),
+            "threads={threads}: {err:?}"
+        );
+        errors.push(format!("{err:?}"));
+        for (s, &id) in ids.iter().enumerate() {
+            let got = grid.take_outcomes(id).unwrap();
+            if s == idle {
+                assert!(got.is_empty());
+                assert!(grid.is_hibernated(id).unwrap(), "idle streak advanced");
+            } else if failing(s) {
+                // The prefix before the bad round landed; the round after
+                // it waits for the next drain.
+                assert_eq!(got.len(), 1, "threads={threads} session={s}");
+                assert_eq!(grid.queued(id).unwrap(), 1);
+            } else {
+                assert_eq!(got.len(), trace.len(), "threads={threads} session={s}");
+                for (g, w) in got.iter().zip(&reference[s]) {
+                    assert_outcomes_bit_identical(g, w);
+                }
+                assert_eq!(grid.queued(id).unwrap(), 0);
+            }
+        }
+        // The failing sessions' remainders complete on the next drain.
+        assert_eq!(grid.drain().unwrap(), 2);
+    }
+    assert_eq!(
+        errors[0], errors[1],
+        "the reported failure depends on threads"
+    );
+}
+
 /// Satellite edge case: a round arriving while every user is suspended
 /// takes the whole-round Null update — no sample moves, the clock still
 /// advances — both through a bare session and through a grid drain.
@@ -469,7 +558,7 @@ fn checkpoint_with_pending_rounds_restores_bit_identically() {
     }
 
     let json = grid.checkpoint_json().unwrap();
-    let checkpoint = grid.checkpoint().unwrap();
+    let checkpoint = grid.checkpoint();
     assert_eq!(checkpoint.sessions.len(), SESSIONS);
     assert!(checkpoint.sessions.iter().all(|s| s.pending.len() == 3));
 

@@ -150,8 +150,8 @@ fn hibernating_grid_matches_always_resident_bitwise() {
 
 /// Arbitrary evict/revive cycles leave a session bit-identical to one
 /// that never left memory: hibernate via idle drains, revive via the
-/// next submit, repeat, and compare against a solo session fed the same
-/// rounds back to back.
+/// drain after the next submit, repeat, and compare against a solo
+/// session fed the same rounds back to back.
 #[test]
 fn evict_revive_cycles_are_bit_transparent() {
     let net = network(83);
@@ -171,14 +171,16 @@ fn evict_revive_cycles_are_bit_transparent() {
         assert!(grid.is_hibernated(id).unwrap(), "two idle drains evict");
         assert_eq!(grid.hot_sessions(), 0);
         assert!(grid.hibernated_bytes() > 0);
-        // A cold resident refuses read access but revives on submit.
+        // A cold resident refuses read access. Submit only queues; the
+        // drain that ingests the round revives it.
         assert!(matches!(
             grid.session(id),
             Err(EngineError::SessionHibernated { session: 0 })
         ));
         assert_eq!(grid.submit(id, round.clone()).unwrap(), Submit::Queued);
-        assert!(!grid.is_hibernated(id).unwrap());
-        grid.drain().unwrap();
+        assert!(grid.is_hibernated(id).unwrap(), "submit must not revive");
+        assert_eq!(grid.drain().unwrap(), 1);
+        assert!(!grid.is_hibernated(id).unwrap(), "the drain revives");
         got.extend(grid.take_outcomes(id).unwrap());
     }
     assert_eq!(got.len(), want.len());
@@ -190,6 +192,62 @@ fn evict_revive_cycles_are_bit_transparent() {
         solo.checkpoint_json().unwrap(),
         "state after evict/revive cycles must match the uninterrupted run"
     );
+}
+
+/// Activity that correlates with `id % shards`: on a 2-shard grid only
+/// even ids ever get rounds (each on alternate drains, so they also
+/// evict and revive) while odd ids sit idle. Outcomes and final states
+/// stay bit-identical to solo sessions at every thread budget — `0`
+/// inherits the process-wide width, which CI pins via
+/// `FLUXPRINT_THREADS=1` and `=4`.
+#[test]
+fn skewed_activity_matches_solo_sessions_bitwise() {
+    let net = network(89);
+    let trace = rounds(&net, 6, 90);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    const SESSIONS: usize = 8;
+    let active = |s: usize, i: usize| s.is_multiple_of(2) && (s / 2 + i).is_multiple_of(2);
+
+    for threads in [0usize, 1, 4] {
+        let mut grid = Grid::open(
+            engine.clone(),
+            &GridConfig {
+                threads,
+                ..grid_config(1)
+            },
+        )
+        .unwrap();
+        let ids: Vec<SessionId> = (0..SESSIONS)
+            .map(|s| grid.open_session(&config(1), 500 + s as u64).unwrap())
+            .collect();
+        for (i, round) in trace.iter().enumerate() {
+            for (s, &id) in ids.iter().enumerate() {
+                if active(s, i) {
+                    assert_eq!(grid.submit(id, round.clone()).unwrap(), Submit::Queued);
+                }
+            }
+            grid.drain().unwrap();
+        }
+        for (s, &id) in ids.iter().enumerate() {
+            let mut solo = engine.open_session(&config(1), 500 + s as u64).unwrap();
+            let want: Vec<StepOutcome> = trace
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| active(s, i))
+                .map(|(_, r)| solo.ingest(r).unwrap())
+                .collect();
+            let got = grid.take_outcomes(id).unwrap();
+            assert_eq!(got.len(), want.len(), "threads={threads} session={s}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_outcomes_bit_identical(g, w);
+            }
+            assert_eq!(
+                grid.session_mut(id).unwrap().checkpoint_json().unwrap(),
+                solo.checkpoint_json().unwrap(),
+                "threads={threads} session={s}"
+            );
+        }
+    }
 }
 
 /// Grid checkpoint/restore round-trips hibernated residents in their
@@ -217,7 +275,7 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     assert!(grid.is_hibernated(idle).unwrap());
     assert!(!grid.is_hibernated(busy).unwrap());
 
-    let checkpoint = grid.checkpoint().unwrap();
+    let checkpoint = grid.checkpoint();
     assert!(checkpoint.sessions[busy.index()].session.is_some());
     assert!(checkpoint.sessions[busy.index()].hibernated.is_none());
     let cold_entry = &checkpoint.sessions[idle.index()];
@@ -240,8 +298,8 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     grid.submit(idle, trace[5].clone()).unwrap();
     grid.submit(busy, trace[5].clone()).unwrap();
     grid.join().unwrap();
-    // Restored: same continuation; the submit to the cold session
-    // revives it from the round-tripped compact form.
+    // Restored: same continuation; the join's drain revives the cold
+    // session from the round-tripped compact form.
     revived.take_outcomes(busy).unwrap();
     revived.submit(idle, trace[5].clone()).unwrap();
     revived.submit(busy, trace[5].clone()).unwrap();
@@ -280,7 +338,7 @@ fn pre_v3_grid_checkpoint_cannot_carry_hibernated_entries() {
     grid.drain().unwrap();
     assert!(grid.is_hibernated(id).unwrap());
 
-    let mut checkpoint = grid.checkpoint().unwrap();
+    let mut checkpoint = grid.checkpoint();
     checkpoint.version = 2;
     assert!(matches!(
         Grid::restore(engine, &grid_config(1), &checkpoint),

@@ -693,8 +693,8 @@ impl Core {
                         round = returned;
                     }
                     Err(e) => {
-                        // Unknown session or failed revival: refund the
-                        // rounds not yet queued and report.
+                        // Unknown session: refund the rounds not yet
+                        // queued and report.
                         if let Some(c) = self.conns.get_mut(&conn) {
                             c.credits += n - queued_run;
                         }

@@ -103,12 +103,7 @@ impl TrackerState {
     /// Returns [`SmcError::ZeroUsers`] for an empty user list and
     /// [`SmcError::BadConfig`] for any other violation.
     pub fn validate(&self) -> Result<(), SmcError> {
-        self.config.validate()?;
-        if !(self.model.d_floor().is_finite() && self.model.d_floor() > 0.0) {
-            return Err(SmcError::BadConfig {
-                field: "state.model.d_floor",
-            });
-        }
+        self.validate_params()?;
         if self.users.is_empty() {
             return Err(SmcError::ZeroUsers);
         }
@@ -118,6 +113,18 @@ impl TrackerState {
         if !self.last_step_time.is_finite() {
             return Err(SmcError::BadConfig {
                 field: "state.last_step_time",
+            });
+        }
+        Ok(())
+    }
+
+    /// The configuration and model checks of [`validate`](Self::validate),
+    /// which come first there.
+    fn validate_params(&self) -> Result<(), SmcError> {
+        self.config.validate()?;
+        if !(self.model.d_floor().is_finite() && self.model.d_floor() > 0.0) {
+            return Err(SmcError::BadConfig {
+                field: "state.model.d_floor",
             });
         }
         Ok(())
@@ -329,64 +336,75 @@ impl TrackerState {
 }
 
 impl CompactTrackerState {
-    /// Validates the compact snapshot's invariants without expanding it
-    /// into sample vectors held all at once.
+    /// Validates the compact snapshot's invariants by decoding every
+    /// user's blobs (the decoded samples are discarded).
     ///
     /// # Errors
     ///
     /// Returns [`SmcError::ZeroUsers`] for an empty user list and
     /// [`SmcError::BadConfig`] for any other violation.
     pub fn validate(&self) -> Result<(), SmcError> {
-        if self.users.is_empty() {
-            return Err(SmcError::ZeroUsers);
-        }
-        for user in &self.users {
-            user.validate()?;
-            if user.history.len() > self.history_cap.min(2) as usize {
-                return Err(SmcError::BadConfig {
-                    field: "compact.history",
-                });
-            }
-        }
-        if !self.last_step_time.is_finite() {
-            return Err(SmcError::BadConfig {
-                field: "state.last_step_time",
-            });
-        }
-        Ok(())
+        self.decode_users().map(|_| ())
     }
 
     /// Expands the compact snapshot back into a full [`TrackerState`]
-    /// under a caller-supplied configuration and flux model, validating
-    /// the result.
+    /// under a caller-supplied configuration and flux model. Each blob
+    /// is decoded once and the result validated once; a malformed
+    /// snapshot fails with the same error [`validate`](Self::validate)
+    /// reports.
     ///
     /// # Errors
     ///
-    /// Returns [`SmcError::BadConfig`] with field `compact.history_cap`
-    /// when the pack-time cap was below 2 but `config.heading_bias` is
-    /// nonzero (the truncation would change stepping), and otherwise as
+    /// As [`validate`](Self::validate); then [`SmcError::BadConfig`] with
+    /// field `compact.history_cap` when the pack-time cap was below 2 but
+    /// `config.heading_bias` is nonzero (the truncation would change
+    /// stepping); then the configuration and model checks of
     /// [`TrackerState::validate`].
     pub fn expand(&self, config: SmcConfig, model: FluxModel) -> Result<TrackerState, SmcError> {
-        self.validate()?;
+        let users = self.decode_users()?;
         // fluxlint: allow(float-eq) — exact-zero sentinel: any nonzero bias reads history[1]
         if self.history_cap < 2 && config.heading_bias != 0.0 {
             return Err(SmcError::BadConfig {
                 field: "compact.history_cap",
             });
         }
-        let users = self
-            .users
-            .iter()
-            .map(CompactUserTrackState::expand)
-            .collect::<Result<Vec<_>, _>>()?;
         let state = TrackerState {
             config,
             model,
             users,
             last_step_time: self.last_step_time,
         };
-        state.validate()?;
+        // The users and the clock passed their checks while decoding.
+        state.validate_params()?;
         Ok(state)
+    }
+
+    /// Decodes every user, applying the per-user checks of
+    /// [`TrackerState::validate`] plus the compact ones (blob shapes,
+    /// indices, the history cap) in user order.
+    fn decode_users(&self) -> Result<Vec<UserTrackState>, SmcError> {
+        if self.users.is_empty() {
+            return Err(SmcError::ZeroUsers);
+        }
+        let users = self
+            .users
+            .iter()
+            .map(|user| {
+                let decoded = user.decode()?;
+                if user.history.len() > self.history_cap.min(2) as usize {
+                    return Err(SmcError::BadConfig {
+                        field: "compact.history",
+                    });
+                }
+                Ok(decoded)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if !self.last_step_time.is_finite() {
+            return Err(SmcError::BadConfig {
+                field: "state.last_step_time",
+            });
+        }
+        Ok(users)
     }
 }
 
@@ -414,6 +432,18 @@ fn b64_encode(bytes: &[u8]) -> String {
     out
 }
 
+/// [`B64_ALPHABET`] inverted: the 6-bit value of each alphabet byte,
+/// `0xff` for every other byte.
+const B64_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < B64_ALPHABET.len() {
+        table[B64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Inverse of [`b64_encode`]; `None` for any malformed input.
 fn b64_decode(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(4) {
@@ -428,8 +458,11 @@ fn b64_decode(s: &str) -> Option<Vec<u8>> {
         }
         let mut word = 0u32;
         for &c in &chunk[..4 - pad] {
-            let v = B64_ALPHABET.iter().position(|&a| a == c)?;
-            word = (word << 6) | v as u32;
+            let v = B64_VALUES[c as usize];
+            if v == 0xff {
+                return None;
+            }
+            word = (word << 6) | u32::from(v);
         }
         word <<= 6 * pad;
         out.push((word >> 16) as u8);

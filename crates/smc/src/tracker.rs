@@ -12,8 +12,8 @@ use fluxprint_stats::WeightedAlias;
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::{
-    associate_in, associate_warm_in, weighted_mean, FilterStrategy, SmcConfig, SmcError,
-    TrackerState, UserTrackState, WeightedSample,
+    associate_in, associate_warm_in, weighted_mean, CompactTrackerState, FilterStrategy, SmcConfig,
+    SmcError, TrackerState, UserTrackState, WeightedSample,
 };
 
 /// Engine-owned policy for one warm round: which users get the bounded
@@ -181,7 +181,31 @@ impl Tracker {
     /// [`TrackerState::validate`]).
     pub fn from_state(state: TrackerState, boundary: Arc<dyn Boundary>) -> Result<Self, SmcError> {
         state.validate()?;
-        Ok(Tracker {
+        Ok(Self::from_valid_state(state, boundary))
+    }
+
+    /// Revives a tracker straight from a compact snapshot under the
+    /// caller's configuration and flux model, decoding each blob once and
+    /// validating once (see [`CompactTrackerState::expand`]). The result
+    /// equals [`from_state`](Tracker::from_state) of the expanded state.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompactTrackerState::expand`].
+    pub fn from_compact(
+        compact: &CompactTrackerState,
+        config: SmcConfig,
+        model: FluxModel,
+        boundary: Arc<dyn Boundary>,
+    ) -> Result<Self, SmcError> {
+        Ok(Self::from_valid_state(
+            compact.expand(config, model)?,
+            boundary,
+        ))
+    }
+
+    fn from_valid_state(state: TrackerState, boundary: Arc<dyn Boundary>) -> Self {
+        Tracker {
             config: state.config,
             boundary,
             model: state.model,
@@ -196,7 +220,7 @@ impl Tracker {
                 })
                 .collect(),
             last_step_time: state.last_step_time,
-        })
+        }
     }
 
     /// The current weighted samples of user `index`.

@@ -103,8 +103,8 @@ pub const GRID_BATCHES: &str = "grid.batches";
 pub const GRID_SESSIONS_HIBERNATED: &str = "grid.sessions.hibernated";
 /// Idle-policy evictions of live sessions to compact serialized form.
 pub const GRID_HIBERNATE_EVICTIONS: &str = "grid.hibernate.evictions";
-/// Hibernated sessions revived (by submit, mutable access, or a drain
-/// of restored pending rounds).
+/// Hibernated sessions revived (by the drain that ingests their queued
+/// rounds, or by mutable access).
 pub const GRID_HIBERNATE_REVIVALS: &str = "grid.hibernate.revivals";
 
 /// Client connections accepted by the serving daemon.
@@ -127,11 +127,11 @@ pub const HIST_SMC_ROUND_SAMPLES: &str = "smc.round.samples_predicted";
 pub const HIST_SMC_ROUND_ACTIVE: &str = "smc.round.active_users";
 /// Winning combination residual `‖F̂ − F′‖` per round.
 pub const HIST_SMC_ROUND_RESIDUAL: &str = "smc.round.residual";
-/// Rounds queued per shard at the start of each grid drain (shard-level
-/// backlog distribution).
+/// Rounds queued across the grid at the start of each drain (backlog
+/// distribution; the name predates the drain's shared work list).
 pub const HIST_GRID_QUEUE_DEPTH: &str = "grid.shard.queue_depth";
-/// Serialized bytes per session entering the hibernarium (compact
-/// checkpoint size distribution).
+/// In-memory bytes of each compact checkpoint entering the hibernarium
+/// (`CompactCheckpoint::in_memory_bytes` distribution).
 pub const HIST_GRID_HIBERNATE_BYTES: &str = "grid.hibernate.bytes";
 /// Frame service latency in milliseconds: request frame decoded →
 /// response frame handed to the connection's writer.

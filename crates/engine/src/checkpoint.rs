@@ -20,21 +20,23 @@ use fluxprint_smc::{CompactTrackerState, SmcConfig, TrackerState, UserTrackState
 
 use crate::{EngineError, UserState, WarmState};
 
-/// The checkpoint format version this build writes. Restore accepts
-/// every version from [`CHECKPOINT_VERSION_MIN`] up to this one:
-/// version 2 added the optional `warm` field (a v1 checkpoint
-/// deserializes with `warm: None` — i.e. the cold session it always
-/// was); version 3 added the sibling [`CompactCheckpoint`] and
-/// [`DeltaCheckpoint`] shapes without changing the full form, so v2
-/// full checkpoints restore unchanged.
+/// The checkpoint format version this build writes, and the only one
+/// restore accepts — full, compact, delta and grid checkpoints alike.
+/// Older documents are refused with [`EngineError::UnsupportedVersion`]
+/// rather than migrated.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
-/// The oldest version allowed to carry the compact and delta shapes
-/// (both were introduced together in version 3).
-const COMPACT_VERSION_MIN: u32 = 3;
-
-/// The oldest checkpoint format version restore still accepts.
-pub const CHECKPOINT_VERSION_MIN: u32 = 1;
+/// Refuses any format version but [`CHECKPOINT_VERSION`].
+pub(crate) fn check_version(found: u32) -> Result<(), EngineError> {
+    if found == CHECKPOINT_VERSION {
+        Ok(())
+    } else {
+        Err(EngineError::UnsupportedVersion {
+            found,
+            supported: CHECKPOINT_VERSION,
+        })
+    }
+}
 
 /// A complete serializable session snapshot.
 ///
@@ -55,14 +57,12 @@ pub struct SessionCheckpoint {
     pub users: Vec<UserState>,
     /// Observation rounds ingested so far.
     pub rounds_ingested: u64,
-    /// Warm-start state — `Some` iff the session runs warm. Added in
-    /// format version 2; absent in v1 checkpoints, which restore as
-    /// cold sessions (`None`).
+    /// Warm-start state — `Some` iff the session runs warm.
     pub warm: Option<WarmState>,
 }
 
 impl SessionCheckpoint {
-    /// Checks the checkpoint's engine-level invariants: a supported
+    /// Checks the checkpoint's engine-level invariants: the current
     /// version, a well-formed RNG encoding, and lifecycle states parallel
     /// to the tracker's users. Tracker-level invariants are checked by
     /// [`TrackerState::validate`] at restore.
@@ -72,18 +72,7 @@ impl SessionCheckpoint {
     /// Returns [`EngineError::UnsupportedVersion`] or
     /// [`EngineError::BadCheckpoint`] naming the offending field.
     pub fn validate(&self) -> Result<(), EngineError> {
-        if !(CHECKPOINT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&self.version) {
-            return Err(EngineError::UnsupportedVersion {
-                found: self.version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        // Warm state arrived in format version 2: a checkpoint claiming
-        // v1 but carrying one is internally inconsistent (hand-edited or
-        // mislabeled), not a session any v1 build ever wrote.
-        if self.version < 2 && self.warm.is_some() {
-            return Err(EngineError::BadCheckpoint { field: "warm" });
-        }
+        check_version(self.version)?;
         self.decode_rng()?;
         if self.users.len() != self.tracker.users.len() {
             return Err(EngineError::BadCheckpoint { field: "users" });
@@ -144,7 +133,7 @@ impl SessionCheckpoint {
 
 /// A [`SessionCheckpoint`] in compact form: pooled, base64-packed sample
 /// blobs (see [`CompactTrackerState`]) with truncated histories and no
-/// derived state. Introduced in format version 3.
+/// derived state.
 ///
 /// The compact form is lossless for every KPI-bearing float — expansion
 /// is bit-exact — but drops history entries beyond its `history_cap`,
@@ -153,8 +142,7 @@ impl SessionCheckpoint {
 /// history). [`expand`](Self::expand) enforces exactly that rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompactCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]; compact checkpoints
-    /// exist from version 3).
+    /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
     /// The tracker configuration (kept out of [`CompactTrackerState`]
     /// so fleet stores can share it; carried here so a single compact
@@ -190,12 +178,7 @@ impl CompactCheckpoint {
     /// The engine-level checks of [`validate`](Self::validate), which
     /// come first there; returns the decoded RNG stream position.
     pub(crate) fn validate_envelope(&self) -> Result<[u64; 4], EngineError> {
-        if !(COMPACT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&self.version) {
-            return Err(EngineError::UnsupportedVersion {
-                found: self.version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
+        check_version(self.version)?;
         let rng = decode_rng_words(&self.rng)?;
         if self.users.len() != self.tracker.users.len() {
             return Err(EngineError::BadCheckpoint { field: "users" });
@@ -282,8 +265,7 @@ pub struct DeltaUser {
 }
 
 /// A diff between two consecutive session snapshots in a chain rooted
-/// at a named base [`SessionCheckpoint`]. Introduced in format
-/// version 3.
+/// at a named base [`SessionCheckpoint`].
 ///
 /// Mostly-idle sessions change little between rounds — a frozen user's
 /// samples, `Δt` origin, and history are untouched — so a per-round
@@ -295,8 +277,7 @@ pub struct DeltaUser {
 /// applied to the wrong state with distinct errors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]; delta checkpoints exist
-    /// from version 3).
+    /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
     /// Snapshot id of the chain's base checkpoint.
     pub base: String,
@@ -407,12 +388,7 @@ pub fn materialize(
     let mut current = base.clone();
     let mut current_id = origin.clone();
     for (i, delta) in deltas.iter().enumerate() {
-        if !(COMPACT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&delta.version) {
-            return Err(EngineError::UnsupportedVersion {
-                found: delta.version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
+        check_version(delta.version)?;
         if delta.base != origin {
             return Err(EngineError::DeltaBaseMismatch {
                 expected: origin.clone(),
@@ -544,12 +520,6 @@ mod tests {
     fn validate_accepts_good_and_rejects_bad() {
         checkpoint().validate().unwrap();
 
-        // The previous format version still validates (forward
-        // migration: v1 checkpoints restore as cold sessions).
-        let mut cp = checkpoint();
-        cp.version = CHECKPOINT_VERSION_MIN;
-        cp.validate().unwrap();
-
         let mut cp = checkpoint();
         cp.version = CHECKPOINT_VERSION + 1;
         assert!(matches!(
@@ -577,19 +547,7 @@ mod tests {
             Err(EngineError::BadCheckpoint { field: "warm" })
         ));
 
-        // Regression: a checkpoint claiming v1 while carrying the v2+
-        // `warm` field is inconsistent and must be rejected, not
-        // restored with state no v1 build ever wrote.
         let mut cp = checkpoint();
-        cp.version = CHECKPOINT_VERSION_MIN;
-        cp.warm = Some(WarmState::cold(1));
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::BadCheckpoint { field: "warm" })
-        ));
-        // The same warm state under v2 is fine.
-        let mut cp = checkpoint();
-        cp.version = 2;
         cp.warm = Some(WarmState::cold(1));
         cp.validate().unwrap();
 
@@ -644,8 +602,7 @@ mod tests {
         let back: CompactCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(back, compact);
 
-        // A compact checkpoint claiming a pre-compact version is
-        // rejected: no v2 build ever wrote this shape.
+        // Only the current version is accepted.
         let mut bad = compact.clone();
         bad.version = 2;
         assert!(matches!(

@@ -63,8 +63,8 @@ use fluxprint_solver::CacheScratch;
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::{
-    CompactCheckpoint, Engine, EngineError, Session, SessionCheckpoint, SessionConfig,
-    CHECKPOINT_VERSION, CHECKPOINT_VERSION_MIN,
+    checkpoint::check_version, CompactCheckpoint, Engine, EngineError, Session, SessionCheckpoint,
+    SessionConfig, CHECKPOINT_VERSION,
 };
 
 /// History cap used for hibernation snapshots: the live tracker itself
@@ -597,22 +597,17 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnsupportedVersion`] for a foreign format
-    /// version, [`EngineError::BadCheckpoint`] when `config.shards`
-    /// disagrees with the checkpoint or an entry is not exactly one of
-    /// hot/hibernated (or claims hibernation under a pre-v3 version),
-    /// and propagates per-session restore errors.
+    /// Returns [`EngineError::UnsupportedVersion`] for any format
+    /// version but [`CHECKPOINT_VERSION`], [`EngineError::BadCheckpoint`]
+    /// when `config.shards` disagrees with the checkpoint or an entry is
+    /// not exactly one of hot/hibernated, and propagates per-session
+    /// restore errors.
     pub fn restore(
         engine: Engine,
         config: &GridConfig,
         checkpoint: &GridCheckpoint,
     ) -> Result<GridHandle, EngineError> {
-        if !(CHECKPOINT_VERSION_MIN..=CHECKPOINT_VERSION).contains(&checkpoint.version) {
-            return Err(EngineError::UnsupportedVersion {
-                found: checkpoint.version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
+        check_version(checkpoint.version)?;
         if config.shards != checkpoint.shards {
             return Err(EngineError::BadCheckpoint { field: "shards" });
         }
@@ -621,12 +616,6 @@ impl Grid {
             let residency = match (&entry.session, &entry.hibernated) {
                 (Some(session), None) => Residency::Hot(Box::new(grid.engine.restore(session)?)),
                 (None, Some(compact)) => {
-                    // Hibernation shapes exist from format version 3.
-                    if checkpoint.version < 3 {
-                        return Err(EngineError::BadCheckpoint {
-                            field: "hibernated",
-                        });
-                    }
                     compact.validate()?;
                     Residency::Cold(Box::new(compact.clone()))
                 }
@@ -749,8 +738,7 @@ fn serve(
 /// One session's slice of a [`GridCheckpoint`]: exactly one of
 /// [`session`](Self::session) (a hot resident, full form) or
 /// [`hibernated`](Self::hibernated) (a cold resident, compact form) is
-/// present. Pre-v3 grid checkpoints always carried the full form, and
-/// deserialize here with `session: Some(..)` and `hibernated: None`.
+/// present.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSessionCheckpoint {
     /// The full session snapshot, for a resident that was hot at

@@ -94,7 +94,7 @@ mod session;
 
 pub use checkpoint::{
     materialize, CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, SessionCheckpoint,
-    CHECKPOINT_VERSION, CHECKPOINT_VERSION_MIN,
+    CHECKPOINT_VERSION,
 };
 pub use engine::{Engine, SessionConfig};
 pub use error::EngineError;

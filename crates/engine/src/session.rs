@@ -123,7 +123,7 @@ impl Session {
 
     /// [`ingest`](Session::ingest) on an explicit pool, reusing a
     /// caller-owned [`CacheScratch`] across sequential solver dispatches.
-    /// Shard workers use this (and the batch variants below) to drive
+    /// Shard workers use this (and the batch entry points below) to drive
     /// many sessions on dedicated one-thread pool slices without touching
     /// the process-wide pool or the allocator in the hot loop. Results
     /// are bit-identical to [`ingest`](Session::ingest).
@@ -165,11 +165,12 @@ impl Session {
         self.ingest_round(round, rng, fluxprint_fluxpar::pool(), &mut scratch)
     }
 
-    /// Ingests a contiguous run of rounds in order, equivalent to calling
+    /// Ingests a contiguous run of rounds in order on an explicit pool and
+    /// caller-owned scratch, equivalent to calling
     /// [`ingest`](Session::ingest) once per round — bit-identically so —
-    /// but sharing one objective template and (via the `_in` variants)
-    /// one [`CacheScratch`] across the whole batch when the sniffer set
-    /// is unchanged, so the per-round cost touches no allocator.
+    /// but sharing one objective template and one [`CacheScratch`] across
+    /// the whole batch when the sniffer set is unchanged, so the
+    /// per-round cost touches no allocator.
     ///
     /// # Errors
     ///
@@ -178,20 +179,6 @@ impl Session {
     /// [`ingest_batch_into`](Session::ingest_batch_into) to keep them)
     /// and the session RNG has advanced past them, so the session remains
     /// consistent and resumable.
-    pub fn ingest_batch(
-        &mut self,
-        rounds: &[ObservationRound],
-    ) -> Result<Vec<StepOutcome>, EngineError> {
-        let mut scratch = CacheScratch::new();
-        self.ingest_batch_in(rounds, fluxprint_fluxpar::pool(), &mut scratch)
-    }
-
-    /// [`ingest_batch`](Session::ingest_batch) on an explicit pool and
-    /// caller-owned scratch — the shard worker's entry point.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest_batch`](Session::ingest_batch).
     pub fn ingest_batch_in(
         &mut self,
         rounds: &[ObservationRound],
@@ -212,7 +199,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`ingest_batch`](Session::ingest_batch).
+    /// As [`ingest_batch_in`](Session::ingest_batch_in).
     pub fn ingest_batch_into(
         &mut self,
         rounds: &[ObservationRound],
@@ -258,50 +245,52 @@ impl Session {
             .template
             .as_ref()
             .ok_or(EngineError::BadConfig { field: "template" })?;
-        let out = match &mut self.warm {
-            None => self
-                .tracker
-                .step_gated_in(round.time, objective, &mask, rng, pool, scratch)?,
-            Some(warm) => {
-                // The directive exists only when the bounded search has
-                // something to bound: off-cadence, with at least one hot
-                // participating user. Escape sweeps and hotless rounds
-                // pass `None`, which the tracker runs exactly cold.
-                let escape = warm.rounds_since_escape + 1 >= WARM_ESCAPE_EVERY;
-                let any_hot = !escape
+        // A warm session's directive exists only when the bounded search
+        // has something to bound: off-cadence, with at least one hot
+        // participating user. Cold sessions, escape sweeps and hotless
+        // rounds pass `None`, which the tracker runs exactly cold.
+        let escape = self
+            .warm
+            .as_ref()
+            .is_some_and(|warm| warm.rounds_since_escape + 1 >= WARM_ESCAPE_EVERY);
+        let directive = self
+            .warm
+            .as_ref()
+            .filter(|warm| {
+                !escape
                     && warm
                         .hot
                         .iter()
                         .zip(&mask)
-                        .any(|(&hot, &participates)| hot && participates);
-                let directive = any_hot.then_some(WarmDirective {
-                    hot: &warm.hot,
-                    shrink: WARM_SHRINK,
-                });
-                if escape {
-                    telemetry::counter(names::ENGINE_WARM_ESCAPES, 1);
-                } else if any_hot {
-                    telemetry::counter(names::ENGINE_WARM_ROUNDS, 1);
-                }
-                let out = self.tracker.step_gated_warm_in(
-                    round.time, objective, &mask, directive, rng, pool, scratch,
-                )?;
-                warm.rounds_since_escape = if escape {
-                    0
-                } else {
-                    warm.rounds_since_escape + 1
-                };
-                // A user is hot next round iff it matched an observation
-                // this round; anyone the fit lost falls back to the full
-                // search immediately rather than waiting for the sweep.
-                for (hot, (&active, &participates)) in
-                    warm.hot.iter_mut().zip(out.active.iter().zip(&mask))
-                {
-                    *hot = active && participates;
-                }
-                out
+                        .any(|(&hot, &participates)| hot && participates)
+            })
+            .map(|warm| WarmDirective {
+                hot: &warm.hot,
+                shrink: WARM_SHRINK,
+            });
+        if escape {
+            telemetry::counter(names::ENGINE_WARM_ESCAPES, 1);
+        } else if directive.is_some() {
+            telemetry::counter(names::ENGINE_WARM_ROUNDS, 1);
+        }
+        let out = self
+            .tracker
+            .step_gated_in(round.time, objective, &mask, directive, rng, pool, scratch)?;
+        if let Some(warm) = &mut self.warm {
+            warm.rounds_since_escape = if escape {
+                0
+            } else {
+                warm.rounds_since_escape + 1
+            };
+            // A user is hot next round iff it matched an observation
+            // this round; anyone the fit lost falls back to the full
+            // search immediately rather than waiting for the sweep.
+            for (hot, (&active, &participates)) in
+                warm.hot.iter_mut().zip(out.active.iter().zip(&mask))
+            {
+                *hot = active && participates;
             }
-        };
+        }
         self.rounds_ingested += 1;
         Ok(out)
     }

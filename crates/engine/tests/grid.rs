@@ -153,7 +153,9 @@ fn batch_ingestion_matches_per_round_ingestion() {
 
     // Whole-trace batch on the default pool.
     let mut batched = engine.open_session(&config(1), 9).unwrap();
-    let got = batched.ingest_batch(&trace).unwrap();
+    let got = batched
+        .ingest_batch_in(&trace, fluxprint_fluxpar::pool(), &mut CacheScratch::new())
+        .unwrap();
     assert_eq!(got.len(), reference.len());
     for (g, w) in got.iter().zip(&reference) {
         assert_outcomes_bit_identical(g, w);

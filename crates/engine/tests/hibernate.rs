@@ -320,30 +320,3 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
         assert_outcomes_bit_identical(g, w);
     }
 }
-
-/// A hibernated entry in a grid checkpoint is only legal from format
-/// version 3 on; a hand-rewritten older version is rejected rather than
-/// misread.
-#[test]
-fn pre_v3_grid_checkpoint_cannot_carry_hibernated_entries() {
-    let net = network(87);
-    let trace = rounds(&net, 2, 88);
-    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
-
-    let mut grid = Grid::open(engine.clone(), &grid_config(1)).unwrap();
-    let id = grid.open_session(&config(1), 400).unwrap();
-    grid.submit(id, trace[0].clone()).unwrap();
-    grid.drain().unwrap();
-    grid.drain().unwrap();
-    grid.drain().unwrap();
-    assert!(grid.is_hibernated(id).unwrap());
-
-    let mut checkpoint = grid.checkpoint();
-    checkpoint.version = 2;
-    assert!(matches!(
-        Grid::restore(engine, &grid_config(1), &checkpoint),
-        Err(EngineError::BadCheckpoint {
-            field: "hibernated"
-        })
-    ));
-}

@@ -1,15 +1,15 @@
-//! The checkpoint migration matrix: v1 and v2 full checkpoints restore
-//! under the v3 build, compact and full forms convert both ways through
-//! live sessions, and delta chains built from real ingests materialize
-//! to the exact live state — with the documented rejection for every
-//! way a chain can be abused.
+//! The checkpoint format matrix: documents of any older version are
+//! refused in every shape, compact and full forms convert both ways
+//! through live sessions, and delta chains built from real ingests
+//! materialize to the exact live state — with the documented rejection
+//! for every way a chain can be abused.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fluxprint_engine::{
-    materialize, DeltaBasis, Engine, EngineError, SessionConfig, StepOutcome, CHECKPOINT_VERSION,
-    CHECKPOINT_VERSION_MIN,
+    materialize, DeltaBasis, Engine, EngineError, Grid, GridConfig, SessionConfig, StepOutcome,
+    CHECKPOINT_VERSION,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
@@ -81,41 +81,63 @@ fn downgrade_json(json: &str, version: u32) -> String {
     serde_json::to_string(&value).unwrap()
 }
 
-/// The full migration matrix, v1→v3 and v2→v3: checkpoints rewritten to
-/// each older version restore under the current build and continue
-/// bit-identically with an uninterrupted run.
+fn refused(result: Result<impl Sized, EngineError>, version: u32) -> bool {
+    matches!(
+        result.err(),
+        Some(EngineError::UnsupportedVersion { found, supported: CHECKPOINT_VERSION })
+            if found == version
+    )
+}
+
+/// Restore reads exactly the current format version: v1 and v2
+/// documents — full (v1 without its `warm` key), compact, delta and grid
+/// (with a hibernated resident) — are refused with
+/// [`EngineError::UnsupportedVersion`] rather than migrated.
 #[test]
-fn v1_and_v2_checkpoints_restore_and_continue_bit_identically() {
+fn pre_v3_checkpoints_are_refused() {
     let net = network(91);
-    let trace = rounds(&net, 6, 92);
+    let trace = rounds(&net, 3, 92);
     let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let mut session = engine.open_session(&config(1, true), 95).unwrap();
+    let base = session.checkpoint();
+    let mut basis = DeltaBasis::new(&base).unwrap();
+    for round in &trace {
+        session.ingest(round).unwrap();
+    }
+    let mut delta = session.delta_checkpoint(&mut basis).unwrap();
+    let json = session.checkpoint_json().unwrap();
+    let mut compact = session.checkpoint_compact(2);
 
-    // v1 never carried warm state, so the matrix pairs v1 with a cold
-    // session and v2 with a warm one (v2 introduced the field).
-    for (version, warm) in [(CHECKPOINT_VERSION_MIN, false), (2, true)] {
-        let mut uninterrupted = engine.open_session(&config(1, warm), 95).unwrap();
-        let want: Vec<StepOutcome> = trace
-            .iter()
-            .map(|r| uninterrupted.ingest(r).unwrap())
-            .collect();
+    let grid_config = GridConfig {
+        shards: 1,
+        threads: 1,
+        queue_capacity: 8,
+        hibernate_after: 1,
+    };
+    let mut grid = Grid::open(engine.clone(), &grid_config).unwrap();
+    let id = grid.open_session(&config(1, false), 96).unwrap();
+    grid.drain().unwrap();
+    grid.drain().unwrap();
+    assert!(grid.is_hibernated(id).unwrap());
+    let mut grid_checkpoint = grid.checkpoint();
 
-        let mut half = engine.open_session(&config(1, warm), 95).unwrap();
-        for round in &trace[..3] {
-            half.ingest(round).unwrap();
-        }
-        let old_json = downgrade_json(&half.checkpoint_json().unwrap(), version);
-
-        let mut revived = engine.restore_json(&old_json).unwrap();
-        assert_eq!(revived.rounds_ingested(), 3);
-        for (round, want) in trace[3..].iter().zip(&want[3..]) {
-            let got = revived.ingest(round).unwrap();
-            assert_outcomes_bit_identical(&got, want);
-        }
-        assert_eq!(
-            revived.checkpoint().tracker,
-            uninterrupted.checkpoint().tracker,
-            "v{version} migration"
+    for version in [1, 2] {
+        let old_json = downgrade_json(&json, version);
+        assert!(
+            refused(engine.restore_json(&old_json), version),
+            "full v{version}"
         );
+        compact.version = version;
+        assert!(
+            refused(engine.restore_compact(&compact), version),
+            "compact v{version}"
+        );
+        delta.version = version;
+        let chain = materialize(Some(&base), std::slice::from_ref(&delta));
+        assert!(refused(chain, version), "delta v{version}");
+        grid_checkpoint.version = version;
+        let revived = Grid::restore(engine.clone(), &grid_config, &grid_checkpoint);
+        assert!(refused(revived, version), "grid v{version}");
     }
 }
 

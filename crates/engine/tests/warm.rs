@@ -1,13 +1,12 @@
 //! Warm-started solving at the session and grid level: thread-count
-//! invariance, checkpoint round-trips mid-heat, churn invalidation, and
-//! the v1-checkpoint migration path.
+//! invariance, checkpoint round-trips mid-heat, and churn invalidation.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fluxprint_engine::{
     Engine, Grid, GridConfig, SessionConfig, StepOutcome, Submit, WarmState, CHECKPOINT_VERSION,
-    CHECKPOINT_VERSION_MIN, WARM_ESCAPE_EVERY,
+    WARM_ESCAPE_EVERY,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
@@ -243,38 +242,4 @@ fn churn_invalidates_warm_state() {
     // The invalidation happened before the round ran; the round itself
     // re-earned heat for whoever matched, but the cadence restarted.
     assert_eq!(session.warm().unwrap().rounds_since_escape, 1);
-}
-
-/// A version-1 checkpoint (written before warm-started solving existed,
-/// no `warm` field) still validates and restores — as the cold session
-/// it always described.
-#[test]
-fn v1_checkpoint_restores_as_cold_session() {
-    let net = network(61);
-    let trace = rounds(&net, 3, 62);
-    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
-    let mut session = engine.open_session(&config(1, false), 63).unwrap();
-    for round in &trace {
-        session.ingest(round).unwrap();
-    }
-
-    // Rewrite the checkpoint JSON to the v1 shape: old version number,
-    // no `warm` key.
-    let mut value: serde_json::Value =
-        serde_json::from_str(&session.checkpoint_json().unwrap()).unwrap();
-    let serde_json::Value::Object(pairs) = &mut value else {
-        panic!("checkpoint JSON is an object");
-    };
-    pairs.retain(|(key, _)| key != "warm");
-    for (key, v) in pairs.iter_mut() {
-        if key == "version" {
-            *v = serde_json::json!(CHECKPOINT_VERSION_MIN);
-        }
-    }
-    let v1_json = serde_json::to_string(&value).unwrap();
-
-    let revived = engine.restore_json(&v1_json).unwrap();
-    assert_eq!(revived.warm(), None);
-    assert_eq!(revived.rounds_ingested(), 3);
-    assert_eq!(revived.checkpoint().tracker, session.checkpoint().tracker);
 }

@@ -46,8 +46,5 @@ pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
 pub use lu::LuFactor;
 pub use matrix::Matrix;
-pub use nnls::{
-    nnls, nnls_gram, nnls_gram_into, nnls_gram_warm, nnls_gram_warm_into, nnls_warm, NnlsScratch,
-    NnlsSolution, WarmSolve,
-};
+pub use nnls::{nnls, nnls_gram_into, NnlsScratch, NnlsSolution};
 pub use qr::{lstsq, QrFactor};

@@ -8,15 +8,16 @@
 //! fixes the sign and gives the `q_j → 0` signal the paper's Algorithm 4.1
 //! uses to detect users that did not collect data this round.
 //!
-//! Two entry points share one active-set core:
+//! One active-set core, two entry points:
 //!
 //! * [`nnls`] takes the dense system `(A, b)` — the historical path.
-//! * [`nnls_gram`] takes the precomputed normal equations
-//!   `(AᵀA, Aᵀb, ‖b‖²)` and never touches the observation dimension `m`
-//!   again — the entry the solver's scoring cache uses to make
-//!   combination evaluation independent of the sniffer count. Both paths
-//!   run bit-identical active-set iterations on the same `(AᵀA, Aᵀb)`,
-//!   so they return the same coefficient vector.
+//! * [`nnls_gram_into`] takes the precomputed normal equations
+//!   `(AᵀA, Aᵀb)` and never touches the observation dimension `m` again —
+//!   the entry the solver's scoring cache uses to make combination
+//!   evaluation independent of the sniffer count. Unseeded, it runs the
+//!   same active-set iterations as [`nnls`] and returns the same
+//!   coefficient vector; an optional seed support lets a warm caller
+//!   skip the iterations when last round's support still satisfies KKT.
 
 use crate::{LinalgError, Matrix};
 
@@ -118,169 +119,38 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Result<NnlsSolution, LinalgError> {
     })
 }
 
-/// Solves NNLS from the precomputed normal equations: `gram = AᵀA`
-/// (symmetric `n × n`), `atb = Aᵀb`, and `btb = ‖b‖²`.
+/// Solves NNLS from the precomputed normal equations `gram = AᵀA`
+/// (symmetric `n × n`) and `atb = Aᵀb` on the caller's scratch, leaving
+/// the coefficients in [`NnlsScratch::solution`]. It never touches the
+/// observation dimension `m`, and the caller computes whichever residual
+/// representation it needs. Returns `(outer iterations, warm_hit)`.
 ///
-/// The active-set iterations are bit-identical to [`nnls`] on the same
-/// normal equations; only the residual differs in representation — it is
-/// reconstructed through the Gram identity
-/// `‖A·x − b‖² = ‖b‖² − 2·xᵀAᵀb + xᵀAᵀA·x`, which costs `O(n²)` instead
-/// of `O(m·n)` but loses accuracy to cancellation once the true residual
-/// approaches `√ε·‖b‖`. Callers that need exact small residuals (the
-/// solver's scoring cache) recompute the residual from the columns.
+/// With `seed == None` this runs the same active-set iterations as
+/// [`nnls`] on the same normal equations, so the coefficients are
+/// bit-identical to it; `warm_hit` is `false`.
+///
+/// With `seed == Some(support)` (`support[i] == true` ⇒ column `i` is
+/// expected in the optimal passive set, typically the previous solve's
+/// support on a nearby problem), the seeded passive set is solved once
+/// and accepted only if it is strictly feasible **and** satisfies the
+/// full KKT conditions (every zero-bound gradient within tolerance). An
+/// accepted seed is a *warm hit* and reports 0 iterations; otherwise the
+/// solve reruns cold and returns exactly what `None` would. An accepted
+/// seed whose passive set matches the cold path's final one is
+/// bit-identical to it.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::NotSquare`] for a non-square `gram`,
-/// [`LinalgError::ShapeMismatch`] when `atb.len() != gram.rows()`, and
-/// [`LinalgError::NoConvergence`] as for [`nnls`].
-pub fn nnls_gram(gram: &Matrix, atb: &[f64], btb: f64) -> Result<NnlsSolution, LinalgError> {
-    let mut scratch = NnlsScratch::new();
-    let iterations = nnls_gram_into(gram, atb, &mut scratch)?;
-    let residual_norm = gram_residual(gram, atb, btb, &scratch)?;
-    Ok(NnlsSolution {
-        x: scratch.x,
-        residual_norm,
-        iterations,
-    })
-}
-
-/// Allocation-free form of [`nnls_gram`]: runs the active-set core with
-/// the caller's scratch and leaves the coefficients in
-/// [`NnlsScratch::solution`]. Returns the outer iteration count; the
-/// caller computes whichever residual representation it needs.
-///
-/// # Errors
-///
-/// As for [`nnls_gram`].
+/// [`LinalgError::ShapeMismatch`] when `atb.len() != gram.rows()` or
+/// `support.len() != gram.rows()`, and [`LinalgError::NoConvergence`] as
+/// for [`nnls`].
 pub fn nnls_gram_into(
     gram: &Matrix,
     atb: &[f64],
-    scratch: &mut NnlsScratch,
-) -> Result<usize, LinalgError> {
-    validate_gram(gram, atb)?;
-    active_set(gram, atb, scratch)
-}
-
-/// A warm-started solve result: the solution plus whether the seeded
-/// support survived its KKT check (a *warm hit*) or the solve fell back
-/// to the cold active-set loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmSolve {
-    /// The solve result (same fields as the cold entry points).
-    pub solution: NnlsSolution,
-    /// `true` when the seeded support was accepted without iteration.
-    pub warm_hit: bool,
-}
-
-/// Warm-started [`nnls`]: seeds the active-set solve from `support`
-/// (`support[i] == true` ⇒ column `i` is expected in the optimal passive
-/// set — typically the previous round's support on a nearby problem).
-///
-/// The seeded passive set is solved once; the result is accepted only
-/// if it is strictly feasible **and** satisfies the full KKT conditions
-/// (every zero-bound gradient within tolerance). Otherwise the solve
-/// falls back to the cold loop, so the output is always a valid NNLS
-/// solution: an accepted warm solve whose final passive set matches the
-/// cold path's is bit-identical to it, and a rejected seed reproduces
-/// [`nnls`] exactly.
-///
-/// # Errors
-///
-/// As for [`nnls`], plus [`LinalgError::ShapeMismatch`] when
-/// `support.len() != a.cols()`.
-pub fn nnls_warm(a: &Matrix, b: &[f64], support: &[bool]) -> Result<WarmSolve, LinalgError> {
-    let (m, n) = a.shape();
-    if b.len() != m {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, n),
-            right: (b.len(), 1),
-            op: "nnls_warm",
-        });
-    }
-    if support.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            left: (m, n),
-            right: (support.len(), 1),
-            op: "nnls_warm support",
-        });
-    }
-    let gram = a.gram();
-    let atb = a.tr_matvec(b)?;
-    let mut scratch = NnlsScratch::new();
-    let (iterations, warm_hit) = active_set_warm(&gram, &atb, &mut scratch, support)?;
-    let ax = a.matvec(&scratch.x)?;
-    let residual_norm = ax
-        .iter()
-        .zip(b)
-        .map(|(p, q)| (p - q) * (p - q))
-        .sum::<f64>()
-        .sqrt();
-    Ok(WarmSolve {
-        solution: NnlsSolution {
-            x: scratch.x,
-            residual_norm,
-            iterations,
-        },
-        warm_hit,
-    })
-}
-
-/// Warm-started [`nnls_gram`]: as [`nnls_warm`] but from the precomputed
-/// normal equations, with the residual reconstructed through the Gram
-/// identity (same caveats as [`nnls_gram`]).
-///
-/// # Errors
-///
-/// As for [`nnls_gram`], plus [`LinalgError::ShapeMismatch`] when
-/// `support.len() != gram.rows()`.
-pub fn nnls_gram_warm(
-    gram: &Matrix,
-    atb: &[f64],
-    btb: f64,
-    support: &[bool],
-) -> Result<WarmSolve, LinalgError> {
-    let mut scratch = NnlsScratch::new();
-    let (iterations, warm_hit) = nnls_gram_warm_into(gram, atb, support, &mut scratch)?;
-    let residual_norm = gram_residual(gram, atb, btb, &scratch)?;
-    Ok(WarmSolve {
-        solution: NnlsSolution {
-            x: scratch.x,
-            residual_norm,
-            iterations,
-        },
-        warm_hit,
-    })
-}
-
-/// Allocation-free warm-started solve on the caller's scratch: seeds the
-/// passive set from `support`, accepts on a full KKT check, and falls
-/// back to the cold active-set loop otherwise. Returns
-/// `(outer iterations, warm_hit)`; the coefficients are left in
-/// [`NnlsScratch::solution`].
-///
-/// # Errors
-///
-/// As for [`nnls_gram_into`], plus [`LinalgError::ShapeMismatch`] when
-/// `support.len() != gram.rows()`.
-pub fn nnls_gram_warm_into(
-    gram: &Matrix,
-    atb: &[f64],
-    support: &[bool],
+    seed: Option<&[bool]>,
     scratch: &mut NnlsScratch,
 ) -> Result<(usize, bool), LinalgError> {
-    validate_gram(gram, atb)?;
-    if support.len() != atb.len() {
-        return Err(LinalgError::ShapeMismatch {
-            left: gram.shape(),
-            right: (support.len(), 1),
-            op: "nnls_gram_warm support",
-        });
-    }
-    active_set_warm(gram, atb, scratch, support)
-}
-
-fn validate_gram(gram: &Matrix, atb: &[f64]) -> Result<(), LinalgError> {
     let (rows, cols) = gram.shape();
     if rows != cols {
         return Err(LinalgError::NotSquare {
@@ -294,22 +164,15 @@ fn validate_gram(gram: &Matrix, atb: &[f64]) -> Result<(), LinalgError> {
             op: "nnls_gram",
         });
     }
-    Ok(())
-}
-
-/// Residual via the Gram identity at the scratch's current solution.
-fn gram_residual(
-    gram: &Matrix,
-    atb: &[f64],
-    btb: f64,
-    scratch: &NnlsScratch,
-) -> Result<f64, LinalgError> {
-    let gx = gram.matvec(&scratch.x)?;
-    let mut r2 = btb;
-    for ((&xi, &gxi), &ai) in scratch.x.iter().zip(&gx).zip(atb) {
-        r2 += xi * (gxi - 2.0 * ai);
+    match seed {
+        None => active_set(gram, atb, scratch).map(|iters| (iters, false)),
+        Some(support) if support.len() != rows => Err(LinalgError::ShapeMismatch {
+            left: (rows, cols),
+            right: (support.len(), 1),
+            op: "nnls_gram seed",
+        }),
+        Some(support) => active_set_warm(gram, atb, scratch, support),
     }
-    Ok(r2.max(0.0).sqrt())
 }
 
 // fluxlint: region(hot-path) — warm-started solve entry: runs once per
@@ -648,55 +511,56 @@ mod tests {
         assert_eq!(nnls(&a, &[-1.0, -2.0, -3.0]).unwrap().x[0], 0.0);
     }
 
-    fn normal_equations(a: &Matrix, b: &[f64]) -> (Matrix, Vec<f64>, f64) {
-        let gram = a.gram();
-        let atb = a.tr_matvec(b).unwrap();
-        let btb = b.iter().map(|v| v * v).sum();
-        (gram, atb, btb)
+    fn normal_equations(a: &Matrix, b: &[f64]) -> (Matrix, Vec<f64>) {
+        (a.gram(), a.tr_matvec(b).unwrap())
+    }
+
+    /// A random `m × n` system (`m < m_max`, `n < n_max`) whose identity
+    /// block plus noise keeps the columns well-conditioned.
+    fn well_conditioned(rng: &mut StdRng, m_max: usize, n_max: usize) -> (Matrix, Vec<f64>) {
+        let m = rng.gen_range(8..m_max);
+        let n = rng.gen_range(1..n_max);
+        let mut data: Vec<f64> = (0..m * n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        for j in 0..n {
+            data[j * n + j] += 3.0;
+        }
+        let a = Matrix::from_vec(m, n, data).unwrap();
+        let b = (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect();
+        (a, b)
     }
 
     #[test]
     fn gram_entry_matches_dense_on_random_problems() {
-        // Satellite property test: nnls_gram on (AᵀA, Aᵀb, ‖b‖²) agrees
-        // with dense nnls to 1e-9 on well-conditioned random instances —
-        // and the coefficient vectors are bit-identical, because both
-        // paths run the same active-set iterations on the same normal
-        // equations.
+        // The unseeded Gram entry on (AᵀA, Aᵀb) runs the same active-set
+        // iterations as dense nnls on the same normal equations, so the
+        // coefficient vectors are bit-identical.
         let mut rng = StdRng::seed_from_u64(77);
+        let mut scratch = NnlsScratch::new();
         for trial in 0..40 {
-            let m = rng.gen_range(8..60);
-            let n = rng.gen_range(1..6);
-            // Identity block + noise keeps the columns well-conditioned.
-            let mut data: Vec<f64> = (0..m * n).map(|_| rng.gen_range(0.0..1.0)).collect();
-            for j in 0..n {
-                data[j * n + j] += 3.0;
-            }
-            let a = Matrix::from_vec(m, n, data).unwrap();
-            let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect();
+            let (a, b) = well_conditioned(&mut rng, 60, 6);
             let dense = nnls(&a, &b).unwrap();
-            let (gram, atb, btb) = normal_equations(&a, &b);
-            let via_gram = nnls_gram(&gram, &atb, btb).unwrap();
-            assert_eq!(dense.x, via_gram.x, "trial {trial}: coefficients drifted");
-            assert_eq!(dense.iterations, via_gram.iterations);
-            assert!(
-                (dense.residual_norm - via_gram.residual_norm).abs() < 1e-9,
-                "trial {trial}: residual {} vs {}",
-                dense.residual_norm,
-                via_gram.residual_norm
-            );
+            let (gram, atb) = normal_equations(&a, &b);
+            let (iterations, hit) = nnls_gram_into(&gram, &atb, None, &mut scratch).unwrap();
+            assert_eq!(scratch.solution(), dense.x.as_slice(), "trial {trial}");
+            assert_eq!(iterations, dense.iterations);
+            assert!(!hit);
         }
     }
 
     #[test]
     fn gram_entry_validates_shapes() {
-        let gram = Matrix::zeros(2, 3);
+        let mut scratch = NnlsScratch::new();
         assert!(matches!(
-            nnls_gram(&gram, &[1.0, 2.0], 1.0),
+            nnls_gram_into(&Matrix::zeros(2, 3), &[1.0, 2.0], None, &mut scratch),
             Err(LinalgError::NotSquare { .. })
         ));
         let gram = Matrix::identity(2);
         assert!(matches!(
-            nnls_gram(&gram, &[1.0], 1.0),
+            nnls_gram_into(&gram, &[1.0], None, &mut scratch),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            nnls_gram_into(&gram, &[1.0, 1.0], Some(&[true, false, true]), &mut scratch),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }
@@ -711,49 +575,37 @@ mod tests {
         let a2 = Matrix::from_rows(&[&[2.0], &[1.0]]).unwrap();
         let b2 = [4.0, 2.0];
         for _ in 0..3 {
-            let (g1, atb1, _) = normal_equations(&a1, &b1);
-            nnls_gram_into(&g1, &atb1, &mut scratch).unwrap();
+            let (g1, atb1) = normal_equations(&a1, &b1);
+            nnls_gram_into(&g1, &atb1, None, &mut scratch).unwrap();
             let expected = nnls(&a1, &b1).unwrap();
             assert_eq!(scratch.solution(), expected.x.as_slice());
-            let (g2, atb2, _) = normal_equations(&a2, &b2);
-            nnls_gram_into(&g2, &atb2, &mut scratch).unwrap();
+            let (g2, atb2) = normal_equations(&a2, &b2);
+            nnls_gram_into(&g2, &atb2, Some(&[true]), &mut scratch).unwrap();
             let expected = nnls(&a2, &b2).unwrap();
             assert_eq!(scratch.solution(), expected.x.as_slice());
         }
     }
 
     #[test]
-    fn warm_with_correct_support_is_bit_identical_and_iteration_free() {
+    fn seed_with_correct_support_is_bit_identical_and_iteration_free() {
         // Well-conditioned random problems: solve cold, then re-solve
-        // warm-seeded with the cold support. The seed must be accepted
+        // seeded with the cold support. The seed must be accepted
         // (0 iterations) and the coefficients bit-identical — the warm
         // accept path runs the same passive solve the cold loop ended on.
         let mut rng = StdRng::seed_from_u64(81);
+        let mut scratch = NnlsScratch::new();
         let mut hits = 0usize;
         for trial in 0..40 {
-            let m = rng.gen_range(8..60);
-            let n = rng.gen_range(1..6);
-            let mut data: Vec<f64> = (0..m * n).map(|_| rng.gen_range(0.0..1.0)).collect();
-            for j in 0..n {
-                data[j * n + j] += 3.0;
-            }
-            let a = Matrix::from_vec(m, n, data).unwrap();
-            let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect();
+            let (a, b) = well_conditioned(&mut rng, 60, 6);
             let cold = nnls(&a, &b).unwrap();
             let support: Vec<bool> = cold.x.iter().map(|&v| v > 0.0).collect();
-            let warm = nnls_warm(&a, &b, &support).unwrap();
-            assert_eq!(
-                cold.x, warm.solution.x,
-                "trial {trial}: coefficients drifted"
-            );
-            assert_eq!(
-                cold.residual_norm.to_bits(),
-                warm.solution.residual_norm.to_bits(),
-                "trial {trial}"
-            );
-            if warm.warm_hit {
+            let (gram, atb) = normal_equations(&a, &b);
+            let (iterations, hit) =
+                nnls_gram_into(&gram, &atb, Some(&support), &mut scratch).unwrap();
+            assert_eq!(scratch.solution(), cold.x.as_slice(), "trial {trial}");
+            if hit {
                 hits += 1;
-                assert_eq!(warm.solution.iterations, 0, "trial {trial}");
+                assert_eq!(iterations, 0, "trial {trial}");
             }
         }
         // The optimal support must be accepted on essentially every
@@ -762,91 +614,25 @@ mod tests {
     }
 
     #[test]
-    fn warm_with_stale_support_falls_back_to_cold() {
-        // Force a support that puts the clamped variable in the passive
-        // set; the seeded solve is infeasible and must fall back,
-        // reproducing the cold answer exactly.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let b = [1.0, -0.5];
-        let cold = nnls(&a, &b).unwrap();
-        let warm = nnls_warm(&a, &b, &[true, true]).unwrap();
-        assert!(!warm.warm_hit);
-        assert_eq!(cold.x, warm.solution.x);
-        assert_eq!(cold.iterations, warm.solution.iterations);
-
-        // A support that misses the true positive variable is KKT-stale
-        // (the missing coordinate's gradient is positive) → fallback.
-        let b = [2.0, 3.0];
-        let cold = nnls(&a, &b).unwrap();
-        let warm = nnls_warm(&a, &b, &[true, false]).unwrap();
-        assert!(!warm.warm_hit);
-        assert_eq!(cold.x, warm.solution.x);
-    }
-
-    #[test]
-    fn warm_empty_support_equals_cold() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let cold = nnls(&a, &b).unwrap();
-        let warm = nnls_warm(&a, &b, &[false, false]).unwrap();
-        assert!(!warm.warm_hit);
-        assert_eq!(cold.x, warm.solution.x);
-        assert_eq!(cold.iterations, warm.solution.iterations);
-    }
-
-    #[test]
-    fn warm_gram_entry_matches_dense_warm_entry() {
-        let mut rng = StdRng::seed_from_u64(83);
-        for trial in 0..20 {
-            let m = rng.gen_range(8..40);
-            let n = rng.gen_range(1..5);
-            let mut data: Vec<f64> = (0..m * n).map(|_| rng.gen_range(0.0..1.0)).collect();
-            for j in 0..n {
-                data[j * n + j] += 3.0;
-            }
-            let a = Matrix::from_vec(m, n, data).unwrap();
-            let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..2.0)).collect();
-            let support: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-            let dense = nnls_warm(&a, &b, &support).unwrap();
-            let (gram, atb, btb) = normal_equations(&a, &b);
-            let via_gram = nnls_gram_warm(&gram, &atb, btb, &support).unwrap();
-            assert_eq!(dense.solution.x, via_gram.solution.x, "trial {trial}");
-            assert_eq!(dense.warm_hit, via_gram.warm_hit, "trial {trial}");
-            // Scratch form agrees too and reports the same hit flag.
-            let mut scratch = NnlsScratch::new();
-            let (iters, hit) = nnls_gram_warm_into(&gram, &atb, &support, &mut scratch).unwrap();
-            assert_eq!(scratch.solution(), dense.solution.x.as_slice());
-            assert_eq!(iters, dense.solution.iterations);
-            assert_eq!(hit, dense.warm_hit);
+    fn rejected_seed_reproduces_the_cold_solve() {
+        let identity = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
+        let tall = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
+        let cases: [(&Matrix, &[f64], [bool; 2]); 3] = [
+            // The clamped variable seeded passive: infeasible.
+            (&identity, &[1.0, -0.5], [true, true]),
+            // The true positive variable left out: KKT-stale.
+            (&identity, &[2.0, 3.0], [true, false]),
+            // Nothing seeded: the cold loop starts from the empty set.
+            (&tall, &[1.0, 2.0, 3.0], [false, false]),
+        ];
+        let mut scratch = NnlsScratch::new();
+        for (a, b, seed) in cases {
+            let cold = nnls(a, b).unwrap();
+            let (gram, atb) = normal_equations(a, b);
+            let (iterations, hit) = nnls_gram_into(&gram, &atb, Some(&seed), &mut scratch).unwrap();
+            assert!(!hit, "seed {seed:?}");
+            assert_eq!(scratch.solution(), cold.x.as_slice());
+            assert_eq!(iterations, cold.iterations);
         }
-    }
-
-    #[test]
-    fn warm_entry_validates_support_length() {
-        let a = Matrix::identity(2);
-        assert!(matches!(
-            nnls_warm(&a, &[1.0, 1.0], &[true]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        let gram = Matrix::identity(2);
-        assert!(matches!(
-            nnls_gram_warm(&gram, &[1.0, 1.0], 2.0, &[true, false, true]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn gram_residual_identity_on_exact_fit() {
-        // Exact fit: the Gram identity cancels to (numerically) zero and
-        // the clamp keeps it non-negative.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[1.0, 1.0]]).unwrap();
-        let truth = vec![1.5, 0.5];
-        let b = a.matvec(&truth).unwrap();
-        let (gram, atb, btb) = normal_equations(&a, &b);
-        let sol = nnls_gram(&gram, &atb, btb).unwrap();
-        for (got, want) in sol.x.iter().zip(&truth) {
-            assert!((got - want).abs() < 1e-9);
-        }
-        assert!(sol.residual_norm < 1e-6, "residual {}", sol.residual_norm);
     }
 }

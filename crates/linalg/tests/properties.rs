@@ -1,6 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use fluxprint_linalg::{lstsq, nnls, CholeskyFactor, LuFactor, Matrix, QrFactor};
+use fluxprint_linalg::{
+    lstsq, nnls, nnls_gram_into, CholeskyFactor, LuFactor, Matrix, NnlsScratch, QrFactor,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a well-conditioned random matrix via a flat buffer.
@@ -93,6 +95,49 @@ proptest! {
         // And NNLS is no worse than the zero solution.
         let zero_res = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(sol.residual_norm <= zero_res + 1e-9);
+    }
+
+    /// The seeded Gram solve either reports a hit — a feasible vertex
+    /// whose every off-support gradient `Aᵀb − AᵀA·x` is within the
+    /// solver's tolerance — or reproduces the unseeded solve bit for bit,
+    /// for an arbitrary seed mask and for the cold solve's own support.
+    #[test]
+    fn seeded_gram_solve_hits_at_kkt_or_falls_back_exactly(
+        n in 1usize..6,
+        data in proptest::collection::vec(-1.0..1.0f64, 12 * 5),
+        b in proptest::collection::vec(-5.0..5.0f64, 12),
+        mask in proptest::collection::vec(0u8..2, 5),
+    ) {
+        let mut a = Matrix::from_vec(12, n, data[..12 * n].to_vec()).unwrap();
+        for j in 0..n {
+            a[(j, j)] += 10.0;
+        }
+        let gram = a.gram();
+        let atb = a.tr_matvec(&b).unwrap();
+        let tol = 1e-10 * gram.max_abs().max(1.0);
+        let mut cold = NnlsScratch::new();
+        let (cold_iterations, cold_hit) = nnls_gram_into(&gram, &atb, None, &mut cold).unwrap();
+        prop_assert!(!cold_hit);
+        let arbitrary: Vec<bool> = mask[..n].iter().map(|&m| m == 1).collect();
+        let own: Vec<bool> = cold.solution().iter().map(|&v| v > 0.0).collect();
+        for seed in [arbitrary, own] {
+            let mut warm = NnlsScratch::new();
+            let (iterations, hit) = nnls_gram_into(&gram, &atb, Some(&seed), &mut warm).unwrap();
+            let x = warm.solution();
+            if hit {
+                prop_assert_eq!(iterations, 0);
+                prop_assert!(x.iter().all(|&v| v >= 0.0), "x = {x:?}");
+                let gx = gram.matvec(x).unwrap();
+                for i in (0..n).filter(|&i| !seed[i]) {
+                    let w = atb[i] - gx[i];
+                    prop_assert!(w <= tol, "seed {seed:?}: gradient {w} at {i} above {tol}");
+                }
+            } else {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(x), bits(cold.solution()), "seed {:?}", seed);
+                prop_assert_eq!(iterations, cold_iterations);
+            }
+        }
     }
 
     /// QR's R factor has the same Gram matrix as A.

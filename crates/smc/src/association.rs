@@ -23,7 +23,9 @@
 //! Gram-row insertion and an `O(k³)` solve instead of a dense refit —
 //! fanned out on the deterministic worker pool. Selection order,
 //! tie-breaks, and every returned float are bit-identical to the legacy
-//! sequential column path at any thread count.
+//! sequential column path at any thread count. [`associate`] is the one
+//! entry point; its `warm` flag only chooses how the cache is built (see
+//! [`FluxObjective::scoring_cache`]), never which scans run.
 
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
@@ -58,118 +60,32 @@ struct Bid {
     explore: bool,
 }
 
-/// Detects active sources and associates them to users, scoring on the
-/// process-wide worker pool (`FLUXPRINT_THREADS`).
+/// Detects active sources and associates them to users.
 ///
 /// `candidates[i]` are user `i`'s predictions; `candidates[i][explore_from[i]..]`
-/// are its exploration (uniform) candidates.
+/// are its exploration (uniform) candidates. Scans fan out on `pool`;
+/// sequential dispatches reuse the caller's `scratch` (the scratch
+/// contract guarantees reuse never changes results), so a shard worker
+/// on a one-thread pool slice keeps its hot loop allocation-free, and
+/// parallel dispatches use per-worker scratch.
+///
+/// With `warm` the scoring cache is built by diffing the scratch's
+/// [`CacheStore`](fluxprint_solver::CacheStore) against the previous
+/// window (carried posterior positions reuse their basis columns), every
+/// scan seeds the inner NNLS from the full support, and the finished
+/// cache is released back into the store for the next round. Cache
+/// reuse and warm seeding are bit-transparent — on non-degenerate fits
+/// this returns exactly what the cold call would — but the warm solve's
+/// KKT fallback is the only *guaranteed* equivalence, so the engine
+/// keeps the cold call as its oracle.
 ///
 /// # Errors
 ///
-/// Returns [`SmcError::ZeroUsers`] for empty candidate sets; solver
-/// failures propagate.
-pub fn associate(
-    objective: &FluxObjective,
-    candidates: &[Vec<Point2>],
-    explore_from: &[usize],
-    config: &SmcConfig,
-) -> Result<Association, SmcError> {
-    associate_with(
-        objective,
-        candidates,
-        explore_from,
-        config,
-        fluxprint_fluxpar::pool(),
-    )
-}
-
-/// [`associate`] on an explicit pool (tests pin thread counts to check
-/// determinism; everything else should use the process-wide pool).
-///
-/// # Errors
-///
-/// As for [`associate`].
-pub fn associate_with(
-    objective: &FluxObjective,
-    candidates: &[Vec<Point2>],
-    explore_from: &[usize],
-    config: &SmcConfig,
-    pool: &Pool,
-) -> Result<Association, SmcError> {
-    let mut scratch = CacheScratch::new();
-    associate_in(
-        objective,
-        candidates,
-        explore_from,
-        config,
-        pool,
-        &mut scratch,
-    )
-}
-
-/// [`associate_with`] reusing a caller-owned [`CacheScratch`] on
-/// sequential dispatches (the scratch contract guarantees reuse never
-/// changes results). Shard workers driving batched ingestion on a
-/// one-thread pool slice pass one scratch across a whole batch of
-/// rounds, keeping the hot loop allocation-free; parallel dispatches
-/// fall back to per-worker scratch exactly as before.
-///
-/// # Errors
-///
-/// As for [`associate`].
-pub fn associate_in(
-    objective: &FluxObjective,
-    candidates: &[Vec<Point2>],
-    explore_from: &[usize],
-    config: &SmcConfig,
-    pool: &Pool,
-    scratch: &mut CacheScratch,
-) -> Result<Association, SmcError> {
-    associate_impl(
-        objective,
-        candidates,
-        explore_from,
-        config,
-        pool,
-        scratch,
-        false,
-    )
-}
-
-/// [`associate_in`] on the warm solve path: the scoring cache is built
-/// by diffing the scratch's [`CacheStore`](fluxprint_solver::CacheStore)
-/// against the previous window (carried posterior positions reuse their
-/// basis columns), every scan seeds the inner NNLS from the full
-/// support, and the finished cache is released back into the store for
-/// the next round. Cache reuse and warm seeding are bit-transparent —
-/// on non-degenerate fits this returns exactly what [`associate_in`]
-/// would — but the warm solve's KKT fallback is the only *guaranteed*
-/// equivalence, so the engine keeps the cold entry point as its oracle.
-///
-/// # Errors
-///
-/// As for [`associate`].
-pub fn associate_warm_in(
-    objective: &FluxObjective,
-    candidates: &[Vec<Point2>],
-    explore_from: &[usize],
-    config: &SmcConfig,
-    pool: &Pool,
-    scratch: &mut CacheScratch,
-) -> Result<Association, SmcError> {
-    associate_impl(
-        objective,
-        candidates,
-        explore_from,
-        config,
-        pool,
-        scratch,
-        true,
-    )
-}
-
+/// Returns [`SmcError::ZeroUsers`] for empty candidate sets and
+/// [`SmcError::BadConfig`] when `explore_from` does not have one entry
+/// per user; solver failures propagate.
 #[allow(clippy::too_many_arguments)]
-fn associate_impl(
+pub fn associate(
     objective: &FluxObjective,
     candidates: &[Vec<Point2>],
     explore_from: &[usize],
@@ -182,19 +98,15 @@ fn associate_impl(
         return Err(SmcError::ZeroUsers);
     }
     let k = candidates.len();
-    assert_eq!(
-        explore_from.len(),
-        k,
-        "explore_from must have one entry per user"
-    );
+    if explore_from.len() != k {
+        return Err(SmcError::BadConfig {
+            field: "explore_from",
+        });
+    }
 
     // Basis columns, projections, and norms once per candidate; warm
     // windows diff against the store instead of rebuilding.
-    let cache = if warm {
-        objective.scoring_cache_reusing(candidates, pool, &mut scratch.store)
-    } else {
-        objective.scoring_cache(candidates, pool)
-    };
+    let cache = objective.scoring_cache(candidates, pool, warm.then_some(&mut scratch.store));
 
     let mut selected: Vec<usize> = Vec::new();
     let mut chosen: Vec<Option<usize>> = vec![None; k];
@@ -223,7 +135,6 @@ fn associate_impl(
                 config.explore_accept_ratio,
                 pool,
                 scratch,
-                warm,
             )?;
             if best
                 .as_ref()
@@ -267,24 +178,16 @@ fn associate_impl(
         } else {
             explore_from[i]
         };
-        let others: Vec<Slot> = selected
-            .iter()
-            .filter(|&&j| j != i)
-            .map(|&j| {
-                // fluxlint: allow(no-panic) — the auction sets chosen[j] before pushing j into selected
-                let c = chosen[j].expect("selected users have chosen candidates");
-                (j, c)
-            })
+        let others: Vec<Slot> = selected_slots(&selected, &chosen)
+            .into_iter()
+            .filter(|&(j, _)| j != i)
             .collect();
         let cond = cache.conditioner(&others, 0);
         let scanned: Result<Vec<f64>, SmcError> = pool
             .map_reusing(limit, scratch, CacheScratch::new, |scratch, c| {
-                if warm {
-                    cache.evaluate_conditioned_warm(&cond, (i, c), scratch)
-                } else {
-                    cache.evaluate_conditioned(&cond, (i, c), scratch)
-                }
-                .map_err(SmcError::from)
+                cache
+                    .evaluate_conditioned(&cond, (i, c), scratch)
+                    .map_err(SmcError::from)
             })
             .into_iter()
             .collect();
@@ -343,16 +246,12 @@ fn best_bid(
     explore_accept_ratio: f64,
     pool: &Pool,
     scratch: &mut CacheScratch,
-    warm: bool,
 ) -> Result<Bid, SmcError> {
     let scanned: Result<Vec<f64>, SmcError> = pool
         .map_reusing(cache.size(i), scratch, CacheScratch::new, |scratch, c| {
-            if warm {
-                cache.evaluate_conditioned_warm(cond, (i, c), scratch)
-            } else {
-                cache.evaluate_conditioned(cond, (i, c), scratch)
-            }
-            .map_err(SmcError::from)
+            cache
+                .evaluate_conditioned(cond, (i, c), scratch)
+                .map_err(SmcError::from)
         })
         .into_iter()
         .collect();
@@ -414,6 +313,39 @@ mod tests {
     use fluxprint_geometry::Rect;
     use std::sync::Arc;
 
+    /// A cold association on `pool` with the default configuration.
+    fn associate_on(
+        pool: &Pool,
+        objective: &FluxObjective,
+        candidates: &[Vec<Point2>],
+        explore_from: &[usize],
+    ) -> Result<Association, SmcError> {
+        let config = SmcConfig::default();
+        let mut scratch = CacheScratch::new();
+        associate(
+            objective,
+            candidates,
+            explore_from,
+            &config,
+            pool,
+            &mut scratch,
+            false,
+        )
+    }
+
+    fn cold(
+        objective: &FluxObjective,
+        candidates: &[Vec<Point2>],
+        explore_from: &[usize],
+    ) -> Result<Association, SmcError> {
+        associate_on(
+            fluxprint_fluxpar::pool(),
+            objective,
+            candidates,
+            explore_from,
+        )
+    }
+
     fn objective_for(truth: &[(Point2, f64)]) -> FluxObjective {
         let field = Rect::square(30.0).unwrap();
         let model = FluxModel::default();
@@ -438,7 +370,7 @@ mod tests {
             vec![Point2::new(8.0, 8.0), Point2::new(10.0, 9.0)],
             vec![Point2::new(22.0, 21.0), Point2::new(20.0, 19.0)],
         ];
-        let a = associate(&obj, &candidates, &[2, 2], &SmcConfig::default()).unwrap();
+        let a = cold(&obj, &candidates, &[2, 2]).unwrap();
         assert_eq!(a.selected, vec![0]);
         assert!(a.chosen[0].is_some());
         assert!(a.chosen[1].is_none());
@@ -458,7 +390,7 @@ mod tests {
             // second is an exploration candidate on top of the source.
             vec![Point2::new(22.0, 21.0), Point2::new(8.0, 8.0)],
         ];
-        let a = associate(&obj, &candidates, &[2, 1], &SmcConfig::default()).unwrap();
+        let a = cold(&obj, &candidates, &[2, 1]).unwrap();
         assert_eq!(a.selected, vec![0], "user 1 stole the source");
     }
 
@@ -472,7 +404,7 @@ mod tests {
             Point2::new(9.0, 9.0),
             Point2::new(22.0, 21.0), // exploration
         ]];
-        let a = associate(&obj, &candidates, &[2], &SmcConfig::default()).unwrap();
+        let a = cold(&obj, &candidates, &[2]).unwrap();
         assert_eq!(a.selected, vec![0]);
         assert_eq!(a.chosen[0], Some(2));
         assert!(a.used_explore[0]);
@@ -485,7 +417,7 @@ mod tests {
             vec![Point2::new(8.0, 8.0), Point2::new(12.0, 12.0)],
             vec![Point2::new(22.0, 21.0), Point2::new(18.0, 18.0)],
         ];
-        let a = associate(&obj, &candidates, &[2, 2], &SmcConfig::default()).unwrap();
+        let a = cold(&obj, &candidates, &[2, 2]).unwrap();
         let mut sel = a.selected.clone();
         sel.sort_unstable();
         assert_eq!(sel, vec![0, 1]);
@@ -502,7 +434,7 @@ mod tests {
         let sniffers = vec![Point2::new(5.0, 5.0), Point2::new(25.0, 25.0)];
         let obj = FluxObjective::new(Arc::new(field), model, sniffers, vec![0.0, 0.0]).unwrap();
         let candidates = vec![vec![Point2::new(8.0, 8.0)]];
-        let a = associate(&obj, &candidates, &[1], &SmcConfig::default()).unwrap();
+        let a = cold(&obj, &candidates, &[1]).unwrap();
         assert!(a.selected.is_empty());
         assert!(a.fit.is_none());
     }
@@ -510,13 +442,17 @@ mod tests {
     #[test]
     fn empty_candidates_rejected() {
         let obj = objective_for(&[(Point2::new(8.0, 8.0), 2.0)]);
+        assert!(matches!(cold(&obj, &[], &[]), Err(SmcError::ZeroUsers)));
         assert!(matches!(
-            associate(&obj, &[], &[], &SmcConfig::default()),
+            cold(&obj, &[vec![]], &[0]),
             Err(SmcError::ZeroUsers)
         ));
+        // `explore_from` must have one entry per user.
         assert!(matches!(
-            associate(&obj, &[vec![]], &[0], &SmcConfig::default()),
-            Err(SmcError::ZeroUsers)
+            cold(&obj, &[vec![Point2::new(8.0, 8.0)]], &[1, 1]),
+            Err(SmcError::BadConfig {
+                field: "explore_from"
+            })
         ));
     }
 
@@ -537,18 +473,10 @@ mod tests {
                 Point2::new(4.0, 26.0), // exploration
             ],
         ];
-        let cfg = SmcConfig::default();
-        let reference =
-            associate_with(&obj, &candidates, &[3, 3], &cfg, &Pool::with_threads(1)).unwrap();
+        let reference = associate_on(&Pool::with_threads(1), &obj, &candidates, &[3, 3]).unwrap();
         for threads in [2usize, 8] {
-            let got = associate_with(
-                &obj,
-                &candidates,
-                &[3, 3],
-                &cfg,
-                &Pool::with_threads(threads),
-            )
-            .unwrap();
+            let got =
+                associate_on(&Pool::with_threads(threads), &obj, &candidates, &[3, 3]).unwrap();
             assert_eq!(got.selected, reference.selected, "threads={threads}");
             assert_eq!(got.chosen, reference.chosen);
             assert_eq!(got.used_explore, reference.used_explore);

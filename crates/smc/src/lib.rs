@@ -61,7 +61,7 @@ mod reference;
 mod state;
 mod tracker;
 
-pub use association::{associate, associate_in, associate_warm_in, associate_with, Association};
+pub use association::{associate, Association};
 pub use config::SmcConfig;
 pub use error::SmcError;
 pub use estimate::{effective_sample_size, weighted_mean, WeightedSample};

@@ -12,8 +12,8 @@ use fluxprint_stats::WeightedAlias;
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::{
-    associate_in, associate_warm_in, weighted_mean, CompactTrackerState, FilterStrategy, SmcConfig,
-    SmcError, TrackerState, UserTrackState, WeightedSample,
+    associate, weighted_mean, CompactTrackerState, FilterStrategy, SmcConfig, SmcError,
+    TrackerState, UserTrackState, WeightedSample,
 };
 
 /// Engine-owned policy for one warm round: which users get the bounded
@@ -268,7 +268,8 @@ impl Tracker {
 
     /// Runs one observation round at time `t` against the sniffed flux in
     /// `objective`: prediction → filtering → importance update →
-    /// asynchronous gate.
+    /// asynchronous gate. Every user participates, scoring runs cold on
+    /// the process-wide worker pool (`FLUXPRINT_THREADS`).
     ///
     /// # Errors
     ///
@@ -280,88 +281,46 @@ impl Tracker {
         objective: &FluxObjective,
         rng: &mut R,
     ) -> Result<StepOutcome, SmcError> {
-        let mut scratch = CacheScratch::new();
-        self.step_impl(
-            t,
-            objective,
-            None,
-            None,
-            rng,
-            fluxprint_fluxpar::pool(),
-            &mut scratch,
-        )
-    }
-
-    /// Like [`step`](Tracker::step), but only users with
-    /// `participating[i] == true` predict, bid, and update; the rest get
-    /// the paper's Null update unconditionally (frozen samples, growing
-    /// `Δt`) — the mechanism behind session-level suspend/leave lifecycle
-    /// states. With an all-`true` mask this is bit-identical to `step`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmcError::BadConfig`] when the mask length differs from
-    /// the user count; otherwise as [`step`](Tracker::step).
-    pub fn step_gated<R: Rng + ?Sized>(
-        &mut self,
-        t: f64,
-        objective: &FluxObjective,
-        participating: &[bool],
-        rng: &mut R,
-    ) -> Result<StepOutcome, SmcError> {
-        let mut scratch = CacheScratch::new();
+        let everyone = vec![true; self.users.len()];
         self.step_gated_in(
             t,
             objective,
-            participating,
+            &everyone,
+            None,
             rng,
             fluxprint_fluxpar::pool(),
-            &mut scratch,
+            &mut CacheScratch::new(),
         )
     }
 
-    /// [`step_gated`](Tracker::step_gated) on an explicit pool, reusing a
-    /// caller-owned [`CacheScratch`] across sequential dispatches — the
-    /// grid's batched-ingestion entry point, where a shard worker steps
-    /// many rounds on a one-thread pool slice and one scratch serves the
-    /// whole batch. Results are bit-identical to
-    /// [`step_gated`](Tracker::step_gated) at any thread count.
+    /// [`step`](Tracker::step) with a participation mask, an optional
+    /// warm directive, an explicit pool, and a caller-owned
+    /// [`CacheScratch`].
+    ///
+    /// Only users with `participating[i] == true` predict, bid, and
+    /// update; the rest get the paper's Null update unconditionally
+    /// (frozen samples, growing `Δt`) — the mechanism behind
+    /// session-level suspend/leave lifecycle states. With an all-`true`
+    /// mask and no directive this is bit-identical to `step`.
+    ///
+    /// A [`WarmDirective`] gives its hot users a bounded,
+    /// posterior-seeded candidate set and runs every inner solve
+    /// warm-seeded against the scratch's carried cache store. With
+    /// `directive == None` the round is exactly cold — the engine passes
+    /// `None` on escape rounds and whenever no user is hot.
+    ///
+    /// The scratch is reused across sequential dispatches, so a grid
+    /// shard worker stepping many rounds on a one-thread pool slice
+    /// touches no allocator in the hot loop; results are bit-identical
+    /// at any thread count.
     ///
     /// # Errors
     ///
-    /// As [`step_gated`](Tracker::step_gated).
-    pub fn step_gated_in<R: Rng + ?Sized>(
-        &mut self,
-        t: f64,
-        objective: &FluxObjective,
-        participating: &[bool],
-        rng: &mut R,
-        pool: &Pool,
-        scratch: &mut CacheScratch,
-    ) -> Result<StepOutcome, SmcError> {
-        if participating.len() != self.users.len() {
-            return Err(SmcError::BadConfig {
-                field: "participating",
-            });
-        }
-        self.step_impl(t, objective, Some(participating), None, rng, pool, scratch)
-    }
-
-    /// [`step_gated_in`](Tracker::step_gated_in) with an optional warm
-    /// [`WarmDirective`]: hot users search a bounded, posterior-seeded
-    /// candidate set and every inner solve runs warm-seeded against the
-    /// carried cache store. With `directive == None` this is
-    /// **bit-identical** to [`step_gated_in`](Tracker::step_gated_in) —
-    /// the engine passes `None` on escape rounds and whenever no user is
-    /// hot, so cold rounds inside a warm session are exactly cold.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_gated`](Tracker::step_gated); additionally
-    /// [`SmcError::BadConfig`] when the directive's `hot` length differs
-    /// from the user count or `shrink` is zero.
+    /// As [`step`](Tracker::step); additionally [`SmcError::BadConfig`]
+    /// when the mask or the directive's `hot` flags differ in length from
+    /// the user count, or the directive's `shrink` is zero.
     #[allow(clippy::too_many_arguments)]
-    pub fn step_gated_warm_in<R: Rng + ?Sized>(
+    pub fn step_gated_in<R: Rng + ?Sized>(
         &mut self,
         t: f64,
         objective: &FluxObjective,
@@ -381,28 +340,6 @@ impl Tracker {
                 return Err(SmcError::BadConfig { field: "warm" });
             }
         }
-        self.step_impl(
-            t,
-            objective,
-            Some(participating),
-            directive,
-            rng,
-            pool,
-            scratch,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step_impl<R: Rng + ?Sized>(
-        &mut self,
-        t: f64,
-        objective: &FluxObjective,
-        participating: Option<&[bool]>,
-        warm: Option<WarmDirective<'_>>,
-        rng: &mut R,
-        pool: &Pool,
-        scratch: &mut CacheScratch,
-    ) -> Result<StepOutcome, SmcError> {
         if t.is_nan() || t <= self.last_step_time {
             return Err(SmcError::TimeNotAdvancing {
                 previous: self.last_step_time,
@@ -415,12 +352,8 @@ impl Tracker {
 
         // Participating users, in user order. `part[c]` maps the compact
         // index `c` used for candidate/association arrays back to the
-        // user index; with no mask the mapping is the identity and every
-        // code path below matches the ungated step exactly.
-        let part: Vec<usize> = match participating {
-            None => (0..k).collect(),
-            Some(mask) => (0..k).filter(|&i| mask[i]).collect(),
-        };
+        // user index; with a full mask the mapping is the identity.
+        let part: Vec<usize> = (0..k).filter(|&i| participating[i]).collect();
         if part.is_empty() {
             // Every user suspended: a whole-round Null update. The clock
             // still advances so Δt keeps growing toward resumption.
@@ -461,19 +394,21 @@ impl Tracker {
             let user = &self.users[ui];
             let mut cands = Vec::with_capacity(n);
             let mut weights = Vec::with_capacity(n);
-            let hot = warm.as_ref().is_some_and(|d| d.hot[ui]) && user.initialized;
+            // `Some(shrink)` iff this user takes the warm fast path.
+            let hot_shrink = directive
+                .as_ref()
+                .filter(|d| d.hot[ui] && user.initialized)
+                .map(|d| d.shrink);
             // fluxlint: region(hot-path) — warm candidate generation: runs
             // once per hot user per round; draws must stay deterministic
             // given the RNG stream and allocation-light.
-            if hot {
+            if let Some(shrink) = hot_shrink {
                 // Warm fast path: carry the posterior. Kept samples are
                 // candidates verbatim (their basis columns diff-reuse in
                 // the scoring cache, and "stay put" is always in the
                 // hypothesis set), topped up with fresh motion-disc
                 // draws to a shrunk budget; no exploration — the escape
                 // sweep owns recovery.
-                // fluxlint: allow(no-panic) — shrink >= 1 checked at the entry point
-                let shrink = warm.as_ref().expect("hot implies directive").shrink;
                 let n_warm = (n / shrink).max(user.samples.len()).max(1);
                 let radius = self.config.vmax * (t - user.t_last);
                 for s in &user.samples {
@@ -589,25 +524,15 @@ impl Tracker {
         // Detection + association: forward selection of active sources
         // with motion-consistency preference (see the `association`
         // module). Unselected users receive the paper's Null update.
-        let assoc = if warm.is_some() {
-            associate_warm_in(
-                objective,
-                &candidates,
-                &explore_from,
-                &self.config,
-                pool,
-                scratch,
-            )?
-        } else {
-            associate_in(
-                objective,
-                &candidates,
-                &explore_from,
-                &self.config,
-                pool,
-                scratch,
-            )?
-        };
+        let assoc = associate(
+            objective,
+            &candidates,
+            &explore_from,
+            &self.config,
+            pool,
+            scratch,
+            directive.is_some(),
+        )?;
 
         let mut active = vec![false; k];
         let mut stretches = vec![0.0; k];
@@ -727,6 +652,19 @@ mod tests {
             .map(|&p| model.predict_superposed(truth, p, &f))
             .collect();
         FluxObjective::new(field(), model, sniffers, measured).unwrap()
+    }
+
+    /// A cold gated step on the process-wide pool with a fresh scratch.
+    fn step_gated(
+        tracker: &mut Tracker,
+        t: f64,
+        objective: &FluxObjective,
+        participating: &[bool],
+        rng: &mut StdRng,
+    ) -> Result<StepOutcome, SmcError> {
+        let pool = fluxprint_fluxpar::pool();
+        let mut scratch = CacheScratch::new();
+        tracker.step_gated_in(t, objective, participating, None, rng, pool, &mut scratch)
     }
 
     fn small_config() -> SmcConfig {
@@ -876,6 +814,8 @@ mod tests {
 
     #[test]
     fn step_gated_with_full_mask_matches_step() {
+        // The gated side also runs on an explicit two-thread pool with one
+        // scratch reused across rounds: neither may change a bit.
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
         let mut plain = Tracker::new(
@@ -896,6 +836,8 @@ mod tests {
             &mut rng_b,
         )
         .unwrap();
+        let pool = fluxprint_fluxpar::Pool::with_threads(2);
+        let mut scratch = CacheScratch::new();
         for round in 1..=4 {
             let obs = observation(&[
                 (Point2::new(8.0 + round as f64, 9.0), 2.0),
@@ -903,7 +845,15 @@ mod tests {
             ]);
             let a = plain.step(round as f64, &obs, &mut rng_a).unwrap();
             let b = gated
-                .step_gated(round as f64, &obs, &[true, true], &mut rng_b)
+                .step_gated_in(
+                    round as f64,
+                    &obs,
+                    &[true, true],
+                    None,
+                    &mut rng_b,
+                    &pool,
+                    &mut scratch,
+                )
                 .unwrap();
             assert_eq!(a.active, b.active);
             for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
@@ -932,23 +882,19 @@ mod tests {
 
         // User 1 suspended: even with its source still emitting, it must
         // take the Null update while user 0 keeps tracking.
-        let out = tracker
-            .step_gated(2.0, &obs, &[true, false], &mut rng)
-            .unwrap();
+        let out = step_gated(&mut tracker, 2.0, &obs, &[true, false], &mut rng).unwrap();
         assert!(!out.active[1]);
         assert_eq!(out.stretches[1], 0.0);
         assert_eq!(tracker.samples(1).unwrap(), frozen.as_slice());
 
         // Mask length must match the user count.
         assert!(matches!(
-            tracker.step_gated(3.0, &obs, &[true], &mut rng),
+            step_gated(&mut tracker, 3.0, &obs, &[true], &mut rng),
             Err(SmcError::BadConfig { .. })
         ));
 
         // All users suspended: whole-round Null update, clock advances.
-        let out = tracker
-            .step_gated(3.0, &obs, &[false, false], &mut rng)
-            .unwrap();
+        let out = step_gated(&mut tracker, 3.0, &obs, &[false, false], &mut rng).unwrap();
         assert!(out.active.iter().all(|&a| !a));
         assert_eq!(tracker.time(), 3.0);
     }
@@ -986,154 +932,6 @@ mod tests {
         assert!(out.active[1], "joined user never detected");
         let err = out.estimates[1].distance(newcomer);
         assert!(err < 3.0, "joined user error {err:.2}");
-    }
-
-    #[test]
-    fn warm_directive_none_is_bit_identical_to_cold() {
-        let mut rng_a = StdRng::seed_from_u64(31);
-        let mut rng_b = StdRng::seed_from_u64(31);
-        let mut cold = Tracker::new(
-            2,
-            field(),
-            FluxModel::default(),
-            small_config(),
-            0.0,
-            &mut rng_a,
-        )
-        .unwrap();
-        let mut warm = Tracker::new(
-            2,
-            field(),
-            FluxModel::default(),
-            small_config(),
-            0.0,
-            &mut rng_b,
-        )
-        .unwrap();
-        let pool = fluxprint_fluxpar::Pool::with_threads(2);
-        let mut sa = CacheScratch::new();
-        let mut sb = CacheScratch::new();
-        for round in 1..=3 {
-            let obs = observation(&[
-                (Point2::new(8.0 + round as f64, 9.0), 2.0),
-                (Point2::new(22.0, 20.0), 1.5),
-            ]);
-            let a = cold
-                .step_gated_in(
-                    round as f64,
-                    &obs,
-                    &[true, true],
-                    &mut rng_a,
-                    &pool,
-                    &mut sa,
-                )
-                .unwrap();
-            let b = warm
-                .step_gated_warm_in(
-                    round as f64,
-                    &obs,
-                    &[true, true],
-                    None,
-                    &mut rng_b,
-                    &pool,
-                    &mut sb,
-                )
-                .unwrap();
-            assert_eq!(a.active, b.active);
-            assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-            for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(ea.x.to_bits(), eb.x.to_bits());
-                assert_eq!(ea.y.to_bits(), eb.y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn warm_round_bounds_search_and_keeps_tracking() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let mut tracker = Tracker::new(
-            1,
-            field(),
-            FluxModel::default(),
-            small_config(),
-            0.0,
-            &mut rng,
-        )
-        .unwrap();
-        let truth = Point2::new(12.0, 17.0);
-        let obs = observation(&[(truth, 2.0)]);
-        let pool = fluxprint_fluxpar::Pool::with_threads(1);
-        let mut scratch = CacheScratch::new();
-        // Two cold rounds to initialize the posterior.
-        for round in 1..=2 {
-            tracker
-                .step_gated_in(round as f64, &obs, &[true], &mut rng, &pool, &mut scratch)
-                .unwrap();
-        }
-        // Warm rounds: candidate budget shrinks to n/4 and the kept
-        // samples lead the candidate list, yet tracking holds.
-        let before = fluxprint_telemetry::snapshot().counter(names::SMC_SAMPLES_PREDICTED);
-        let hot = [true];
-        let mut out = None;
-        for round in 3..=5 {
-            out = Some(
-                tracker
-                    .step_gated_warm_in(
-                        round as f64,
-                        &obs,
-                        &[true],
-                        Some(WarmDirective {
-                            hot: &hot,
-                            shrink: 4,
-                        }),
-                        &mut rng,
-                        &pool,
-                        &mut scratch,
-                    )
-                    .unwrap(),
-            );
-        }
-        let after = fluxprint_telemetry::snapshot().counter(names::SMC_SAMPLES_PREDICTED);
-        assert_eq!(
-            after - before,
-            3 * (300 / 4),
-            "warm rounds draw the shrunk budget"
-        );
-        let out = out.unwrap();
-        assert!(out.active[0]);
-        assert!(out.estimates[0].distance(truth) < 2.0);
-
-        // Directive validation: wrong hot length and zero shrink.
-        assert!(matches!(
-            tracker.step_gated_warm_in(
-                6.0,
-                &obs,
-                &[true],
-                Some(WarmDirective {
-                    hot: &[true, false],
-                    shrink: 4
-                }),
-                &mut rng,
-                &pool,
-                &mut scratch,
-            ),
-            Err(SmcError::BadConfig { field: "warm" })
-        ));
-        assert!(matches!(
-            tracker.step_gated_warm_in(
-                6.0,
-                &obs,
-                &[true],
-                Some(WarmDirective {
-                    hot: &hot,
-                    shrink: 0
-                }),
-                &mut rng,
-                &pool,
-                &mut scratch,
-            ),
-            Err(SmcError::BadConfig { field: "warm" })
-        ));
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub const GRID_ROUNDS_QUEUED: &str = "grid.rounds.queued";
 pub const GRID_ROUNDS_INGESTED: &str = "grid.rounds.ingested";
 /// Submissions refused because the session's queue was full.
 pub const GRID_BACKPRESSURE_EVENTS: &str = "grid.backpressure.events";
-/// Contiguous batches handed to `Session::ingest_batch` by drains.
+/// Contiguous batches handed to `Session::ingest_batch_into` by drains.
 pub const GRID_BATCHES: &str = "grid.batches";
 /// Sessions moved into the hibernarium (idle evictions plus cold
 /// adoptions at grid restore).

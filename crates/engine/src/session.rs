@@ -33,11 +33,10 @@ pub const WARM_ESCAPE_EVERY: u32 = 8;
 
 /// The cross-round warm-start state a session carries between rounds.
 ///
-/// This is the *only* behavior-bearing warm state — the solver-side
-/// cache store is bit-transparent (reuse returns the same floats a
-/// rebuild would) and deliberately stays out of checkpoints — so
-/// serializing these two fields is what makes restore-then-ingest
-/// bit-identical to an uninterrupted warm run.
+/// This is the *only* behavior-bearing warm state — the solver keeps
+/// nothing across rounds but recycled buffer capacity — so serializing
+/// these two fields is what makes restore-then-ingest bit-identical to an
+/// uninterrupted warm run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmState {
     /// Rounds ingested since the last escape sweep (or session start).

@@ -1,6 +1,6 @@
 //! Formulas 3.2–3.4: the parameterized flux model.
 
-use fluxprint_geometry::{Boundary, Point2, Vec2};
+use fluxprint_geometry::{Boundary, Point2, Vec2, EPSILON};
 use fluxprint_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -81,6 +81,10 @@ impl FluxModel {
     ///
     /// Returns `0` when the sink lies outside the field (such a hypothesis
     /// can explain no traffic).
+    ///
+    /// This scalar form is the oracle for the batch kernel
+    /// [`basis_columns`](FluxModel::basis_columns), which every column
+    /// and design-matrix build goes through.
     pub fn basis(&self, sink: Point2, node: Point2, boundary: &dyn Boundary) -> f64 {
         let delta = node - sink;
         let d_real = delta.norm();
@@ -116,26 +120,29 @@ impl FluxModel {
 
     /// The `n × K` design matrix `A` with `A[i][j] = basis(sink_j,
     /// node_i)`: the predicted flux vector is `A·q`, making the inner
-    /// stretch fit a linear least-squares problem.
+    /// stretch fit a linear least-squares problem. Built column by column
+    /// with [`basis_columns`](FluxModel::basis_columns).
     pub fn design_matrix(
         &self,
         nodes: &[Point2],
         sinks: &[Point2],
         boundary: &dyn Boundary,
     ) -> Matrix {
-        let mut m = Matrix::zeros(nodes.len(), sinks.len());
-        for (i, &node) in nodes.iter().enumerate() {
-            let row = m.row_mut(i);
-            for (j, &sink) in sinks.iter().enumerate() {
-                row[j] = self.basis(sink, node, boundary);
+        let (xs, ys) = split_coordinates(nodes);
+        let n = nodes.len();
+        let mut cols = vec![0.0; n * sinks.len()];
+        self.basis_columns(sinks, &xs, &ys, boundary, &mut cols);
+        let mut m = Matrix::zeros(n, sinks.len());
+        for i in 0..n {
+            for (j, v) in m.row_mut(i).iter_mut().enumerate() {
+                *v = cols[j * n + i];
             }
         }
         m
     }
 
-    /// Fills `out` with the single-column basis values for one sink —
-    /// the hot path of the particle filter, which evaluates thousands of
-    /// candidate positions per round.
+    /// Fills `out` with the single-column basis values for one sink,
+    /// through [`basis_columns`](FluxModel::basis_columns).
     ///
     /// # Panics
     ///
@@ -148,10 +155,80 @@ impl FluxModel {
         out: &mut [f64],
     ) {
         assert_eq!(out.len(), nodes.len(), "basis output length mismatch");
-        for (o, &node) in out.iter_mut().zip(nodes) {
-            *o = self.basis(sink, node, boundary);
+        let (xs, ys) = split_coordinates(nodes);
+        self.basis_columns(&[sink], &xs, &ys, boundary, out);
+    }
+
+    /// The batch basis kernel, the hot path of the particle filter: one
+    /// column per sink over nodes given as separate coordinate arrays,
+    /// sink `j`'s column at `out[j·n..(j+1)·n]` for `n = xs.len()`.
+    ///
+    /// Every value is bit-identical to the scalar [`basis`](FluxModel::basis)
+    /// on the same sink and node. The kernel does the scalar's arithmetic
+    /// with its branches turned into selects: one norm per node serves
+    /// both the distance and the normalisation, and the boundary is asked
+    /// for a whole block of exit distances at once
+    /// ([`Boundary::ray_exit_distances`], which checks containment once).
+    /// Each lane sees the same correctly rounded `+ − × ÷ √` on the same
+    /// operands, and nothing is reassociated, so vectorising the lane
+    /// loops cannot change a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ys.len() != xs.len()` or
+    /// `out.len() != sinks.len() · xs.len()`.
+    pub fn basis_columns(
+        &self,
+        sinks: &[Point2],
+        xs: &[f64],
+        ys: &[f64],
+        boundary: &dyn Boundary,
+        out: &mut [f64],
+    ) {
+        let n = xs.len();
+        assert_eq!(ys.len(), n, "node coordinate length mismatch");
+        assert_eq!(out.len(), sinks.len() * n, "basis output length mismatch");
+        if n == 0 {
+            return;
+        }
+        // Working lanes for one block of nodes, shared by every sink.
+        let mut ux = [0.0; LANES];
+        let mut uy = [0.0; LANES];
+        let mut d = [0.0; LANES];
+        for (&sink, col) in sinks.iter().zip(out.chunks_exact_mut(n)) {
+            let blocks = xs.chunks(LANES).zip(ys.chunks(LANES));
+            for ((bx, by), l) in blocks.zip(col.chunks_mut(LANES)) {
+                let m = l.len();
+                let (ux, uy, d) = (&mut ux[..m], &mut uy[..m], &mut d[..m]);
+                let lanes = ux.iter_mut().zip(uy.iter_mut()).zip(d.iter_mut());
+                for (((ux, uy), d), (&x, &y)) in lanes.zip(bx.iter().zip(by)) {
+                    let (dx, dy) = (x - sink.x, y - sink.y);
+                    let norm = (dx * dx + dy * dy).sqrt();
+                    *d = norm.max(self.d_floor);
+                    // A node (numerically) on the sink takes the +x ray,
+                    // as `basis` does.
+                    let on_sink = norm <= EPSILON;
+                    *ux = if on_sink { 1.0 } else { dx / norm };
+                    *uy = if on_sink { 0.0 } else { dy / norm };
+                }
+                boundary.ray_exit_distances(sink, ux, uy, l);
+                // `NaN` (no exit) falls to 0 through `max`, as `None` does.
+                for (l, &d) in l.iter_mut().zip(d.iter()) {
+                    *l = ((*l * *l - d * d) / (2.0 * d)).max(0.0);
+                }
+            }
         }
     }
+}
+
+/// Nodes per block of [`FluxModel::basis_columns`]: its working lanes
+/// live on the stack, and one block covers the paper's 90 sniffers.
+const LANES: usize = 128;
+
+/// Node coordinates as separate x and y arrays, the layout
+/// [`FluxModel::basis_columns`] reads.
+fn split_coordinates(nodes: &[Point2]) -> (Vec<f64>, Vec<f64>) {
+    nodes.iter().map(|p| (p.x, p.y)).unzip()
 }
 
 #[cfg(test)]

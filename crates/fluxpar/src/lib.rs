@@ -9,7 +9,9 @@
 //! - each worker evaluates its chunk with a caller-supplied closure
 //!   (optionally over per-worker scratch state);
 //! - results are returned **by slot** — `out[i]` is `f(i)` regardless of
-//!   which worker computed it or when it finished.
+//!   which worker computed it or when it finished — or, with
+//!   [`Pool::fill_chunks`], written in place into caller-owned buffers,
+//!   each chunk handed exactly its items' share of them.
 //!
 //! As long as `f(i)` depends only on `i` (scratch state may be *reused*
 //! across calls but must not change results), the output vector is
@@ -39,7 +41,7 @@
 //! # Shard workers and nested dispatch
 //!
 //! The nested-dispatch guard is keyed on a thread-local set only inside
-//! `map_*` worker closures. Threads spawned *directly* with
+//! `map_*`/`fill_chunks` worker closures. Threads spawned *directly* with
 //! [`std::thread::scope`] — e.g. the per-shard drain workers of
 //! `fluxprint-engine`'s grid — are **not** pool workers, so a dispatch
 //! they make on their own [`Pool`] slice still fans out. The intended
@@ -251,6 +253,51 @@ impl Pool {
         })
     }
 
+    /// Fills caller-owned buffers in place. `out` holds `len` items (see
+    /// [`Items`]) and is cut into chunks of `chunk_size` items (the last
+    /// may be short); `f(range, part)` writes chunk `range`, where `part`
+    /// is exactly that chunk's share of every buffer.
+    ///
+    /// As for [`map_chunks`](Pool::map_chunks), the partition is a
+    /// function of `len` and `chunk_size` only: `f` sees the same chunks
+    /// at any thread count, and workers take contiguous runs of them. The
+    /// sequential path allocates nothing.
+    pub fn fill_chunks<P, F>(&self, len: usize, chunk_size: usize, out: P, f: F)
+    where
+        P: Items,
+        F: Fn(Range<usize>, P) + Sync,
+    {
+        telemetry::counter(names::FLUXPAR_TASKS, len as u64);
+        let size = chunk_size.max(1);
+        let chunks = len.div_ceil(size);
+        let workers = self.effective_workers(chunks);
+        if workers <= 1 {
+            fill_run(0..chunks, size, len, out, &f);
+            return;
+        }
+        telemetry::counter(names::FLUXPAR_THREADS, workers as u64);
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
+            let mut rest = out;
+            for run in chunk_ranges(chunks, workers) {
+                let start = run.start * size;
+                let (mine, tail) = rest.split_items(len.min(run.end * size) - start, len - start);
+                rest = tail;
+                let f = &f;
+                handles.push(scope.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
+                    fill_run(run, size, len, mine, f);
+                    telemetry::flush();
+                }));
+            }
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
+
     /// Worker count for a dispatch of `len` items: 1 inside a nested
     /// dispatch or when there is nothing to split, else at most one
     /// worker per item.
@@ -325,6 +372,50 @@ pub fn threads_env_warning_once() -> Option<String> {
     (!ENV_WARNING_EMITTED.swap(true, Ordering::Relaxed)).then_some(warning)
 }
 
+/// Caller-owned output buffers that [`Pool::fill_chunks`] hands out in
+/// disjoint pieces. Each buffer holds the dispatch's items back to back,
+/// all of one width: `len` items in a slice of `width · len` elements.
+/// A slice splits at an item boundary; a triple splits its members alike.
+pub trait Items: Send + Sized {
+    /// Splits the first `head` of the `len` items this value holds from
+    /// the rest.
+    fn split_items(self, head: usize, len: usize) -> (Self, Self);
+}
+
+impl<T: Send> Items for &mut [T] {
+    fn split_items(self, head: usize, len: usize) -> (Self, Self) {
+        let width = self.len().checked_div(len).unwrap_or(0);
+        self.split_at_mut(head * width)
+    }
+}
+
+impl<A: Items, B: Items, C: Items> Items for (A, B, C) {
+    fn split_items(self, head: usize, len: usize) -> (Self, Self) {
+        let (a, a_rest) = self.0.split_items(head, len);
+        let (b, b_rest) = self.1.split_items(head, len);
+        let (c, c_rest) = self.2.split_items(head, len);
+        ((a, b, c), (a_rest, b_rest, c_rest))
+    }
+}
+
+/// Runs `f` on chunks `run` (of `size` items out of `len`), peeling each
+/// chunk's share off `part`, which holds exactly the run's items.
+fn fill_run<P: Items, F: Fn(Range<usize>, P)>(
+    run: Range<usize>,
+    size: usize,
+    len: usize,
+    mut part: P,
+    f: &F,
+) {
+    let end = len.min(run.end * size);
+    for c in run {
+        let range = c * size..len.min((c + 1) * size);
+        let (head, tail) = part.split_items(range.len(), end - range.start);
+        part = tail;
+        f(range, head);
+    }
+}
+
 /// Splits `0..len` into `parts` contiguous ranges whose lengths differ by
 /// at most one (earlier ranges take the remainder). Empty ranges are
 /// omitted, so `parts > len` yields `len` singleton ranges.
@@ -364,6 +455,28 @@ mod tests {
             assert_eq!(got.len(), reference.len());
             for (g, r) in got.iter().zip(&reference) {
                 assert_eq!(g.to_bits(), r.to_bits(), "threads={threads}");
+            }
+            // The in-place fill writes the same bits by slot into buffers
+            // of two widths, and every chunk starts where `len` alone puts
+            // it (a misplaced split would show in either).
+            let (mut filled, mut wide, mut starts) = (vec![0.0; 257], vec![0.0; 514], vec![0; 257]);
+            let out = (&mut filled[..], &mut wide[..], &mut starts[..]);
+            Pool::with_threads(threads).fill_chunks(
+                257,
+                16,
+                out,
+                |range, (filled, wide, starts)| {
+                    for (k, i) in range.clone().enumerate() {
+                        filled[k] = noisy(i);
+                        wide[2 * k..2 * k + 2].fill(noisy(i));
+                        starts[k] = range.start;
+                    }
+                },
+            );
+            for (i, r) in reference.iter().enumerate() {
+                assert_eq!(filled[i].to_bits(), r.to_bits(), "threads={threads}");
+                assert_eq!(wide[2 * i + 1].to_bits(), r.to_bits(), "threads={threads}");
+                assert_eq!(starts[i], i / 16 * 16, "threads={threads}");
             }
         }
     }
@@ -413,6 +526,8 @@ mod tests {
         assert!(pool.map_indexed(0, noisy).is_empty());
         assert_eq!(pool.map_indexed(1, |i| i + 7), vec![7]);
         assert!(pool.map_chunks(0, 10, |r| r.len()).is_empty());
+        let mut none: [f64; 0] = [];
+        pool.fill_chunks(0, 10, &mut none[..], |_, _| panic!("no chunk to fill"));
     }
 
     #[test]

@@ -28,6 +28,22 @@ pub trait Boundary: std::fmt::Debug + Send + Sync {
     /// `dir` is assumed to be normalized; a zero direction yields `None`.
     fn ray_exit_distance(&self, origin: Point2, dir: Vec2) -> Option<f64>;
 
+    /// [`ray_exit_distance`](Boundary::ray_exit_distance) for one origin
+    /// and many unit directions: `out[i]` is the exit distance along
+    /// `(dir_x[i], dir_y[i])`, or `NaN` where the scalar query returns
+    /// `None`. Lanes past the shortest of the three slices are left as
+    /// they are.
+    ///
+    /// An override must return the scalar query's value in every lane;
+    /// the default is that query in a loop.
+    fn ray_exit_distances(&self, origin: Point2, dir_x: &[f64], dir_y: &[f64], out: &mut [f64]) {
+        for ((l, &x), &y) in out.iter_mut().zip(dir_x).zip(dir_y) {
+            *l = self
+                .ray_exit_distance(origin, Vec2::new(x, y))
+                .unwrap_or(f64::NAN);
+        }
+    }
+
     /// The smallest axis-aligned rectangle containing the region, as
     /// `(min, max)` corners.
     fn bounding_box(&self) -> (Point2, Point2);
@@ -155,6 +171,30 @@ impl Boundary for Rect {
             Some(t_exit.max(0.0))
         } else {
             None
+        }
+    }
+
+    /// The slab method above with containment checked once and every
+    /// branch turned into a select: each lane performs the same divisions
+    /// and minima on the same operands, so it returns the same value, and
+    /// the loop has no branch to stop it vectorising.
+    fn ray_exit_distances(&self, origin: Point2, dir_x: &[f64], dir_y: &[f64], out: &mut [f64]) {
+        if !self.contains(origin) {
+            out.fill(f64::NAN);
+            return;
+        }
+        let (hi_x, lo_x) = (self.max.x - origin.x, self.min.x - origin.x);
+        let (hi_y, lo_y) = (self.max.y - origin.y, self.min.y - origin.y);
+        for ((l, &x), &y) in out.iter_mut().zip(dir_x).zip(dir_y) {
+            // Both slab divisions run in every lane; the selects keep
+            // only those the scalar branches would have taken.
+            let tx = (if x > 0.0 { hi_x } else { lo_x }) / x;
+            let ty = (if y > 0.0 { hi_y } else { lo_y }) / y;
+            let tx = if x.abs() > EPSILON { tx } else { f64::INFINITY };
+            let ty = if y.abs() > EPSILON { ty } else { f64::INFINITY };
+            let t = tx.min(ty);
+            let none = (x * x + y * y <= EPSILON) | !t.is_finite();
+            *l = if none { f64::NAN } else { t.max(0.0) };
         }
     }
 
@@ -455,6 +495,49 @@ mod tests {
     fn rect_zero_direction_is_none() {
         let r = unit_square();
         assert_eq!(r.ray_exit_distance(Point2::new(0.5, 0.5), Vec2::ZERO), None);
+    }
+
+    #[test]
+    fn batch_exit_matches_scalar_for_every_shape() {
+        let square = vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(30.0, 0.0),
+            Point2::new(30.0, 30.0),
+            Point2::new(0.0, 30.0),
+        ];
+        let shapes: [Box<dyn Boundary>; 3] = [
+            Box::new(Rect::square(30.0).unwrap()),
+            Box::new(Circle::new(Point2::new(15.0, 15.0), 15.0).unwrap()),
+            Box::new(ConvexPolygon::new(square).unwrap()),
+        ];
+        // Axis-parallel, diagonal, zero and NaN directions.
+        let dirs = [
+            (1.0, 0.0),
+            (-1.0, 0.0),
+            (0.0, 1.0),
+            (0.0, -1.0),
+            (0.6, -0.8),
+            (-0.28, 0.96),
+            (0.0, 0.0),
+            (f64::NAN, 0.5),
+        ];
+        let (dx, dy): (Vec<f64>, Vec<f64>) = dirs.iter().copied().unzip();
+        // Interior, on the boundary, at a corner, and outside.
+        let origins = [(10.0, 20.0), (30.0, 12.0), (0.0, 0.0), (-1e-3, 15.0)];
+        for shape in &shapes {
+            for &(ox, oy) in &origins {
+                let origin = Point2::new(ox, oy);
+                let mut batch = vec![0.0; dirs.len()];
+                shape.ray_exit_distances(origin, &dx, &dy, &mut batch);
+                for (&(x, y), got) in dirs.iter().zip(&batch) {
+                    let want = shape.ray_exit_distance(origin, Vec2::new(x, y));
+                    match want {
+                        Some(l) => assert_eq!(l, *got, "{shape:?} from {origin} along ({x}, {y})"),
+                        None => assert!(got.is_nan(), "{shape:?} from {origin} along ({x}, {y})"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! fanned out on the deterministic worker pool. Selection order,
 //! tie-breaks, and every returned float are bit-identical to the legacy
 //! sequential column path at any thread count. [`associate`] is the one
-//! entry point; its `warm` flag only chooses how the cache is built (see
-//! [`FluxObjective::scoring_cache`]), never which scans run.
+//! entry point; its `seeded` flag only chooses how the cache's inner
+//! solves start (see [`FluxObjective::scoring_cache`]), never which scans
+//! run.
 
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
@@ -69,15 +70,14 @@ struct Bid {
 /// on a one-thread pool slice keeps its hot loop allocation-free, and
 /// parallel dispatches use per-worker scratch.
 ///
-/// With `warm` the scoring cache is built by diffing the scratch's
-/// [`CacheStore`](fluxprint_solver::CacheStore) against the previous
-/// window (carried posterior positions reuse their basis columns), every
-/// scan seeds the inner NNLS from the full support, and the finished
-/// cache is released back into the store for the next round. Cache
-/// reuse and warm seeding are bit-transparent — on non-degenerate fits
-/// this returns exactly what the cold call would — but the warm solve's
-/// KKT fallback is the only *guaranteed* equivalence, so the engine
-/// keeps the cold call as its oracle.
+/// The scoring cache is built into `scratch`'s recycled buffers and
+/// handed back to it before returning, so a worker associating round
+/// after round stops allocating for the build after its first. With
+/// `seeded` every scan seeds the inner NNLS from the full support (the
+/// warm path). Seeding is bit-transparent on non-degenerate fits — this
+/// returns exactly what the cold call would — but the warm solve's KKT
+/// fallback is the only *guaranteed* equivalence, so the engine keeps
+/// the cold call as its oracle.
 ///
 /// # Errors
 ///
@@ -92,7 +92,7 @@ pub fn associate(
     config: &SmcConfig,
     pool: &Pool,
     scratch: &mut CacheScratch,
-    warm: bool,
+    seeded: bool,
 ) -> Result<Association, SmcError> {
     if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
         return Err(SmcError::ZeroUsers);
@@ -104,9 +104,8 @@ pub fn associate(
         });
     }
 
-    // Basis columns, projections, and norms once per candidate; warm
-    // windows diff against the store instead of rebuilding.
-    let cache = objective.scoring_cache(candidates, pool, warm.then_some(&mut scratch.store));
+    // Basis columns, projections, and norms once per candidate.
+    let cache = objective.scoring_cache(candidates, pool, seeded, scratch);
 
     let mut selected: Vec<usize> = Vec::new();
     let mut chosen: Vec<Option<usize>> = vec![None; k];
@@ -157,9 +156,7 @@ pub fn associate(
     }
 
     if selected.is_empty() {
-        if warm {
-            cache.release(&mut scratch.store);
-        }
+        cache.recycle(scratch);
         return Ok(Association {
             selected,
             per_candidate_residual: vec![None; k],
@@ -209,10 +206,8 @@ pub fn associate(
         // fluxlint: allow(no-panic) — every selected user has chosen set by the auction above
         .map(|&i| candidates[i][chosen[i].expect("selected")])
         .collect();
+    cache.recycle(scratch);
     let fit = objective.evaluate(&positions)?;
-    if warm {
-        cache.release(&mut scratch.store);
-    }
     Ok(Association {
         selected,
         per_candidate_residual,
@@ -456,48 +451,81 @@ mod tests {
         ));
     }
 
+    /// Three users with 200 candidates each (the last 20 exploration),
+    /// each led by its true source: enough candidates for the chunked
+    /// cache build to split at 2 and 8 threads.
+    fn large_instance() -> (FluxObjective, Vec<Vec<Point2>>, Vec<usize>) {
+        let truth = [
+            (Point2::new(8.0, 8.0), 2.0),
+            (Point2::new(22.0, 21.0), 2.5),
+            (Point2::new(15.0, 26.0), 1.5),
+        ];
+        let candidates = truth
+            .iter()
+            .enumerate()
+            .map(|(u, &(source, _))| {
+                let mut set = vec![source];
+                set.extend((1..200).map(|c| {
+                    let t = (u * 200 + c) as f64;
+                    Point2::new(
+                        15.0 + 14.0 * (t * 0.37).sin(),
+                        15.0 + 14.0 * (t * 0.61).cos(),
+                    )
+                }));
+                set
+            })
+            .collect();
+        (objective_for(&truth), candidates, vec![180; 3])
+    }
+
     #[test]
     fn association_is_identical_across_thread_counts() {
-        let obj = objective_for(&[(Point2::new(8.0, 8.0), 2.0), (Point2::new(22.0, 21.0), 2.5)]);
-        let candidates = vec![
+        let small = (
+            objective_for(&[(Point2::new(8.0, 8.0), 2.0), (Point2::new(22.0, 21.0), 2.5)]),
             vec![
-                Point2::new(8.0, 8.0),
-                Point2::new(12.0, 12.0),
-                Point2::new(6.0, 10.0),
-                Point2::new(14.0, 4.0), // exploration
+                vec![
+                    Point2::new(8.0, 8.0),
+                    Point2::new(12.0, 12.0),
+                    Point2::new(6.0, 10.0),
+                    Point2::new(14.0, 4.0), // exploration
+                ],
+                vec![
+                    Point2::new(22.0, 21.0),
+                    Point2::new(18.0, 18.0),
+                    Point2::new(25.0, 17.0),
+                    Point2::new(4.0, 26.0), // exploration
+                ],
             ],
-            vec![
-                Point2::new(22.0, 21.0),
-                Point2::new(18.0, 18.0),
-                Point2::new(25.0, 17.0),
-                Point2::new(4.0, 26.0), // exploration
-            ],
-        ];
-        let reference = associate_on(&Pool::with_threads(1), &obj, &candidates, &[3, 3]).unwrap();
-        for threads in [2usize, 8] {
-            let got =
-                associate_on(&Pool::with_threads(threads), &obj, &candidates, &[3, 3]).unwrap();
-            assert_eq!(got.selected, reference.selected, "threads={threads}");
-            assert_eq!(got.chosen, reference.chosen);
-            assert_eq!(got.used_explore, reference.used_explore);
-            for (a, b) in got
-                .per_candidate_residual
-                .iter()
-                .zip(&reference.per_candidate_residual)
-            {
-                match (a, b) {
-                    (Some(ra), Some(rb)) => {
-                        for (x, y) in ra.iter().zip(rb) {
-                            assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+            vec![3, 3],
+        );
+        for (obj, candidates, explore_from) in [small, large_instance()] {
+            let reference =
+                associate_on(&Pool::with_threads(1), &obj, &candidates, &explore_from).unwrap();
+            for threads in [2usize, 8] {
+                let pool = Pool::with_threads(threads);
+                let got = associate_on(&pool, &obj, &candidates, &explore_from).unwrap();
+                assert_eq!(got.selected, reference.selected, "threads={threads}");
+                assert_eq!(got.chosen, reference.chosen);
+                assert_eq!(got.used_explore, reference.used_explore);
+                for (a, b) in got
+                    .per_candidate_residual
+                    .iter()
+                    .zip(&reference.per_candidate_residual)
+                {
+                    match (a, b) {
+                        (Some(ra), Some(rb)) => {
+                            for (x, y) in ra.iter().zip(rb) {
+                                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+                            }
                         }
+                        (None, None) => {}
+                        _ => panic!("per-candidate shape diverged at {threads} threads"),
                     }
-                    (None, None) => {}
-                    _ => panic!("per-candidate shape diverged at {threads} threads"),
                 }
+                let (fa, fb) = (got.fit.unwrap(), reference.fit.clone().unwrap());
+                assert_eq!(fa.residual.to_bits(), fb.residual.to_bits());
+                assert_eq!(fa.stretches, fb.stretches);
             }
-            let (fa, fb) = (got.fit.unwrap(), reference.fit.clone().unwrap());
-            assert_eq!(fa.residual.to_bits(), fb.residual.to_bits());
-            assert_eq!(fa.stretches, fb.stretches);
         }
     }
 }

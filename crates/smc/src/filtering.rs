@@ -112,7 +112,7 @@ pub fn filter_candidates_with(
         .try_fold(1usize, |acc, n| acc.checked_mul(n))
         .unwrap_or(usize::MAX);
 
-    let mut cache = objective.scoring_cache(candidates, pool, None);
+    let mut cache = objective.scoring_cache(candidates, pool, false, &mut CacheScratch::new());
     if total <= config.exact_enumeration_cap {
         // Every cross-user pair is revisited `total / (sᵢ·sⱼ)` times, and
         // each block is bounded by the enumeration cap — precompute them.

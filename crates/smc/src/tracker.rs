@@ -304,10 +304,10 @@ impl Tracker {
     /// mask and no directive this is bit-identical to `step`.
     ///
     /// A [`WarmDirective`] gives its hot users a bounded,
-    /// posterior-seeded candidate set and runs every inner solve
-    /// warm-seeded against the scratch's carried cache store. With
-    /// `directive == None` the round is exactly cold — the engine passes
-    /// `None` on escape rounds and whenever no user is hot.
+    /// posterior-seeded candidate set and seeds every inner solve from
+    /// the full support. With `directive == None` the round is exactly
+    /// cold — the engine passes `None` on escape rounds and whenever no
+    /// user is hot.
     ///
     /// The scratch is reused across sequential dispatches, so a grid
     /// shard worker stepping many rounds on a one-thread pool slice

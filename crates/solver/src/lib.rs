@@ -65,4 +65,4 @@ pub use grid_search::{grid_search, grid_search_with, GridSearchConfig};
 pub use nelder_mead::{nelder_mead, NelderMeadConfig};
 pub use objective::{FluxObjective, SinkFit};
 pub use random_search::{random_search, random_search_with, refine_fit, RandomSearchConfig};
-pub use scoring::{CacheScratch, CacheStore, Conditioner, ScoringCache, Slot};
+pub use scoring::{CacheScratch, Conditioner, ScoringCache, Slot};

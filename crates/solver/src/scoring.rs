@@ -31,14 +31,19 @@
 //!   near-exact fits the tracker hunts for) but recomputed from the
 //!   columns with the same per-row summation order as `Matrix::matvec`.
 //!
-//! # Cold and warm builds
+//! # The build
 //!
-//! One builder serves both paths. [`FluxObjective::scoring_cache`] with
-//! no [`CacheStore`] computes every column afresh and solves cold; handed
-//! a store, it diffs against the previous window's buffers and fixes the
-//! cache's inner solves to a full-support seed. The buffers are the same
-//! floats either way, and a rejected seed falls back to the cold solve,
-//! so the warm choice is made once, at build time, not per evaluation.
+//! [`FluxObjective::scoring_cache`] writes every candidate's column with
+//! the flux model's batch kernel ([`FluxModel::basis_columns`]), straight
+//! into one flat buffer, and its projection and norm beside it. The
+//! buffers come out of the caller's [`CacheScratch`] and go back with
+//! [`ScoringCache::recycle`], so a worker that builds a cache every round
+//! stops allocating after its first. Its `seeded` flag fixes the cache's
+//! inner solves to a full-support seed (the warm path); a rejected seed
+//! falls back to the cold solve, so the choice is made once, at build
+//! time, not per evaluation.
+//!
+//! [`FluxModel::basis_columns`]: fluxprint_fluxmodel::FluxModel::basis_columns
 
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
@@ -68,30 +73,44 @@ pub type Slot = (usize, usize);
 pub struct ScoringCache<'a> {
     objective: &'a FluxObjective,
     n: usize,
+    buf: CacheBuffers,
+    /// Cross-user inner-product blocks, upper-triangle pair order; built
+    /// on demand by [`build_pair_blocks`](ScoringCache::build_pair_blocks)
+    /// (`blocks[pair(i,j)][ci·sizes(j) + cj]`).
+    blocks: Option<Vec<Vec<f64>>>,
+    /// Whether inner solves are seeded from the full support (the warm
+    /// path).
+    seeded: bool,
+}
+
+/// The flat buffers a [`ScoringCache`] is built into. They live in a
+/// [`CacheScratch`] between builds, so their capacity carries over.
+#[derive(Debug, Default)]
+struct CacheBuffers {
     /// Per-user start offset into the global candidate index space;
     /// `offsets[users()]` is the total candidate count.
     offsets: Vec<usize>,
     /// Candidate positions, globally indexed.
     positions: Vec<Point2>,
+    /// Sniffer coordinates, split for the batch kernel.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
     /// Basis columns, flat: candidate `g` occupies `cols[g·n .. (g+1)·n]`.
     cols: Vec<f64>,
     /// `cᵀF′` per candidate.
     proj: Vec<f64>,
     /// `cᵀc` per candidate (every Gram diagonal).
     diag: Vec<f64>,
-    /// Cross-user inner-product blocks, upper-triangle pair order; built
-    /// on demand by [`build_pair_blocks`](ScoringCache::build_pair_blocks)
-    /// (`blocks[pair(i,j)][ci·sizes(j) + cj]`).
-    blocks: Option<Vec<Vec<f64>>>,
-    /// Whether inner solves are seeded from the full support: set when
-    /// the cache was built from a [`CacheStore`] (the warm path).
-    seeded: bool,
 }
+
+/// Candidates per chunk of the parallel cache build.
+const BUILD_CHUNK: usize = 64;
 
 /// Reusable buffers for cached combination evaluation: the `k × k` Gram
 /// system, its right-hand side, the NNLS scratch, and the slot list for
 /// conditioned evaluations. Steady-state evaluation allocates only when
-/// the combination size `k` changes.
+/// the combination size `k` changes. Between builds it also keeps the
+/// scoring cache's own buffers (see [`ScoringCache::recycle`]).
 #[derive(Debug)]
 pub struct CacheScratch {
     nnls: NnlsScratch,
@@ -100,10 +119,7 @@ pub struct CacheScratch {
     atb: Vec<f64>,
     combo: Vec<Slot>,
     support: Vec<bool>,
-    /// Cross-round cache store for the warm, measurement-diff build path
-    /// ([`FluxObjective::scoring_cache`] with `Some(store)`); rides in the
-    /// scratch because both share the same per-shard lifetime.
-    pub store: CacheStore,
+    buffers: CacheBuffers,
 }
 
 impl CacheScratch {
@@ -119,7 +135,7 @@ impl CacheScratch {
             combo: Vec::new(),
             // fluxlint: allow(hot-path-alloc) — buffer is reused across evals
             support: Vec::new(),
-            store: CacheStore::default(),
+            buffers: CacheBuffers::default(),
         }
     }
 
@@ -171,169 +187,85 @@ impl Conditioner {
 impl FluxObjective {
     /// Precomputes the scoring cache for one observation window:
     /// `candidates[i]` are user `i`'s positions. Basis columns,
-    /// projections, and norms are computed in parallel on `pool`.
+    /// projections, and norms are written in place, in parallel chunks on
+    /// `pool`, into buffers taken from `scratch`; hand them back with
+    /// [`ScoringCache::recycle`].
     ///
-    /// With `store == None` every candidate is computed afresh and inner
-    /// solves run cold. With `Some(store)` the build *diffs* against the
-    /// previous window instead (the warm path). A basis column depends
-    /// only on its candidate position and the sniffer set, so whenever
-    /// the store was stamped with the same sniffers, any candidate whose
-    /// position appears in the store reuses that column and its norm
-    /// outright; its projection `cᵀF′` is copied too when the
-    /// measurement vector also matches, and otherwise refreshed from the
-    /// stored column with one `O(n)` pass (no basis evaluation). Only
-    /// genuinely new positions are computed. Such a cache also seeds
-    /// every inner solve from the full support (see
-    /// [`evaluate_combo`](ScoringCache::evaluate_combo)); hand it back
-    /// with [`ScoringCache::release`] so the next round can diff against
-    /// it.
-    ///
-    /// The buffers are **bit-identical** to a `None` build in every case:
-    /// reused values are the same deterministic floats a rebuild would
-    /// produce, and refreshed projections use the same accumulation
-    /// order.
+    /// With `seeded` every inner solve starts from the full support (see
+    /// [`evaluate_combo`](ScoringCache::evaluate_combo)); otherwise the
+    /// solves run cold. The buffers are the same floats either way.
     pub fn scoring_cache<'a>(
         &'a self,
         candidates: &[Vec<Point2>],
         pool: &Pool,
-        store: Option<&mut CacheStore>,
+        seeded: bool,
+        scratch: &mut CacheScratch,
     ) -> ScoringCache<'a> {
         telemetry::counter(names::SOLVER_GRAM_BUILD, 1);
         let n = self.len();
-        let measurements = self.measurements();
-        let mut offsets = Vec::with_capacity(candidates.len() + 1);
-        // fluxlint: allow(hot-path-alloc) — cache build runs once per window
-        let mut positions = Vec::new();
-        offsets.push(0);
+        let mut buf = std::mem::take(&mut scratch.buffers);
+        buf.offsets.clear();
+        buf.offsets.push(0);
+        buf.positions.clear();
         for set in candidates {
-            positions.extend_from_slice(set);
-            offsets.push(positions.len());
+            buf.positions.extend_from_slice(set);
+            buf.offsets.push(buf.positions.len());
         }
-        let total = positions.len();
-        let seeded = store.is_some();
-        // Only a valid store stamped with the same sniffers can be diffed
-        // against; anything else builds exactly as `None` does.
-        let stored = store
-            .as_deref()
-            .filter(|s| s.valid && s.sniffers == self.positions());
-        let measurements_same = stored.is_some_and(|s| s.measurements == measurements);
-        let hits: Vec<Option<usize>> = match stored {
-            Some(store) => {
-                // Position → stored-column index, keyed by coordinate bits
-                // (the carried posterior repeats positions exactly, never
-                // merely nearby). Only lookups follow, so map order cannot
-                // matter.
-                // fluxlint: allow(nondet-order) — lookup-only map, never iterated
-                let index: std::collections::HashMap<(u64, u64), usize> = store
-                    .positions
-                    .iter()
-                    .enumerate()
-                    .map(|(g, p)| ((p.x.to_bits(), p.y.to_bits()), g))
-                    // fluxlint: allow(hot-path-alloc) — index build runs once per window
-                    .collect();
-                positions
-                    .iter()
-                    .map(|p| index.get(&(p.x.to_bits(), p.y.to_bits())).copied())
-                    // fluxlint: allow(hot-path-alloc) — one Option per candidate, once per window
-                    .collect()
-            }
-            // fluxlint: allow(hot-path-alloc) — an empty Vec never allocates
-            None => Vec::new(),
-        };
-        let reused = hits.iter().flatten().count();
-        if reused > 0 {
-            telemetry::counter(names::SOLVER_GRAM_COLS_REUSED, reused as u64);
-        }
-        let parts = pool.map_indexed(total, |g| match (stored, hits.get(g).copied().flatten()) {
-            (Some(store), Some(h)) => {
-                let col = &store.cols[h * n..(h + 1) * n];
-                let p = if measurements_same {
-                    store.proj[h]
-                } else {
-                    col.iter().zip(measurements).map(|(c, m)| c * m).sum()
-                };
-                // The copy keeps reused and fresh columns in one layout
-                // while the store stays borrowed; it replaces a full
-                // basis-column rebuild (n model evaluations), not nothing.
-                // fluxlint: allow(hot-path-alloc) — column copy replaces an O(n) model rebuild
-                (col.to_vec(), p, store.diag[h])
-            }
-            _ => {
-                let col = self.basis_column(positions[g]);
-                // Same accumulation order as `Matrix::tr_matvec` / `gram`:
-                // observation order from +0.0 (see the module docs for why
-                // the legacy zero-skips cannot change the bits).
-                let p: f64 = col.iter().zip(measurements).map(|(c, m)| c * m).sum();
-                let d: f64 = col.iter().map(|c| c * c).sum();
-                (col, p, d)
-            }
-        });
-        let mut cols = Vec::with_capacity(total * n);
-        let mut proj = Vec::with_capacity(total);
-        let mut diag = Vec::with_capacity(total);
-        for (col, p, d) in parts {
-            cols.extend_from_slice(&col);
-            proj.push(p);
-            diag.push(d);
-        }
-        ScoringCache {
-            objective: self,
-            n,
-            offsets,
+        let total = buf.positions.len();
+        buf.xs.clear();
+        buf.xs.extend(self.positions().iter().map(|p| p.x));
+        buf.ys.clear();
+        buf.ys.extend(self.positions().iter().map(|p| p.y));
+        // Every element below is overwritten by the fill, so resizing
+        // never needs to clear.
+        buf.cols.resize(total * n, 0.0);
+        buf.proj.resize(total, 0.0);
+        buf.diag.resize(total, 0.0);
+        let (model, boundary, measurements) = (self.model(), self.boundary(), self.measurements());
+        let CacheBuffers {
             positions,
+            xs,
+            ys,
             cols,
             proj,
             diag,
+            ..
+        } = &mut buf;
+        let out = (&mut cols[..], &mut proj[..], &mut diag[..]);
+        pool.fill_chunks(total, BUILD_CHUNK, out, |range, (cols, proj, diag)| {
+            model.basis_columns(&positions[range], xs, ys, boundary, cols);
+            for ((col, p), d) in cols.chunks_exact(n).zip(proj).zip(diag) {
+                // Same accumulation order as `Matrix::tr_matvec` / `gram`:
+                // observation order from +0.0 (see the module docs for why
+                // the legacy zero-skips cannot change the bits).
+                *p = col.iter().zip(measurements).map(|(c, m)| c * m).sum();
+                *d = col.iter().map(|c| c * c).sum();
+            }
+        });
+        ScoringCache {
+            objective: self,
+            n,
+            buf,
             blocks: None,
             seeded,
         }
     }
 }
 
-/// Lifetime-free storage carrying one window's scoring-cache buffers to
-/// the next, so a [`FluxObjective::scoring_cache`] build handed the store
-/// can diff instead of rebuild. Owned by whatever owns the [`CacheScratch`] (one per grid
-/// shard); an empty store simply makes the first build a full one.
-#[derive(Debug, Default)]
-pub struct CacheStore {
-    /// Sniffer positions the stored columns were computed against.
-    sniffers: Vec<Point2>,
-    /// Measurement vector the stored projections were computed against.
-    measurements: Vec<f64>,
-    positions: Vec<Point2>,
-    cols: Vec<f64>,
-    proj: Vec<f64>,
-    diag: Vec<f64>,
-    valid: bool,
-}
-
-impl CacheStore {
-    /// A fresh, empty store.
-    pub fn new() -> Self {
-        CacheStore::default()
-    }
-
-    /// Drops the stored window so the next build recomputes everything
-    /// (called on churn the caller knows invalidates the geometry).
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-}
-
 impl<'a> ScoringCache<'a> {
     /// Number of users the cache was built over.
     pub fn users(&self) -> usize {
-        self.offsets.len() - 1
+        self.buf.offsets.len() - 1
     }
 
     /// Number of candidates of user `i`.
     pub fn size(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
+        self.buf.offsets[i + 1] - self.buf.offsets[i]
     }
 
     /// The cached position of a slot.
     pub fn position(&self, (i, c): Slot) -> Point2 {
-        self.positions[self.offsets[i] + c]
+        self.buf.positions[self.buf.offsets[i] + c]
     }
 
     /// Precomputes every cross-user inner product `cᵢᵀcⱼ` in parallel.
@@ -351,10 +283,10 @@ impl<'a> ScoringCache<'a> {
             for j in (i + 1)..k {
                 let (si, sj) = (self.size(i), self.size(j));
                 let rows = pool.map_indexed(si, |ci| {
-                    let gi = self.offsets[i] + ci;
+                    let gi = self.buf.offsets[i] + ci;
                     let mut row = Vec::with_capacity(sj);
                     for cj in 0..sj {
-                        row.push(self.dot_cols(gi, self.offsets[j] + cj));
+                        row.push(self.dot_cols(gi, self.buf.offsets[j] + cj));
                     }
                     row
                 });
@@ -372,7 +304,7 @@ impl<'a> ScoringCache<'a> {
     /// data-space residual `‖F̂ − F′‖₂`; the fitted stretches stay in
     /// `scratch` ([`CacheScratch::stretches`]).
     ///
-    /// On a cache built from a store the inner solve is warm-seeded: the
+    /// On a cache built `seeded` the inner solve is warm-seeded: the
     /// active set starts from the full support (every placed source
     /// emitting) and is accepted outright when that guess passes
     /// feasibility and the KKT check, falling back to the cold iteration
@@ -406,8 +338,8 @@ impl<'a> ScoringCache<'a> {
         let k = combo.len();
         scratch.ensure_k(k);
         for (r, &a) in combo.iter().enumerate() {
-            scratch.atb[r] = self.proj[self.global(a)];
-            scratch.gram[(r, r)] = self.diag[self.global(a)];
+            scratch.atb[r] = self.buf.proj[self.global(a)];
+            scratch.gram[(r, r)] = self.buf.diag[self.global(a)];
             for (cshift, &b) in combo[r + 1..].iter().enumerate() {
                 let c = r + 1 + cshift;
                 let d = self.dot(a, b);
@@ -426,7 +358,7 @@ impl<'a> ScoringCache<'a> {
         // fluxlint: allow(hot-path-alloc) — built once, probed many times
         let mut base_gram = vec![0.0; kb * kb];
         for (r, &a) in base.iter().enumerate() {
-            base_gram[r * kb + r] = self.diag[self.global(a)];
+            base_gram[r * kb + r] = self.buf.diag[self.global(a)];
             for (cshift, &b) in base[r + 1..].iter().enumerate() {
                 let c = r + 1 + cshift;
                 let d = self.dot(a, b);
@@ -484,13 +416,13 @@ impl<'a> ScoringCache<'a> {
                 let cc = c + usize::from(c >= at);
                 scratch.gram[(rr, cc)] = cond.base_gram[r * kb + c];
             }
-            scratch.atb[rr] = self.proj[self.global(cond.base[r])];
+            scratch.atb[rr] = self.buf.proj[self.global(cond.base[r])];
             let d = self.dot(probe, cond.base[r]);
             scratch.gram[(at, rr)] = d;
             scratch.gram[(rr, at)] = d;
         }
-        scratch.gram[(at, at)] = self.diag[self.global(probe)];
-        scratch.atb[at] = self.proj[self.global(probe)];
+        scratch.gram[(at, at)] = self.buf.diag[self.global(probe)];
+        scratch.atb[at] = self.buf.proj[self.global(probe)];
     }
 
     /// Evaluates a combination and packages the winner as a [`SinkFit`]
@@ -516,26 +448,14 @@ impl<'a> ScoringCache<'a> {
         })
     }
 
-    /// Hands the cache's buffers back to `store`, stamped with the
-    /// sniffer and measurement fingerprints they were computed under, so
-    /// the next round's [`FluxObjective::scoring_cache`] build can diff
-    /// against this window instead of rebuilding it.
-    pub fn release(self, store: &mut CacheStore) {
-        store.sniffers.clear();
-        store.sniffers.extend_from_slice(self.objective.positions());
-        store.measurements.clear();
-        store
-            .measurements
-            .extend_from_slice(self.objective.measurements());
-        store.positions = self.positions;
-        store.cols = self.cols;
-        store.proj = self.proj;
-        store.diag = self.diag;
-        store.valid = true;
+    /// Hands the cache's buffers back to `scratch`, so the next build
+    /// on it reuses their capacity instead of allocating.
+    pub fn recycle(self, scratch: &mut CacheScratch) {
+        scratch.buffers = self.buf;
     }
 
     fn global(&self, (i, c): Slot) -> usize {
-        self.offsets[i] + c
+        self.buf.offsets[i] + c
     }
 
     /// Inner product of two slots' columns: cross-user pairs come from
@@ -559,7 +479,7 @@ impl<'a> ScoringCache<'a> {
     }
 
     fn col(&self, g: usize) -> &[f64] {
-        &self.cols[g * self.n..(g + 1) * self.n]
+        &self.buf.cols[g * self.n..(g + 1) * self.n]
     }
 
     fn dot_cols(&self, g: usize, h: usize) -> f64 {
@@ -571,7 +491,7 @@ impl<'a> ScoringCache<'a> {
     }
 
     /// Runs the active-set solve on the assembled Gram system — seeded
-    /// from the full support on a store-built cache: combination scans
+    /// from the full support on a `seeded` cache: combination scans
     /// probe small perturbations of fits whose sources were all
     /// emitting, so "everything stays in the passive set" is the
     /// overwhelmingly common outcome and the seeded KKT check replaces
@@ -613,7 +533,7 @@ impl<'a> ScoringCache<'a> {
             let pred: f64 = combo
                 .iter()
                 .zip(x)
-                .map(|(&s, &q)| self.cols[self.global(s) * self.n + t] * q)
+                .map(|(&s, &q)| self.buf.cols[self.global(s) * self.n + t] * q)
                 .sum();
             let d = pred - m;
             r2 += d * d;
@@ -679,7 +599,7 @@ mod tests {
         let obj = objective_for(&truth);
         let cands = demo_candidates();
         let pool = Pool::with_threads(2);
-        let cache = obj.scoring_cache(&cands, &pool, None);
+        let cache = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
         let mut scratch = CacheScratch::new();
         for c0 in 0..cands[0].len() {
             for c1 in 0..cands[1].len() {
@@ -705,8 +625,8 @@ mod tests {
         let obj = objective_for(&truth);
         let cands = demo_candidates();
         let pool = Pool::with_threads(2);
-        let plain = obj.scoring_cache(&cands, &pool, None);
-        let mut blocked = obj.scoring_cache(&cands, &pool, None);
+        let plain = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
+        let mut blocked = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
         blocked.build_pair_blocks(&pool);
         let mut s1 = CacheScratch::new();
         let mut s2 = CacheScratch::new();
@@ -734,7 +654,7 @@ mod tests {
         let obj = objective_for(&truth);
         let cands = demo_candidates();
         let pool = Pool::with_threads(1);
-        let cache = obj.scoring_cache(&cands, &pool, None);
+        let cache = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
         let mut scratch = CacheScratch::new();
         let base = [(0, 1), (1, 2)];
         for insert_at in 0..=base.len() {
@@ -756,7 +676,7 @@ mod tests {
     fn cache_rejects_empty_combination() {
         let obj = objective_for(&[(Point2::new(8.0, 8.0), 1.0)]);
         let pool = Pool::with_threads(1);
-        let cache = obj.scoring_cache(&demo_candidates(), &pool, None);
+        let cache = obj.scoring_cache(&demo_candidates(), &pool, false, &mut CacheScratch::new());
         let mut scratch = CacheScratch::new();
         assert!(matches!(
             cache.evaluate_combo(&[], &mut scratch),
@@ -765,55 +685,33 @@ mod tests {
     }
 
     #[test]
-    fn reusing_cache_is_bit_identical_to_fresh_build() {
+    fn recycled_buffers_build_the_same_cache() {
         let truth = [
             (Point2::new(12.0, 17.0), 2.0),
             (Point2::new(22.0, 21.0), 1.0),
         ];
         let obj = objective_for(&truth);
         let cands = demo_candidates();
-        let pool = Pool::with_threads(2);
-        let mut store = CacheStore::new();
-
-        let assert_matches_fresh =
-            |obj: &FluxObjective, cands: &[Vec<Point2>], store: &mut CacheStore| {
-                let fresh = obj.scoring_cache(cands, &pool, None);
-                let reused = obj.scoring_cache(cands, &pool, Some(&mut *store));
-                assert_eq!(fresh.positions, reused.positions);
-                assert_eq!(fresh.offsets, reused.offsets);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&fresh.cols), bits(&reused.cols));
-                assert_eq!(bits(&fresh.proj), bits(&reused.proj));
-                assert_eq!(bits(&fresh.diag), bits(&reused.diag));
-                reused.release(store);
-            };
-
-        // Round 1: empty store — full build.
-        assert_matches_fresh(&obj, &cands, &mut store);
-        // Round 2: nothing changed — every block reused.
-        let before = fluxprint_telemetry::snapshot().counter(names::SOLVER_GRAM_COLS_REUSED);
-        assert_matches_fresh(&obj, &cands, &mut store);
-        let after = fluxprint_telemetry::snapshot().counter(names::SOLVER_GRAM_COLS_REUSED);
-        assert_eq!(after - before, 7, "both blocks (3 + 4 candidates) reused");
-        // Round 3: measurements moved — columns reused, projections
-        // refreshed from the stored columns.
-        let shifted: Vec<f64> = obj.measurements().iter().map(|m| m * 1.25 + 0.01).collect();
-        let obj2 = obj.with_measurements(shifted).unwrap();
-        assert_matches_fresh(&obj2, &cands, &mut store);
-        // Round 4: one candidate churned — reuse is per position, so the
-        // remaining six still come from the store.
-        let mut churned = cands.clone();
-        churned[1][2] = Point2::new(9.0, 26.0);
-        let before = fluxprint_telemetry::snapshot().counter(names::SOLVER_GRAM_COLS_REUSED);
-        assert_matches_fresh(&obj2, &churned, &mut store);
-        let after = fluxprint_telemetry::snapshot().counter(names::SOLVER_GRAM_COLS_REUSED);
-        assert_eq!(after - before, 6, "every unchanged position reused");
-        // Round 5: invalidation forces a full rebuild that still matches.
-        store.invalidate();
-        let before = fluxprint_telemetry::snapshot().counter(names::SOLVER_GRAM_COLS_REUSED);
-        assert_matches_fresh(&obj2, &churned, &mut store);
-        let after = fluxprint_telemetry::snapshot().counter(names::SOLVER_GRAM_COLS_REUSED);
-        assert_eq!(after - before, 0, "invalidated store reuses nothing");
+        let pool = Pool::with_threads(1);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fresh = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
+        // The scratch first holds a larger build, then a smaller one, so
+        // the recycled buffers both shrink and grow into this build.
+        let mut scratch = CacheScratch::new();
+        let mut larger = cands.clone();
+        larger.push(vec![Point2::new(1.0, 2.0); 9]);
+        for set in [larger, vec![vec![Point2::new(4.0, 4.0)]], cands.clone()] {
+            obj.scoring_cache(&set, &pool, false, &mut scratch)
+                .recycle(&mut scratch);
+        }
+        let cols = scratch.buffers.cols.as_ptr();
+        let recycled = obj.scoring_cache(&cands, &pool, false, &mut scratch);
+        assert_eq!(recycled.buf.cols.as_ptr(), cols, "capacity reused");
+        assert_eq!(fresh.buf.offsets, recycled.buf.offsets);
+        assert_eq!(fresh.buf.positions, recycled.buf.positions);
+        assert_eq!(bits(&fresh.buf.cols), bits(&recycled.buf.cols));
+        assert_eq!(bits(&fresh.buf.proj), bits(&recycled.buf.proj));
+        assert_eq!(bits(&fresh.buf.diag), bits(&recycled.buf.diag));
     }
 
     #[test]
@@ -825,10 +723,8 @@ mod tests {
         let obj = objective_for(&truth);
         let cands = demo_candidates();
         let pool = Pool::with_threads(1);
-        let cold = obj.scoring_cache(&cands, &pool, None);
-        // A fresh store has nothing to diff against, so this build reuses
-        // no columns; it only switches the inner solves to seeded.
-        let warm = obj.scoring_cache(&cands, &pool, Some(&mut CacheStore::new()));
+        let cold = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
+        let warm = obj.scoring_cache(&cands, &pool, true, &mut CacheScratch::new());
         let mut sa = CacheScratch::new();
         let mut sb = CacheScratch::new();
         let before = fluxprint_telemetry::snapshot();
@@ -863,7 +759,7 @@ mod tests {
         let obj = objective_for(&[(Point2::new(8.0, 8.0), 1.0)]);
         let cands = demo_candidates();
         let pool = Pool::with_threads(1);
-        let cache = obj.scoring_cache(&cands, &pool, None);
+        let cache = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
         assert_eq!(cache.users(), 2);
         assert_eq!(cache.size(0), 3);
         assert_eq!(cache.size(1), 4);

@@ -30,8 +30,9 @@ pub const SOLVER_GRAM_COMBO_EVALS: &str = "solver.gram.combo_evals";
 pub const SOLVER_NNLS_WARM_HITS: &str = "solver.nnls.warm_hits";
 /// Warm-seeded NNLS solves that fell back to the cold active-set loop.
 pub const SOLVER_NNLS_WARM_MISSES: &str = "solver.nnls.warm_misses";
-/// Scoring-cache basis columns reused from the previous window (sniffer
-/// set and candidate positions unchanged — the measurement-diff path).
+/// Scoring-cache basis columns reused from the previous window. Nothing
+/// reuses columns across windows any more, so it always reads 0; the name
+/// stays because benchmark reports read it.
 pub const SOLVER_GRAM_COLS_REUSED: &str = "solver.gram.cols_reused";
 
 /// SMC tracker observation rounds processed (Algorithm 4.1 steps).

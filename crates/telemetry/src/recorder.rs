@@ -74,11 +74,105 @@ impl OpenSpan {
     }
 }
 
+/// Counters keyed by the name's address and length rather than its text:
+/// an open-addressing table (linear probing, power-of-two capacity, grown
+/// at half load) that never evicts, so a probe compares two words instead
+/// of a string. The same text at two addresses (one literal per crate)
+/// takes two slots; every reader merges slots by text, so counts stay
+/// exact. Slot order depends on addresses, which is why nothing reads the
+/// slots except through an order-independent sum.
+///
+/// The table is kept sparse and hashed on addresses relative to the
+/// binary (see [`slot_hash`]), so a counter costs the same number of
+/// probes in every run of one build: the metric catalog fits in the
+/// first allocation with most names in their home slots.
+#[derive(Debug, Default)]
+struct CounterTable {
+    slots: Vec<Option<(&'static str, u64)>>,
+    live: usize,
+}
+
+impl CounterTable {
+    /// Slots allocated on first use: the metric catalog at under half
+    /// load.
+    const FIRST_CAPACITY: usize = 128;
+
+    fn add(&mut self, name: &'static str, delta: u64) {
+        if let Some((_, value)) = self.find(name) {
+            *value += delta;
+            return;
+        }
+        if (self.live + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        self.insert(name, delta);
+    }
+
+    /// The slot holding `name` (this address and length), if any.
+    fn find(&mut self, name: &'static str) -> Option<&mut (&'static str, u64)> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = slot_hash(name) & mask;
+        loop {
+            match &self.slots[i] {
+                None => return None,
+                Some((key, _)) if std::ptr::eq(*key, name) => break,
+                Some(_) => i = (i + 1) & mask,
+            }
+        }
+        self.slots[i].as_mut()
+    }
+
+    /// Places a name known to be absent; the table has a free slot.
+    fn insert(&mut self, name: &'static str, value: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = slot_hash(name) & mask;
+        while self.slots[i].is_some() {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = Some((name, value));
+        self.live += 1;
+    }
+
+    fn grow(&mut self) {
+        let capacity = (self.slots.len() * 2).max(Self::FIRST_CAPACITY);
+        let old = std::mem::replace(&mut self.slots, vec![None; capacity]);
+        self.live = 0;
+        for (name, value) in old.into_iter().flatten() {
+            self.insert(name, value);
+        }
+    }
+
+    /// Every live `(name, value)` slot, in address-dependent order.
+    fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+
+    /// Empties every slot, keeping the capacity.
+    fn clear(&mut self) {
+        self.slots.fill(None);
+        self.live = 0;
+    }
+}
+
+/// An address in this binary that name literals are hashed relative to.
+static ANCHOR: u8 = 0;
+
+/// Hashes a name by its address and length (Fibonacci multiply; the
+/// high bits are the well-mixed ones). The address is taken as an offset
+/// from [`ANCHOR`]: address-space randomisation moves the whole binary,
+/// literals and anchor alike, so a literal hashes to the same slot in
+/// every process and the probe counts do not change from run to run.
+fn slot_hash(name: &str) -> usize {
+    let offset = (name.as_ptr() as usize).wrapping_sub(std::ptr::addr_of!(ANCHOR) as usize);
+    let key = (offset as u64) ^ (name.len() as u64).rotate_left(32);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
+}
+
 /// Single-thread telemetry state: counters, histograms, span aggregates
 /// and the live span stack.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    counters: BTreeMap<&'static str, u64>,
+    counters: CounterTable,
     histograms: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<String, SpanStat>,
     stack: Vec<&'static str>,
@@ -90,9 +184,10 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Adds `delta` to the named counter.
+    /// Adds `delta` to the named counter: one probe of a table keyed by
+    /// the name's address (see `CounterTable`), no string comparison.
     pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        self.counters.add(name, delta);
     }
 
     /// Records one value into the named histogram.
@@ -121,9 +216,14 @@ impl Recorder {
             .observe(now_ns.saturating_sub(span.start_ns));
     }
 
-    /// Current value of a counter (0 when never touched).
+    /// Current value of a counter (0 when never touched), summed over
+    /// every literal carrying this text.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters
+            .entries()
+            .filter(|(key, _)| *key == name)
+            .map(|(_, value)| value)
+            .sum()
     }
 
     /// The named histogram, when anything was recorded into it.
@@ -143,20 +243,22 @@ impl Recorder {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
+        self.counters.live == 0 && self.histograms.is_empty() && self.spans.is_empty()
     }
 
     /// Drains this recorder into string-keyed maps (the registry's merge
-    /// step). The recorder is left empty but keeps its span stack.
+    /// step), merging counters by text. The recorder is left empty but
+    /// keeps its span stack and its counter table's capacity.
     pub fn drain_into(
         &mut self,
         counters: &mut std::collections::BTreeMap<String, u64>,
         histograms: &mut std::collections::BTreeMap<String, Histogram>,
         spans: &mut std::collections::BTreeMap<String, SpanStat>,
     ) {
-        for (name, value) in std::mem::take(&mut self.counters) {
+        for (name, value) in self.counters.entries() {
             *counters.entry(name.to_string()).or_insert(0) += value;
         }
+        self.counters.clear();
         for (name, histogram) in std::mem::take(&mut self.histograms) {
             histograms
                 .entry(name.to_string())
@@ -183,6 +285,86 @@ mod tests {
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("b"), 1);
         assert_eq!(r.counter("missing"), 0);
+    }
+
+    /// A `'static` copy of `text` at an address no literal shares.
+    fn leaked(text: &str) -> &'static str {
+        Box::leak(text.to_string().into_boxed_str())
+    }
+
+    #[test]
+    fn aliased_names_merge_by_text() {
+        let (a, b) = (leaked("alias.counter"), leaked("alias.counter"));
+        assert!(!std::ptr::eq(a, b), "two addresses, one text");
+        let mut r = Recorder::new();
+        r.add(a, 2);
+        r.add(b, 5);
+        r.add("alias.counter", 1);
+        assert_eq!(r.counter("alias.counter"), 8);
+        let mut counters = std::collections::BTreeMap::new();
+        r.drain_into(
+            &mut counters,
+            &mut std::collections::BTreeMap::new(),
+            &mut std::collections::BTreeMap::new(),
+        );
+        assert_eq!(counters.len(), 1);
+        assert_eq!(counters["alias.counter"], 8);
+    }
+
+    #[test]
+    fn counter_table_grows_past_its_first_size() {
+        // The metric catalog fits the first allocation; 500 more names
+        // grow it.
+        let catalog = crate::names::COUNTERS;
+        let mut r = Recorder::new();
+        for &name in catalog {
+            r.add(name, 1);
+        }
+        assert_eq!(r.counters.slots.len(), CounterTable::FIRST_CAPACITY);
+        let names: Vec<&'static str> = (0..500).map(|i| leaked(&format!("grow.{i}"))).collect();
+        for round in 1..=3u64 {
+            for (i, &name) in names.iter().enumerate() {
+                r.add(name, i as u64 + round);
+            }
+        }
+        assert!(r.counters.slots.len() > CounterTable::FIRST_CAPACITY);
+        assert_eq!(r.counters.live, catalog.len() + names.len());
+        for (i, &name) in names.iter().enumerate() {
+            assert_eq!(r.counter(name), 3 * i as u64 + 6, "{name}");
+        }
+        for &name in catalog {
+            assert_eq!(r.counter(name), 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn drains_are_exact_and_keep_the_table() {
+        let mut r = Recorder::new();
+        let mut counters = std::collections::BTreeMap::new();
+        let mut total = 0;
+        for round in 0..50u64 {
+            r.add("drain.a", round);
+            r.add("drain.b", 1);
+            total += round;
+            if round % 7 == 0 {
+                let capacity = r.counters.slots.len();
+                r.drain_into(
+                    &mut counters,
+                    &mut std::collections::BTreeMap::new(),
+                    &mut std::collections::BTreeMap::new(),
+                );
+                assert!(r.is_empty());
+                assert_eq!(r.counter("drain.a"), 0);
+                assert_eq!(r.counters.slots.len(), capacity);
+            }
+        }
+        r.drain_into(
+            &mut counters,
+            &mut std::collections::BTreeMap::new(),
+            &mut std::collections::BTreeMap::new(),
+        );
+        assert_eq!(counters["drain.a"], total);
+        assert_eq!(counters["drain.b"], 50);
     }
 
     #[test]

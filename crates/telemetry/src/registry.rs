@@ -1,12 +1,13 @@
 //! The process-wide registry and the thread-local fast path.
 //!
 //! Hot-path calls ([`counter`], [`record`], [`span`]) touch only a
-//! thread-local [`Recorder`] — no locks, no atomics — so instrumented
-//! inner loops pay one ordered-map update per event. Each thread's recorder is
-//! merged into the global registry when the thread exits (the scoped
-//! sweep threads in `fluxprint-core` end every trial batch this way) or
-//! when [`flush`] is called explicitly; [`snapshot`] flushes the calling
-//! thread and returns the merged view.
+//! thread-local [`Recorder`] — no locks, no atomics. A counter event is
+//! one probe of a table keyed by the name's address, with no string
+//! comparison; histogram and span events pay one ordered-map update.
+//! Each thread's recorder is merged into the global registry when the
+//! thread exits (the scoped sweep threads in `fluxprint-core` end every
+//! trial batch this way) or when [`flush`] is called explicitly;
+//! [`snapshot`] flushes the calling thread and returns the merged view.
 //!
 //! Merging is order-independent — counters add, histograms add
 //! bucket-wise, span aggregates fold min/max/total — so the snapshot a

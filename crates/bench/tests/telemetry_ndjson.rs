@@ -346,9 +346,9 @@ fn drive_hibernating_grid() {
     grid.join().expect("join");
 }
 
-/// One small exact-enumeration filter on an explicit 2-thread pool, so
-/// the parallel-dispatch counter (`fluxpar.threads`) is exercised even
-/// when `FLUXPRINT_THREADS=1` pins the process-wide pool.
+/// One small association on an explicit 2-thread pool, so the
+/// parallel-dispatch counter (`fluxpar.threads`) is exercised even when
+/// `FLUXPRINT_THREADS=1` pins the process-wide pool.
 fn drive_cached_filter() {
     use fluxprint_fluxmodel::FluxModel;
     use fluxprint_geometry::{Point2, Rect};
@@ -380,14 +380,16 @@ fn drive_cached_filter() {
         ],
     ];
     let pool = fluxprint_fluxpar::Pool::with_threads(2);
-    fluxprint_smc::filter_candidates_with(
+    fluxprint_smc::associate(
         &objective,
         &candidates,
-        &[],
+        &[3, 3],
         &fluxprint_smc::SmcConfig::default(),
         &pool,
+        &mut fluxprint_solver::CacheScratch::new(),
+        false,
     )
-    .expect("filter runs");
+    .expect("association runs");
 }
 
 /// Three rounds through an engine session with a checkpoint/restore cycle

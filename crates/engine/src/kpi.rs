@@ -80,7 +80,6 @@ impl OutcomeKpis {
 mod tests {
     use super::*;
     use fluxprint_geometry::Point2;
-    use fluxprint_smc::FilterStrategy;
 
     fn outcome(residual: f64, active: &[bool]) -> StepOutcome {
         StepOutcome {
@@ -89,7 +88,6 @@ mod tests {
             active: active.to_vec(),
             stretches: vec![1.0; active.len()],
             residual,
-            strategy: FilterStrategy::Exact,
         }
     }
 

@@ -128,7 +128,18 @@ fn grid_checkpoint_matches_golden_fixture() {
         "grid checkpoint drifted from the golden fixture; if the change is \
          intentional, re-bless with GOLDEN_BLESS=1 and commit the new fixture"
     );
-    // The fixture restores, and re-checkpoints to the same bytes.
-    let restored = Grid::restore_json(engine, &grid_config(), want.trim_end()).unwrap();
-    assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
+    // The fixture restores, and re-checkpoints to the same bytes. So
+    // does the same fixture with the two tracker-config keys that v3
+    // checkpoints carried before the exact/greedy filter was retired:
+    // restore ignores them.
+    let legacy = want.replace(
+        "\"activity_min_gain\":1.15,",
+        "\"activity_min_gain\":1.15,\"exact_enumeration_cap\":50000,\"coordinate_sweeps\":3,",
+    );
+    assert_eq!(legacy.matches("\"coordinate_sweeps\"").count(), SESSIONS);
+    for input in [&want, &legacy] {
+        let restored =
+            Grid::restore_json(engine.clone(), &grid_config(), input.trim_end()).unwrap();
+        assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
+    }
 }

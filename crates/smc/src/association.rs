@@ -21,12 +21,14 @@
 //! Candidate scans run against the per-window
 //! [`ScoringCache`](fluxprint_solver::ScoringCache) — each probe is a
 //! Gram-row insertion and an `O(k³)` solve instead of a dense refit —
-//! fanned out on the deterministic worker pool. Selection order,
-//! tie-breaks, and every returned float are bit-identical to the legacy
-//! sequential column path at any thread count. [`associate`] is the one
-//! entry point; its `seeded` flag only chooses how the cache's inner
-//! solves start (see [`FluxObjective::scoring_cache`]), never which scans
-//! run.
+//! fanned out on the deterministic worker pool. Each probe's residual and
+//! stretches are bit-identical to the dense column path (the scoring
+//! cache's `conditioned_eval_is_bit_identical_to_column_path` test), and
+//! selection order, tie-breaks and every returned float are identical at
+//! any thread count (`association_is_identical_across_thread_counts`
+//! below). [`associate`] is the one entry point; its `seeded` flag only
+//! chooses how the cache's inner solves start (see
+//! [`FluxObjective::scoring_cache`]), never which scans run.
 
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
@@ -116,10 +118,10 @@ pub fn associate(
     while selected.len() < k {
         // Every unselected user bids its best candidate conditioned on the
         // already-selected sources. All bidders share one conditioner:
-        // the bidder's column enters at slot 0, the selected sources
-        // follow in selection order (the legacy column order).
+        // the bidder's column comes first, the selected sources follow
+        // in selection order.
         let base = selected_slots(&selected, &chosen);
-        let cond = cache.conditioner(&base, 0);
+        let cond = cache.conditioner(&base);
         let mut best: Option<(usize, Bid)> = None;
         for i in 0..k {
             if chosen[i].is_some() {
@@ -179,7 +181,7 @@ pub fn associate(
             .into_iter()
             .filter(|&(j, _)| j != i)
             .collect();
-        let cond = cache.conditioner(&others, 0);
+        let cond = cache.conditioner(&others);
         let scanned: Result<Vec<f64>, SmcError> = pool
             .map_reusing(limit, scratch, CacheScratch::new, |scratch, c| {
                 cache

@@ -26,11 +26,6 @@ pub struct SmcConfig {
     /// changes the fit, while dropping a genuinely collecting user leaves
     /// its whole flux pattern unexplained.
     pub activity_min_gain: f64,
-    /// Use exact `N^K` combination enumeration when `N^K` does not exceed
-    /// this cap; otherwise greedy coordinate descent (DESIGN.md §4).
-    pub exact_enumeration_cap: usize,
-    /// Coordinate-descent sweeps when the greedy strategy is active.
-    pub coordinate_sweeps: usize,
     /// Fraction of each round's predictions drawn uniformly over the field
     /// instead of from the motion prior — recovery candidates for a user
     /// whose samples locked onto the wrong source early (the motion prior
@@ -62,8 +57,6 @@ impl Default for SmcConfig {
             vmax: 5.0,
             activity_threshold: 0.05,
             activity_min_gain: 1.15,
-            exact_enumeration_cap: 50_000,
-            coordinate_sweeps: 3,
             explore_fraction: 0.1,
             explore_accept_ratio: 0.5,
             use_importance_weights: true,
@@ -98,11 +91,6 @@ impl SmcConfig {
         if !(self.activity_min_gain.is_finite() && self.activity_min_gain >= 1.0) {
             return Err(SmcError::BadConfig {
                 field: "activity_min_gain",
-            });
-        }
-        if self.coordinate_sweeps == 0 {
-            return Err(SmcError::BadConfig {
-                field: "coordinate_sweeps",
             });
         }
         if !(0.0..1.0).contains(&self.explore_fraction) {
@@ -170,13 +158,6 @@ mod tests {
                     ..base
                 },
                 "activity_min_gain",
-            ),
-            (
-                SmcConfig {
-                    coordinate_sweeps: 0,
-                    ..base
-                },
-                "coordinate_sweeps",
             ),
             (
                 SmcConfig {

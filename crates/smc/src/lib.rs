@@ -7,11 +7,12 @@
 //!    in the reachable disc of radius `v_max · Δt` (Formula 4.2), where
 //!    `Δt` is the time since this user's *last detected collection* — the
 //!    asynchronous-updating rule of §4.E.
-//! 2. **Filtering** — score candidate position combinations by the NLS
-//!    residual `‖F̂ − F′‖` with inner NNLS stretch fits, and keep the top
-//!    `M` candidates per user. The paper writes this as an `N^K`
-//!    enumeration; that is used verbatim when `N^K` is small and replaced
-//!    by greedy coordinate descent over users otherwise (see DESIGN.md §4).
+//! 2. **Filtering** — score candidates by the NLS residual `‖F̂ − F′‖`
+//!    with inner NNLS stretch fits, and keep the top `M` candidates per
+//!    user. The paper writes this as an `N^K` enumeration of position
+//!    combinations; [`associate`] instead selects the active sources by
+//!    forward selection and ranks each selected user's candidates by the
+//!    residual conditioned on the others' choices (see DESIGN.md §4b.3).
 //! 3. **Importance update** — weight survivors by
 //!    `w_t ∝ w_{t-1} · P(o_t | p)` with `P(o|p) ≈ 1 / ‖F̂ − F′‖`
 //!    (Formula 4.3), normalized per user.
@@ -55,9 +56,6 @@ mod association;
 mod config;
 mod error;
 mod estimate;
-mod filtering;
-#[cfg(test)]
-mod reference;
 mod state;
 mod tracker;
 
@@ -65,6 +63,5 @@ pub use association::{associate, Association};
 pub use config::SmcConfig;
 pub use error::SmcError;
 pub use estimate::{effective_sample_size, weighted_mean, WeightedSample};
-pub use filtering::{filter_candidates, filter_candidates_with, CandidateScores, FilterStrategy};
 pub use state::{CompactTrackerState, CompactUserTrackState, TrackerState, UserTrackState};
 pub use tracker::{StepOutcome, Tracker, WarmDirective};

@@ -12,16 +12,15 @@ use fluxprint_stats::WeightedAlias;
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::{
-    associate, weighted_mean, CompactTrackerState, FilterStrategy, SmcConfig, SmcError,
-    TrackerState, UserTrackState, WeightedSample,
+    associate, weighted_mean, CompactTrackerState, SmcConfig, SmcError, TrackerState,
+    UserTrackState, WeightedSample,
 };
 
 /// Engine-owned policy for one warm round: which users get the bounded
 /// fast path and how hard their candidate budget shrinks.
 ///
 /// A hot user carries its posterior instead of re-searching: its kept
-/// samples enter the candidate set verbatim (so the scoring cache can
-/// reuse their basis columns across rounds, and "stay put" is always a
+/// samples enter the candidate set verbatim (so "stay put" is always a
 /// hypothesis), topped up to `n_predictions / shrink` fresh draws from
 /// the `v_max·Δt` motion disc, with **no** exploration candidates — the
 /// caller's periodic escape sweep (a fully cold round) is what recovers
@@ -54,8 +53,6 @@ pub struct StepOutcome {
     pub stretches: Vec<f64>,
     /// Objective value `‖F̂ − F′‖` of the winning combination.
     pub residual: f64,
-    /// Which combination-search strategy ran.
-    pub strategy: FilterStrategy,
 }
 
 #[derive(Debug, Clone)]
@@ -372,7 +369,6 @@ impl Tracker {
                 active: vec![false; k],
                 stretches: vec![0.0; k],
                 residual,
-                strategy: FilterStrategy::ForwardSelection,
             });
         }
 
@@ -404,11 +400,10 @@ impl Tracker {
             // given the RNG stream and allocation-light.
             if let Some(shrink) = hot_shrink {
                 // Warm fast path: carry the posterior. Kept samples are
-                // candidates verbatim (their basis columns diff-reuse in
-                // the scoring cache, and "stay put" is always in the
-                // hypothesis set), topped up with fresh motion-disc
-                // draws to a shrunk budget; no exploration — the escape
-                // sweep owns recovery.
+                // candidates verbatim ("stay put" is always in the
+                // hypothesis set), topped up with fresh motion-disc draws
+                // to a shrunk budget; no exploration — the escape sweep
+                // owns recovery.
                 let n_warm = (n / shrink).max(user.samples.len()).max(1);
                 let radius = self.config.vmax * (t - user.t_last);
                 for s in &user.samples {
@@ -617,7 +612,6 @@ impl Tracker {
             active,
             stretches,
             residual,
-            strategy: FilterStrategy::ForwardSelection,
         })
     }
 }

@@ -8,7 +8,7 @@
 //!   `unwrap` in a unit test is idiomatic).
 //! * [`item_paths`] — the innermost named item (`fn` / `impl` / `mod` /
 //!   `trait` / `struct` / `enum` / `union`) enclosing each line, as a
-//!   `::`-joined path such as `ScoringCache::evaluate_combo`. Findings
+//!   `::`-joined path such as `ScoringCache::evaluate_conditioned`. Findings
 //!   carry this so reports and the baseline can attribute a violation to
 //!   a function rather than a raw line number, which also makes baseline
 //!   matching robust against line drift.

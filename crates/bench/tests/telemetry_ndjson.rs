@@ -109,6 +109,7 @@ fn quick_fig4_emits_schema_valid_telemetry() {
     for name in [
         names::SOLVER_GRAM_BUILD,
         names::SOLVER_GRAM_COMBO_EVALS,
+        names::SOLVER_RESIDUAL_EXACT,
         names::FLUXPAR_TASKS,
         names::FLUXPAR_THREADS,
     ] {
@@ -117,6 +118,9 @@ fn quick_fig4_emits_schema_valid_telemetry() {
             "counter {name} did not move across a cached filter run"
         );
     }
+    // Screening runs the exact residual for at most every probe.
+    let delta = |name| after.counter(name) - before.counter(name);
+    assert!(delta(names::SOLVER_RESIDUAL_EXACT) <= delta(names::SOLVER_GRAM_COMBO_EVALS));
 
     // Drive a streaming-engine session through a checkpoint/restore cycle
     // (same test, same reason) and check every engine counter moves.

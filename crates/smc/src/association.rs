@@ -21,14 +21,22 @@
 //! Candidate scans run against the per-window
 //! [`ScoringCache`](fluxprint_solver::ScoringCache) — each probe is a
 //! Gram-row insertion and an `O(k³)` solve instead of a dense refit —
-//! fanned out on the deterministic worker pool. Each probe's residual and
-//! stretches are bit-identical to the dense column path (the scoring
-//! cache's `conditioned_eval_is_bit_identical_to_column_path` test), and
-//! selection order, tie-breaks and every returned float are identical at
-//! any thread count (`association_is_identical_across_thread_counts`
-//! below). [`associate`] is the one entry point; its `seeded` flag only
-//! chooses how the cache's inner solves start (see
-//! [`FluxObjective::scoring_cache`]), never which scans run.
+//! through its screened scan,
+//! [`ScoringCache::scan_conditioned`]. A bid reads only the argmin of each
+//! candidate class, so each class is a scan cut at 1; a final scan feeds
+//! the tracker's top-`keep_m` ranking, so it is cut at `keep_m`. Every
+//! probe that can make its cut gets the exact residual, bit-identical to
+//! the dense column path (the scoring cache's
+//! `conditioned_eval_is_bit_identical_to_column_path` test); the rest
+//! read `+∞` and provably cannot make it
+//! (`screened_scans_rank_like_exhaustive_ones` below). Selection order,
+//! tie-breaks and every returned float are identical at any thread count
+//! (`association_is_identical_across_thread_counts` below). [`associate`]
+//! is the one entry point; its `seeded` flag only chooses how the
+//! cache's inner solves start (see [`FluxObjective::scoring_cache`]),
+//! never which scans run.
+
+use std::ops::Range;
 
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
@@ -42,7 +50,11 @@ pub struct Association {
     /// Users detected as active this window, in selection order.
     pub selected: Vec<usize>,
     /// For each user: `Some(conditional residuals per candidate)` when the
-    /// user was selected (the top-M ranking key), `None` otherwise.
+    /// user was selected (the top-M ranking key), `None` otherwise. An
+    /// entry is `+∞` when screening spared that candidate its exact
+    /// evaluation, or when it lies outside the user's admissible range;
+    /// such a candidate never ranks in the top `keep_m` (ties by index,
+    /// as a stable sort breaks them).
     pub per_candidate_residual: Vec<Option<Vec<f64>>>,
     /// For each user: the chosen candidate index when selected.
     pub chosen: Vec<Option<usize>>,
@@ -182,18 +194,9 @@ pub fn associate(
             .filter(|&(j, _)| j != i)
             .collect();
         let cond = cache.conditioner(&others);
-        let scanned: Result<Vec<f64>, SmcError> = pool
-            .map_reusing(limit, scratch, CacheScratch::new, |scratch, c| {
-                cache
-                    .evaluate_conditioned(&cond, (i, c), scratch)
-                    .map_err(SmcError::from)
-            })
-            .into_iter()
-            .collect();
+        let scanned = cache.scan_conditioned(&cond, i, 0..limit, config.keep_m, pool, scratch)?;
         let mut residuals = vec![f64::INFINITY; candidates[i].len()];
-        for (c, r) in scanned?.into_iter().enumerate() {
-            residuals[c] = r;
-        }
+        residuals[..limit].copy_from_slice(scanned);
         // Refresh the chosen candidate from the final scan.
         let best = (0..limit)
             .min_by(|&a, &b| residuals[a].total_cmp(&residuals[b]))
@@ -244,26 +247,20 @@ fn best_bid(
     pool: &Pool,
     scratch: &mut CacheScratch,
 ) -> Result<Bid, SmcError> {
-    let scanned: Result<Vec<f64>, SmcError> = pool
-        .map_reusing(cache.size(i), scratch, CacheScratch::new, |scratch, c| {
-            cache
-                .evaluate_conditioned(cond, (i, c), scratch)
-                .map_err(SmcError::from)
-        })
-        .into_iter()
-        .collect();
-    let mut best_prior: Option<(usize, f64)> = None;
-    let mut best_explore: Option<(usize, f64)> = None;
-    for (c, r) in scanned?.into_iter().enumerate() {
-        let slot = if c < explore_from {
-            &mut best_prior
-        } else {
-            &mut best_explore
-        };
-        if slot.is_none_or(|(_, br)| r < br) {
-            *slot = Some((c, r));
+    // Each class's argmin, first minimum on ties: a scan cut at 1.
+    let mut class_best = |range: Range<usize>| -> Result<Option<(usize, f64)>, SmcError> {
+        let scanned = cache.scan_conditioned(cond, i, range.clone(), 1, pool, scratch)?;
+        let mut best: Option<(usize, f64)> = None;
+        for (c, &r) in range.zip(scanned) {
+            if best.is_none_or(|(_, br)| r < br) {
+                best = Some((c, r));
+            }
         }
-    }
+        Ok(best)
+    };
+    let split = explore_from.min(cache.size(i));
+    let best_prior = class_best(0..split)?;
+    let best_explore = class_best(split..cache.size(i))?;
     // A fully-uniform (uninitialized) user has no prior candidates; its
     // "explore" bid carries no penalty because there is no motion prior to
     // violate.
@@ -308,6 +305,9 @@ mod tests {
     use super::*;
     use fluxprint_fluxmodel::FluxModel;
     use fluxprint_geometry::Rect;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     /// A cold association on `pool` with the default configuration.
@@ -478,6 +478,128 @@ mod tests {
             })
             .collect();
         (objective_for(&truth), candidates, vec![180; 3])
+    }
+
+    /// The tracker's reading of a final scan: stable sort by `total_cmp`,
+    /// cut at `keep`.
+    fn tracker_order(residuals: &[f64], keep: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..residuals.len()).collect();
+        order.sort_by(|&a, &b| residuals[a].total_cmp(&residuals[b]));
+        order.truncate(keep);
+        order
+    }
+
+    /// A bid's reading of one class: the strict-`<` argmin, first
+    /// minimum on ties.
+    fn first_min(residuals: &[f64]) -> Option<(usize, u64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (c, &r) in residuals.iter().enumerate() {
+            if best.is_none_or(|(_, br)| r < br) {
+                best = Some((c, r));
+            }
+        }
+        best.map(|(c, r)| (c, r.to_bits()))
+    }
+
+    /// Flux from `users` random sources with relative noise `noise`, on
+    /// the 7×7 sniffer grid, and 40 candidates per user: 30 random
+    /// spots, the true source and a point 1 cm from it, then three
+    /// copies of the source and five of random spots, so exact ties
+    /// straddle every cut.
+    fn screening_instance(
+        seed: u64,
+        users: usize,
+        noise: f64,
+    ) -> (FluxObjective, Vec<Vec<Point2>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spot =
+            |rng: &mut StdRng| Point2::new(rng.gen_range(1.0..29.0), rng.gen_range(1.0..29.0));
+        let truth: Vec<(Point2, f64)> = (0..users)
+            .map(|_| (spot(&mut rng), rng.gen_range(0.5..3.0)))
+            .collect();
+        let clean = objective_for(&truth);
+        let noisy: Vec<f64> = clean
+            .measurements()
+            .iter()
+            .map(|m| m * (1.0 + noise * rng.gen_range(-1.0..1.0)))
+            .collect();
+        let candidates = truth
+            .iter()
+            .map(|&(source, _)| {
+                let mut set: Vec<Point2> = (0..30).map(|_| spot(&mut rng)).collect();
+                set.extend([source, Point2::new(source.x + 0.01, source.y)]);
+                set.extend([source; 3]);
+                let copies: Vec<Point2> = (0..5).map(|j| set[j * 6]).collect();
+                set.extend(copies);
+                set
+            })
+            .collect();
+        (clean.with_measurements(noisy).unwrap(), candidates)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A screened scan ranks exactly like an exhaustive scan of
+        /// `evaluate_conditioned`: the same argmin per bid class, the
+        /// same first `keep` candidates in the tracker's order with the
+        /// same bits, `+∞` only where the exhaustive scan would not
+        /// rank, and the same bits at 1, 2 and 8 threads, on cold and
+        /// seeded caches and with exact ties from duplicate candidates.
+        #[test]
+        fn screened_scans_rank_like_exhaustive_ones(
+            seed in 0u64..u64::MAX,
+            users in 1usize..=3,
+            noise in 0usize..2,
+            keep in 1usize..=12,
+            seeded in 0usize..2,
+        ) {
+            let (obj, cands) = screening_instance(seed, users, [0.0, 0.05][noise]);
+            let mut build = CacheScratch::new();
+            let cache = obj.scoring_cache(&cands, &Pool::with_threads(1), seeded == 1, &mut build);
+            let mut scratch = CacheScratch::new();
+            let size = cands[0].len();
+            let split = size - 8;
+            let mut spared = 0;
+            for user in 0..users {
+                // The base: the other users on their true sources, in
+                // index order, at every size.
+                let others: Vec<Slot> = (0..users).filter(|&u| u != user).map(|u| (u, 30)).collect();
+                for kb in 0..=others.len() {
+                    let cond = cache.conditioner(&others[..kb]);
+                    let exhaustive: Vec<f64> = (0..size)
+                        .map(|c| cache.evaluate_conditioned(&cond, (user, c), &mut scratch).unwrap())
+                        .collect();
+                    let ranked = tracker_order(&exhaustive, keep);
+                    let mut reference: Option<Vec<u64>> = None;
+                    for threads in [1, 2, 8] {
+                        let pool = Pool::with_threads(threads);
+                        let label = format!("user={user} kb={kb} keep={keep} threads={threads}");
+                        let screened = cache
+                            .scan_conditioned(&cond, user, 0..size, keep, &pool, &mut scratch)
+                            .unwrap()
+                            .to_vec();
+                        prop_assert_eq!(tracker_order(&screened, keep), ranked.clone(), "{}", label);
+                        for (c, (s, e)) in screened.iter().zip(&exhaustive).enumerate() {
+                            if s.to_bits() != e.to_bits() {
+                                prop_assert!(*s == f64::INFINITY && !ranked.contains(&c), "{} c={}", label, c);
+                                spared += 1;
+                            }
+                        }
+                        let bits: Vec<u64> = screened.iter().map(|r| r.to_bits()).collect();
+                        prop_assert_eq!(reference.get_or_insert(bits.clone()), &bits, "{}", label);
+                        for range in [0..split, split..size] {
+                            let class = cache
+                                .scan_conditioned(&cond, user, range.clone(), 1, &pool, &mut scratch)
+                                .unwrap();
+                            prop_assert_eq!(first_min(class), first_min(&exhaustive[range]), "{}", label);
+                        }
+                    }
+                }
+            }
+            // Not vacuous: screening spared some probe their exact solve.
+            prop_assert!(spared > 0);
+        }
     }
 
     #[test]

@@ -25,6 +25,10 @@ pub const SOLVER_BRIEFING_ROUNDS: &str = "solver.briefing.rounds";
 pub const SOLVER_GRAM_BUILD: &str = "solver.gram.build";
 /// Combination evaluations answered from the Gram cache (n-free path).
 pub const SOLVER_GRAM_COMBO_EVALS: &str = "solver.gram.combo_evals";
+/// Exact data-space residuals computed by the Gram cache: one per probe
+/// whose screening bound could still reach its scan's cut, so at most
+/// [`SOLVER_GRAM_COMBO_EVALS`].
+pub const SOLVER_RESIDUAL_EXACT: &str = "solver.residual.exact";
 /// Warm-seeded NNLS solves whose seeded support passed its KKT check
 /// (no active-set iteration needed).
 pub const SOLVER_NNLS_WARM_HITS: &str = "solver.nnls.warm_hits";
@@ -168,6 +172,7 @@ pub const COUNTERS: &[&str] = &[
     SOLVER_BRIEFING_ROUNDS,
     SOLVER_GRAM_BUILD,
     SOLVER_GRAM_COMBO_EVALS,
+    SOLVER_RESIDUAL_EXACT,
     SOLVER_NNLS_WARM_HITS,
     SOLVER_NNLS_WARM_MISSES,
     SOLVER_GRAM_COLS_REUSED,

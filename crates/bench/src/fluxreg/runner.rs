@@ -144,7 +144,7 @@ struct DriveResult {
     outcomes: Vec<Vec<StepOutcome>>,
     ingested: Vec<Vec<usize>>,
     /// Serialized size of the whole grid checkpoint after the run —
-    /// hibernated residents in compact form, hot ones in full form.
+    /// every resident, hot or hibernated, as its compact checkpoint.
     checkpoint_bytes: usize,
     /// Sessions still hot (fully resident) after the final drain.
     resident_sessions: usize,

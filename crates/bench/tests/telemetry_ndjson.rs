@@ -434,8 +434,10 @@ fn drive_engine_session() {
         let round = sniffer.observe_round_smoothed(t, &net, &flux, NoiseModel::None, &mut rng);
         session.ingest(&round).expect("round ingests");
         if i == 2 {
-            let checkpoint = session.checkpoint();
-            session = engine.restore(&checkpoint).expect("session restores");
+            let checkpoint = session.checkpoint_compact(2);
+            session = engine
+                .restore_compact(&checkpoint)
+                .expect("session restores");
         }
     }
 }

@@ -138,9 +138,9 @@ fn checkpointed_session_drive_matches_the_uninterrupted_adapter() {
             // checkpoint only covers session state — the driver's own RNG
             // keeps flowing, exactly as a resumed process would re-seed
             // its simulation side while the tracker resumes bit-exactly.
-            let json = session.checkpoint_json().unwrap();
+            let json = session.checkpoint_compact(2).to_json().unwrap();
             drop(session);
-            session = engine.restore_json(&json).unwrap();
+            session = engine.restore_compact_json(&json).unwrap();
             assert_eq!(session.rounds_ingested() as usize, checkpoint_after);
         }
 

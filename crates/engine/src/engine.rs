@@ -11,7 +11,7 @@ use fluxprint_netsim::Network;
 use fluxprint_smc::{SmcConfig, Tracker};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::{CompactCheckpoint, EngineError, Session, SessionCheckpoint, UserState, WarmState};
+use crate::{CompactCheckpoint, EngineError, Session, UserState, WarmState};
 
 /// Parameters for one tracking session.
 #[derive(Debug, Clone)]
@@ -178,82 +178,22 @@ impl Engine {
         })
     }
 
-    /// Revives a session from a [`SessionCheckpoint`] against this
-    /// engine's boundary and node map.
+    /// Revives a session from a [`CompactCheckpoint`] (produced by
+    /// [`Session::checkpoint_compact`](crate::Session::checkpoint_compact))
+    /// against this engine's boundary and node map.
     ///
     /// Restore is exact: the revived session produces bit-identical
     /// outcomes to the one the checkpoint was taken from, given the same
-    /// subsequent rounds — the tracker state, user lifecycle states, and
-    /// RNG stream position all resume where they stopped. The flux model
-    /// travels inside the checkpoint (it is tracker state), so a session
-    /// restores faithfully even on an engine built with a different
-    /// model.
+    /// subsequent rounds — the tracker state, user lifecycle states, warm
+    /// state and RNG stream position all resume where they stopped. The
+    /// flux model travels inside the checkpoint (it is tracker state), so
+    /// a session restores faithfully even on an engine built with a
+    /// different model. The tracker is built straight from the compact
+    /// blobs, each decoded once.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnsupportedVersion`] or
-    /// [`EngineError::BadCheckpoint`] for a malformed checkpoint and
-    /// propagates tracker snapshot validation errors.
-    pub fn restore(&self, checkpoint: &SessionCheckpoint) -> Result<Session, EngineError> {
-        checkpoint.validate()?;
-        let tracker = Tracker::from_state(checkpoint.tracker.clone(), Arc::clone(&self.boundary))?;
-        Ok(self.resume(
-            tracker,
-            checkpoint.decode_rng()?,
-            &checkpoint.users,
-            checkpoint.rounds_ingested,
-            &checkpoint.warm,
-        ))
-    }
-
-    /// Assembles a restored session around an already-validated tracker.
-    fn resume(
-        &self,
-        tracker: Tracker,
-        rng: [u64; 4],
-        users: &[UserState],
-        rounds_ingested: u64,
-        warm: &Option<WarmState>,
-    ) -> Session {
-        telemetry::counter(names::ENGINE_RESTORES, 1);
-        Session {
-            boundary: Arc::clone(&self.boundary),
-            model: *tracker.model(),
-            node_positions: Arc::clone(&self.node_positions),
-            tracker,
-            rng: StdRng::from_state(rng),
-            users: users.to_vec(),
-            rounds_ingested,
-            template: None,
-            warm: warm.clone(),
-        }
-    }
-
-    /// [`restore`](Engine::restore) from a JSON string produced by
-    /// [`Session::checkpoint_json`](crate::Session::checkpoint_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::CheckpointCodec`] for unparseable JSON;
-    /// otherwise as [`restore`](Engine::restore).
-    pub fn restore_json(&self, json: &str) -> Result<Session, EngineError> {
-        let checkpoint: SessionCheckpoint =
-            serde_json::from_str(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        self.restore(&checkpoint)
-    }
-
-    /// [`restore`](Engine::restore) from a [`CompactCheckpoint`]
-    /// (produced by [`Session::checkpoint_compact`](crate::Session::checkpoint_compact)).
-    /// The expansion is bit-exact, so the revived session continues
-    /// bit-identically, same as a full restore.
-    ///
-    /// The tracker is built straight from the compact blobs, each decoded
-    /// once, with the same checks (and the same error for any malformed
-    /// input) as expanding and then restoring.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompactCheckpoint::expand`] and [`restore`](Engine::restore).
+    /// As [`CompactCheckpoint::validate`].
     pub fn restore_compact(&self, checkpoint: &CompactCheckpoint) -> Result<Session, EngineError> {
         let rng = checkpoint.validate_envelope()?;
         let tracker = Tracker::from_compact(
@@ -262,16 +202,22 @@ impl Engine {
             checkpoint.model,
             Arc::clone(&self.boundary),
         )?;
-        Ok(self.resume(
+        telemetry::counter(names::ENGINE_RESTORES, 1);
+        Ok(Session {
+            boundary: Arc::clone(&self.boundary),
+            model: checkpoint.model,
+            node_positions: Arc::clone(&self.node_positions),
             tracker,
-            rng,
-            &checkpoint.users,
-            checkpoint.rounds_ingested,
-            &checkpoint.warm,
-        ))
+            rng: StdRng::from_state(rng),
+            users: checkpoint.users.clone(),
+            rounds_ingested: checkpoint.rounds_ingested,
+            template: None,
+            warm: checkpoint.warm.clone(),
+        })
     }
 
-    /// [`restore_compact`](Engine::restore_compact) from a JSON string.
+    /// [`restore_compact`](Engine::restore_compact) from a JSON string
+    /// (see [`CompactCheckpoint::to_json`]).
     ///
     /// # Errors
     ///
@@ -385,45 +331,19 @@ mod tests {
         };
         let a = engine.open_session(&config, 42).unwrap();
         let b = engine.open_session(&config, 42).unwrap();
-        assert_eq!(a.checkpoint(), b.checkpoint());
+        assert_eq!(a.checkpoint_compact(2), b.checkpoint_compact(2));
         let c = engine.open_session(&config, 43).unwrap();
-        assert_ne!(a.checkpoint().tracker, c.checkpoint().tracker);
+        assert_ne!(
+            a.checkpoint_compact(2).tracker,
+            c.checkpoint_compact(2).tracker
+        );
     }
 
+    /// A good checkpoint restores to the session it was taken from, and
+    /// every malformed variant is refused with its own typed error.
     #[test]
     fn restore_rejects_malformed_checkpoints() {
-        let engine = Engine::new(boundary(), FluxModel::default(), grid()).unwrap();
-        let session = engine.open_session(&SessionConfig::default(), 7).unwrap();
-        let good = session.checkpoint();
-
-        let mut cp = good.clone();
-        cp.version = 99;
-        assert!(matches!(
-            engine.restore(&cp),
-            Err(EngineError::UnsupportedVersion { found: 99, .. })
-        ));
-
-        let mut cp = good.clone();
-        cp.tracker.users.clear();
-        cp.users.clear();
-        assert!(matches!(
-            engine.restore(&cp),
-            Err(EngineError::Smc(fluxprint_smc::SmcError::ZeroUsers))
-        ));
-
-        assert!(matches!(
-            engine.restore_json("not json"),
-            Err(EngineError::CheckpointCodec(_))
-        ));
-
-        let restored = engine.restore(&good).unwrap();
-        assert_eq!(restored.checkpoint().tracker, good.tracker);
-    }
-
-    /// `restore_compact` decodes each blob once, yet succeeds and fails
-    /// exactly like expanding and then restoring.
-    #[test]
-    fn restore_compact_matches_expand_then_restore() {
+        use fluxprint_smc::SmcError;
         let engine = Engine::new(boundary(), FluxModel::default(), grid()).unwrap();
         let config = SessionConfig {
             users: 2,
@@ -433,46 +353,120 @@ mod tests {
             .open_session(&config, 7)
             .unwrap()
             .checkpoint_compact(2);
-        let via_expand = |c: &CompactCheckpoint| c.expand().and_then(|full| engine.restore(&full));
         assert_eq!(
-            engine.restore_compact(&good).unwrap().checkpoint(),
-            via_expand(&good).unwrap().checkpoint()
+            engine.restore_compact(&good).unwrap().checkpoint_compact(2),
+            good
         );
+        assert!(matches!(
+            engine.restore_compact_json("not json"),
+            Err(EngineError::CheckpointCodec(_))
+        ));
 
-        let mut bad = Vec::new();
+        let bad_config = |field| EngineError::Smc(SmcError::BadConfig { field });
+        let mut cases: Vec<(CompactCheckpoint, EngineError)> = Vec::new();
         let mut c = good.clone();
-        c.version = 2;
-        bad.push(c);
+        c.version = 99;
+        cases.push((
+            c,
+            EngineError::UnsupportedVersion {
+                found: 99,
+                supported: crate::CHECKPOINT_VERSION,
+            },
+        ));
         let mut c = good.clone();
         c.rng.pop();
-        bad.push(c);
+        cases.push((c, EngineError::BadCheckpoint { field: "rng" }));
         let mut c = good.clone();
         c.users.pop();
-        bad.push(c);
+        cases.push((c, EngineError::BadCheckpoint { field: "users" }));
         let mut c = good.clone();
         c.tracker.users.clear();
         c.users.clear();
-        bad.push(c);
+        cases.push((c, EngineError::Smc(SmcError::ZeroUsers)));
         let mut c = good.clone();
         c.tracker.users[1].w_pool = "!!!!".into();
-        bad.push(c);
+        cases.push((c, bad_config("compact.w_pool")));
         let mut c = good.clone();
         c.tracker.users[0].n += 1;
-        bad.push(c);
+        cases.push((c, bad_config("compact.samples")));
         let mut c = good.clone();
         c.tracker.history_cap = 1;
         c.config.heading_bias = 0.3;
-        bad.push(c);
+        cases.push((c, bad_config("compact.history_cap")));
         let mut c = good.clone();
         c.tracker.last_step_time = f64::NAN;
-        bad.push(c);
+        cases.push((c, bad_config("state.last_step_time")));
         let mut c = good;
         c.config.keep_m = 0;
-        bad.push(c);
-        for c in &bad {
-            let want = via_expand(c).unwrap_err();
-            let got = engine.restore_compact(c).unwrap_err();
-            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        cases.push((c, bad_config("keep_m")));
+        for (c, want) in &cases {
+            assert_eq!(engine.restore_compact(c).unwrap_err(), *want);
+            assert_eq!(c.validate().unwrap_err(), *want);
+        }
+    }
+
+    /// A live tracker only ever sets a user's `Δt` origin to a step
+    /// time, so a checkpoint whose `t_last` is later than its step clock
+    /// is refused; the next ingest would otherwise draw candidates from
+    /// a disc of negative radius `v_max·(t − t_last)`.
+    #[test]
+    fn restore_refuses_a_user_clock_past_the_step_clock() {
+        let engine = Engine::new(boundary(), FluxModel::default(), grid()).unwrap();
+        let config = SessionConfig {
+            users: 2,
+            start_time: 5.0,
+            ..Default::default()
+        };
+        let mut cp = engine
+            .open_session(&config, 7)
+            .unwrap()
+            .checkpoint_compact(2);
+        cp.tracker.users[1].t_last = cp.tracker.last_step_time;
+        engine.restore_compact_json(&cp.to_json().unwrap()).unwrap();
+        cp.tracker.users[1].t_last = cp.tracker.last_step_time + 1e-9;
+        assert_eq!(
+            engine
+                .restore_compact_json(&cp.to_json().unwrap())
+                .unwrap_err(),
+            EngineError::Smc(fluxprint_smc::SmcError::BadConfig {
+                field: "state.t_last"
+            })
+        );
+    }
+
+    /// A live warm session keeps its escape cadence below
+    /// `WARM_ESCAPE_EVERY`; a checkpoint past it is refused rather than
+    /// overflowing the cadence counter on the next ingest.
+    #[test]
+    fn restore_refuses_an_escape_cadence_past_the_sweep() {
+        let engine = Engine::new(boundary(), FluxModel::default(), grid()).unwrap();
+        let config = SessionConfig {
+            users: 2,
+            warm: true,
+            ..Default::default()
+        };
+        let mut cp = engine
+            .open_session(&config, 7)
+            .unwrap()
+            .checkpoint_compact(2);
+        for (cadence, ok) in [
+            (crate::WARM_ESCAPE_EVERY - 1, true),
+            (crate::WARM_ESCAPE_EVERY, false),
+            (u32::MAX, false),
+        ] {
+            if let Some(warm) = &mut cp.warm {
+                warm.rounds_since_escape = cadence;
+            }
+            let restored = engine.restore_compact_json(&cp.to_json().unwrap());
+            if ok {
+                assert_eq!(restored.unwrap().warm(), cp.warm.as_ref());
+            } else {
+                assert_eq!(
+                    restored.unwrap_err(),
+                    EngineError::BadCheckpoint { field: "warm" },
+                    "cadence {cadence}"
+                );
+            }
         }
     }
 }

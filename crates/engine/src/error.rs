@@ -50,29 +50,6 @@ pub enum EngineError {
     },
     /// Checkpoint JSON could not be encoded or decoded.
     CheckpointCodec(String),
-    /// A delta chain was materialized without its base snapshot (or with
-    /// no deltas naming one).
-    DeltaBaseMissing {
-        /// The base snapshot id the first delta names (empty when the
-        /// chain itself was empty).
-        base: String,
-    },
-    /// A delta named a different snapshot than the one it was applied
-    /// to — either a foreign chain origin or a predecessor-hash mismatch
-    /// mid-chain.
-    DeltaBaseMismatch {
-        /// The snapshot id of the state being materialized.
-        expected: String,
-        /// The snapshot id the delta names.
-        found: String,
-    },
-    /// Delta sequence numbers were out of order or had a gap.
-    DeltaChainBroken {
-        /// The sequence number the chain position requires.
-        expected: u64,
-        /// The sequence number found in the delta.
-        found: u64,
-    },
     /// A read-only grid access named a hibernated session; revive it
     /// first (submit a round and drain, or use a mutable accessor).
     SessionHibernated {
@@ -128,18 +105,6 @@ impl fmt::Display for EngineError {
                 write!(f, "lifecycle transition not allowed: {transition}")
             }
             EngineError::CheckpointCodec(msg) => write!(f, "checkpoint codec: {msg}"),
-            EngineError::DeltaBaseMissing { base } => {
-                write!(f, "delta chain needs base snapshot {base:?}, none supplied")
-            }
-            EngineError::DeltaBaseMismatch { expected, found } => {
-                write!(
-                    f,
-                    "delta names snapshot {found}, applied state is {expected}"
-                )
-            }
-            EngineError::DeltaChainBroken { expected, found } => {
-                write!(f, "delta chain expected seq {expected}, found {found}")
-            }
             EngineError::SessionHibernated { session } => {
                 write!(f, "session {session} is hibernated; revive before reading")
             }
@@ -212,17 +177,6 @@ mod tests {
                 transition: "resume departed",
             },
             EngineError::CheckpointCodec("bad json".into()),
-            EngineError::DeltaBaseMissing {
-                base: "00ff".into(),
-            },
-            EngineError::DeltaBaseMismatch {
-                expected: "aa".into(),
-                found: "bb".into(),
-            },
-            EngineError::DeltaChainBroken {
-                expected: 2,
-                found: 4,
-            },
             EngineError::SessionHibernated { session: 3 },
             EngineError::UnknownSession {
                 index: 9,

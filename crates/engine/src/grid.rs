@@ -35,7 +35,9 @@
 //!
 //! [`Grid::checkpoint`] snapshots every resident session *plus its
 //! pending (queued, not yet ingested) rounds*; restoring and draining
-//! yields the same outcomes as never having stopped.
+//! yields the same outcomes as never having stopped. Every resident is
+//! captured as the same [`CompactCheckpoint`] the hibernarium holds, and
+//! [`Grid::session_checkpoint`] returns one resident's.
 //!
 //! # Hibernation
 //!
@@ -46,11 +48,11 @@
 //! scratch references — is dropped. Submitting to a cold resident only
 //! queues the round: the drain worker that ingests it revives it first
 //! (as does [`session_mut`](Grid::session_mut)). Eviction and revival
-//! are bit-transparent: the compact form expands exactly, so a fleet run
+//! are bit-transparent: the compact form decodes exactly, so a fleet run
 //! with any eviction threshold is bit-identical to the always-resident
-//! run. [`Grid::checkpoint`] round-trips hibernated residents *without
-//! reviving them*, so checkpointing a 100k-session fleet touches only
-//! the hot few.
+//! run. [`Grid::checkpoint`] and [`Grid::session_checkpoint`] copy
+//! hibernated residents' stored values *without reviving them*, so
+//! checkpointing a 100k-session fleet touches only the hot few.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -63,14 +65,15 @@ use fluxprint_solver::CacheScratch;
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::{
-    checkpoint::check_version, CompactCheckpoint, Engine, EngineError, Session, SessionCheckpoint,
-    SessionConfig, CHECKPOINT_VERSION,
+    checkpoint::check_version, CompactCheckpoint, Engine, EngineError, Session, SessionConfig,
+    CHECKPOINT_VERSION,
 };
 
-/// History cap used for hibernation snapshots: the live tracker itself
-/// never keeps more than two heading-history entries, so this cap is
-/// lossless and eviction/revival stays bit-transparent.
-const HIBERNATE_HISTORY_CAP: u32 = 2;
+/// History cap of every snapshot the grid takes (evictions and
+/// checkpoints): the live tracker itself never keeps more than two
+/// heading-history entries, so this cap is lossless and eviction/revival
+/// stays bit-transparent.
+const HISTORY_CAP: u32 = 2;
 
 /// Configuration for [`Grid::open`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -183,7 +186,7 @@ impl Residency {
     /// already-cold one.
     fn hibernate(&mut self) {
         if let Residency::Hot(session) = self {
-            let checkpoint = session.checkpoint_compact(HIBERNATE_HISTORY_CAP);
+            let checkpoint = session.checkpoint_compact(HISTORY_CAP);
             telemetry::counter(names::GRID_HIBERNATE_EVICTIONS, 1);
             telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
             telemetry::record(
@@ -191,6 +194,16 @@ impl Residency {
                 checkpoint.in_memory_bytes() as f64,
             );
             *self = Residency::Cold(Box::new(checkpoint));
+        }
+    }
+
+    /// The resident's session checkpoint: a hot session's snapshot at the
+    /// lossless cap, or a cold one's stored value, copied without
+    /// reviving it. The two are equal for the same session state.
+    fn snapshot(&self) -> CompactCheckpoint {
+        match self {
+            Residency::Hot(session) => session.checkpoint_compact(HISTORY_CAP),
+            Residency::Cold(checkpoint) => CompactCheckpoint::clone(checkpoint),
         }
     }
 }
@@ -542,28 +555,31 @@ impl Grid {
         Ok(std::mem::take(&mut self.residents[index].outcomes))
     }
 
+    /// One resident's session checkpoint — what [`checkpoint`](Grid::checkpoint)
+    /// records for it. A hibernated resident's stored value is copied
+    /// and the resident stays cold.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::UnknownSession`] for an unknown id.
+    pub fn session_checkpoint(&self, id: SessionId) -> Result<CompactCheckpoint, EngineError> {
+        let index = self.locate(id)?;
+        Ok(self.residents[index].residency.snapshot())
+    }
+
     /// Snapshots every resident session — including rounds still queued —
-    /// into one versioned checkpoint. Hot residents are captured in the
-    /// full checkpoint form; hibernated residents are captured in their
-    /// compact form *without being revived* (the stored value is copied,
-    /// never expanded into a live session). Outcome logs are derived
-    /// data and are not captured; take them first if you need them.
+    /// into one versioned checkpoint. Each resident is captured as its
+    /// [`session_checkpoint`](Grid::session_checkpoint): hibernated
+    /// residents *without being revived*. Outcome logs are derived data
+    /// and are not captured; take them first if you need them.
     pub fn checkpoint(&self) -> GridCheckpoint {
         let sessions = self
             .residents
             .iter()
-            .map(|resident| {
-                let (session, hibernated) = match &resident.residency {
-                    Residency::Hot(session) => (Some(session.checkpoint()), None),
-                    Residency::Cold(checkpoint) => {
-                        (None, Some(CompactCheckpoint::clone(checkpoint)))
-                    }
-                };
-                GridSessionCheckpoint {
-                    session,
-                    hibernated,
-                    pending: resident.pending.clone(),
-                }
+            .map(|resident| GridSessionCheckpoint {
+                session: resident.residency.snapshot(),
+                hibernated: matches!(resident.residency, Residency::Cold(_)),
+                pending: resident.pending.clone(),
             })
             .collect();
         GridCheckpoint {
@@ -587,21 +603,20 @@ impl Grid {
     /// Revives a grid from a checkpoint: every session is restored under
     /// its original id with its pending rounds re-queued, so
     /// restore-then-drain is bit-identical to never having stopped. Hot
-    /// entries are restored live (see [`Engine::restore`]); hibernated
-    /// entries are validated and adopted *cold* — straight back into the
-    /// hibernarium without ever building a live session, so a restored
-    /// fleet's memory stays bounded from the first instant. The config
-    /// must keep the checkpoint's shard count; the thread budget, queue
-    /// capacity, and hibernation threshold are free to change — none
-    /// affects results.
+    /// entries are restored live (see [`Engine::restore_compact`]);
+    /// hibernated entries are validated and adopted *cold* — straight
+    /// back into the hibernarium without ever building a live session,
+    /// so a restored fleet's memory stays bounded from the first
+    /// instant. The config must keep the checkpoint's shard count; the
+    /// thread budget, queue capacity, and hibernation threshold are free
+    /// to change — none affects results.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnsupportedVersion`] for any format
     /// version but [`CHECKPOINT_VERSION`], [`EngineError::BadCheckpoint`]
-    /// when `config.shards` disagrees with the checkpoint or an entry is
-    /// not exactly one of hot/hibernated, and propagates per-session
-    /// restore errors.
+    /// when `config.shards` disagrees with the checkpoint, and
+    /// propagates per-session restore errors.
     pub fn restore(
         engine: Engine,
         config: &GridConfig,
@@ -613,15 +628,11 @@ impl Grid {
         }
         let mut grid = Grid::open(engine, config)?;
         for entry in &checkpoint.sessions {
-            let residency = match (&entry.session, &entry.hibernated) {
-                (Some(session), None) => Residency::Hot(Box::new(grid.engine.restore(session)?)),
-                (None, Some(compact)) => {
-                    compact.validate()?;
-                    Residency::Cold(Box::new(compact.clone()))
-                }
-                _ => {
-                    return Err(EngineError::BadCheckpoint { field: "sessions" });
-                }
+            let residency = if entry.hibernated {
+                entry.session.validate()?;
+                Residency::Cold(Box::new(entry.session.clone()))
+            } else {
+                Residency::Hot(Box::new(grid.engine.restore_compact(&entry.session)?))
             };
             grid.adopt(residency, entry.pending.clone());
         }
@@ -735,18 +746,14 @@ fn serve(
     })
 }
 
-/// One session's slice of a [`GridCheckpoint`]: exactly one of
-/// [`session`](Self::session) (a hot resident, full form) or
-/// [`hibernated`](Self::hibernated) (a cold resident, compact form) is
-/// present.
+/// One session's slice of a [`GridCheckpoint`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSessionCheckpoint {
-    /// The full session snapshot, for a resident that was hot at
-    /// checkpoint time.
-    pub session: Option<SessionCheckpoint>,
-    /// The compact session snapshot, for a resident that was hibernated
-    /// at checkpoint time (captured without reviving it).
-    pub hibernated: Option<CompactCheckpoint>,
+    /// The session snapshot (see [`Grid::session_checkpoint`]).
+    pub session: CompactCheckpoint,
+    /// Whether the resident was hibernated at checkpoint time; restore
+    /// adopts it cold again.
+    pub hibernated: bool,
     /// Rounds that were queued but not yet ingested at checkpoint time.
     pub pending: Vec<ObservationRound>,
 }

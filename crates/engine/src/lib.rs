@@ -14,12 +14,13 @@
 //!    returns the tracker's [`StepOutcome`]; users can
 //!    [`join`](Session::join), be [`suspend`](Session::suspend)ed,
 //!    [`resume`](Session::resume)d, or [`depart`](Session::depart).
-//! 3. **Persistence layer** — [`Session::checkpoint`] snapshots the full
-//!    session (tracker samples, weights, histories, RNG stream position,
-//!    lifecycle states) into a versioned serde format;
-//!    [`Engine::restore`] revives it with a bit-identity guarantee:
-//!    restore-then-ingest produces exactly the outcomes an uninterrupted
-//!    run would have.
+//! 3. **Persistence layer** — [`Session::checkpoint_compact`] snapshots
+//!    the session (tracker samples, weights, histories, RNG stream
+//!    position, lifecycle and warm states) into one versioned, compact
+//!    [`CompactCheckpoint`]; [`Engine::restore_compact`] revives it with
+//!    a bit-identity guarantee: restore-then-ingest produces exactly the
+//!    outcomes an uninterrupted run would have. Grid checkpoints,
+//!    hibernation and fluxd's checkpoint frame carry the same form.
 //! 4. **Grid layer** ([`grid`]) — a sharded multi-session scheduler:
 //!    sessions are assigned to shards with dedicated `fluxpar` pool
 //!    slices, rounds queue into bounded per-session buffers with
@@ -77,8 +78,8 @@
 //! assert_eq!(session.rounds_ingested(), 3);
 //!
 //! // Snapshot the session; a restored session continues bit-identically.
-//! let json = session.checkpoint_json()?;
-//! let revived = engine.restore_json(&json)?;
+//! let json = session.checkpoint_compact(2).to_json()?;
+//! let revived = engine.restore_compact_json(&json)?;
 //! assert_eq!(revived.time(), session.time());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -92,10 +93,7 @@ pub mod grid;
 pub mod kpi;
 mod session;
 
-pub use checkpoint::{
-    materialize, CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, SessionCheckpoint,
-    CHECKPOINT_VERSION,
-};
+pub use checkpoint::{CompactCheckpoint, CHECKPOINT_VERSION};
 pub use engine::{Engine, SessionConfig};
 pub use error::EngineError;
 pub use grid::{

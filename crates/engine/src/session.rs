@@ -14,11 +14,8 @@ use fluxprint_smc::{SmcError, StepOutcome, Tracker, WarmDirective};
 use fluxprint_solver::{CacheScratch, FluxObjective};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::checkpoint::user_hash;
-use crate::{
-    CompactCheckpoint, DeltaBasis, DeltaCheckpoint, DeltaUser, EngineError, SessionCheckpoint,
-    CHECKPOINT_VERSION,
-};
+use crate::checkpoint::encode_rng;
+use crate::{CompactCheckpoint, EngineError, CHECKPOINT_VERSION};
 
 /// Candidate-budget divisor for hot users on warm rounds: a hot user
 /// searches `n_predictions / WARM_SHRINK` candidates (posterior samples
@@ -425,96 +422,26 @@ impl Session {
             .ok_or(EngineError::UserOutOfRange { index, users })
     }
 
-    /// Snapshots the complete session state into the versioned checkpoint
-    /// format. Restoring the checkpoint (with the same [`Engine`](crate::Engine)
-    /// geometry) and continuing produces bit-identical outcomes to never
-    /// having stopped — see [`Engine::restore`](crate::Engine::restore).
-    pub fn checkpoint(&self) -> SessionCheckpoint {
+    /// Snapshots the complete session state into the versioned
+    /// checkpoint (pooled, base64-packed samples; history truncated to
+    /// `history_cap`). With a cap of 2 — the live tracker's own history
+    /// bound — restoring the checkpoint (with the same
+    /// [`Engine`](crate::Engine) geometry) and continuing produces
+    /// bit-identical outcomes to never having stopped; see
+    /// [`Engine::restore_compact`](crate::Engine::restore_compact) and
+    /// [`CompactCheckpoint`] for when smaller caps are safe.
+    pub fn checkpoint_compact(&self, history_cap: u32) -> CompactCheckpoint {
         telemetry::counter(names::ENGINE_CHECKPOINTS, 1);
-        SessionCheckpoint {
+        CompactCheckpoint {
             version: CHECKPOINT_VERSION,
-            tracker: self.tracker.state(),
-            rng: SessionCheckpoint::encode_rng(self.rng.state()),
+            config: *self.tracker.config(),
+            model: *self.tracker.model(),
+            tracker: self.tracker.state().compact(history_cap),
+            rng: encode_rng(self.rng.state()),
             users: self.users.clone(),
             rounds_ingested: self.rounds_ingested,
             warm: self.warm.clone(),
         }
-    }
-
-    /// [`checkpoint`](Session::checkpoint) serialized to a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::CheckpointCodec`] when encoding fails.
-    pub fn checkpoint_json(&self) -> Result<String, EngineError> {
-        serde_json::to_string(&self.checkpoint())
-            .map_err(|e| EngineError::CheckpointCodec(e.to_string()))
-    }
-
-    /// Snapshots the session into the compact checkpoint form (pooled,
-    /// base64-packed samples; history truncated to `history_cap`).
-    /// Expansion is bit-exact, so with a cap of 2 —
-    /// the live tracker's own history bound — restore-then-ingest stays
-    /// bit-identical to never having stopped. See
-    /// [`CompactCheckpoint`] for when smaller caps are safe.
-    pub fn checkpoint_compact(&self, history_cap: u32) -> CompactCheckpoint {
-        self.checkpoint().compact(history_cap)
-    }
-
-    /// Produces the next delta in the chain tracked by `basis`: a diff
-    /// of this session's state against the state `basis` last saw,
-    /// advancing `basis` so the next call diffs against *this* state.
-    /// Replay the chain with [`materialize`](crate::materialize).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::CheckpointCodec`] when hashing fails and
-    /// [`EngineError::BadCheckpoint`] when the session's warm mode
-    /// disagrees with the chain's (a delta chain never crosses an
-    /// open — warm is fixed at session open).
-    pub fn delta_checkpoint(&self, basis: &mut DeltaBasis) -> Result<DeltaCheckpoint, EngineError> {
-        let full = self.checkpoint();
-        let mut changed = Vec::new();
-        let mut hashes = Vec::with_capacity(full.tracker.users.len());
-        for (index, user) in full.tracker.users.iter().enumerate() {
-            let hash = user_hash(user)?;
-            if basis.user_hashes.get(index) != Some(&hash) {
-                changed.push(DeltaUser {
-                    index: index as u32,
-                    state: user.clone(),
-                });
-            }
-            hashes.push(hash);
-        }
-        let users = (full.users != basis.lifecycle).then(|| full.users.clone());
-        let warm = if full.warm != basis.warm {
-            Some(
-                full.warm
-                    .clone()
-                    .ok_or(EngineError::BadCheckpoint { field: "warm" })?,
-            )
-        } else {
-            None
-        };
-        let delta = DeltaCheckpoint {
-            version: CHECKPOINT_VERSION,
-            base: basis.base.clone(),
-            seq: basis.seq + 1,
-            prev: basis.prev.clone(),
-            changed,
-            users,
-            warm,
-            rng: (full.rng != basis.rng).then(|| full.rng.clone()),
-            rounds_ingested: full.rounds_ingested,
-            last_step_time: full.tracker.last_step_time,
-        };
-        basis.seq += 1;
-        basis.prev = full.snapshot_id()?;
-        basis.user_hashes = hashes;
-        basis.lifecycle = full.users;
-        basis.warm = full.warm;
-        basis.rng = full.rng;
-        Ok(delta)
     }
 
     /// Number of users in the session (all lifecycle states).

@@ -19,7 +19,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fluxprint_engine::{Engine, EngineError, Grid, GridConfig, SessionConfig, SessionId};
+use fluxprint_engine::{
+    Engine, EngineError, Grid, GridConfig, SessionConfig, SessionId, CHECKPOINT_VERSION,
+};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
 use fluxprint_netsim::{NetworkBuilder, NoiseModel, ObservationRound, Sniffer};
@@ -128,18 +130,16 @@ fn grid_checkpoint_matches_golden_fixture() {
         "grid checkpoint drifted from the golden fixture; if the change is \
          intentional, re-bless with GOLDEN_BLESS=1 and commit the new fixture"
     );
-    // The fixture restores, and re-checkpoints to the same bytes. So
-    // does the same fixture with the two tracker-config keys that v3
-    // checkpoints carried before the exact/greedy filter was retired:
-    // restore ignores them.
-    let legacy = want.replace(
-        "\"activity_min_gain\":1.15,",
-        "\"activity_min_gain\":1.15,\"exact_enumeration_cap\":50000,\"coordinate_sweeps\":3,",
-    );
-    assert_eq!(legacy.matches("\"coordinate_sweeps\"").count(), SESSIONS);
-    for input in [&want, &legacy] {
-        let restored =
-            Grid::restore_json(engine.clone(), &grid_config(), input.trim_end()).unwrap();
-        assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
-    }
+    // The fixture restores, and re-checkpoints to the same bytes.
+    let restored = Grid::restore_json(engine.clone(), &grid_config(), want.trim_end()).unwrap();
+    assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
+    // The same document under the previous format version is refused,
+    // not migrated.
+    let current = format!("\"version\":{CHECKPOINT_VERSION},");
+    assert_eq!(want.matches(&current).count(), 1 + SESSIONS);
+    let v3 = want.replace(&current, "\"version\":3,");
+    assert!(matches!(
+        Grid::restore_json(engine, &grid_config(), v3.trim_end()),
+        Err(EngineError::UnsupportedVersion { found: 3, .. })
+    ));
 }

@@ -161,8 +161,8 @@ fn batch_ingestion_matches_per_round_ingestion() {
         assert_outcomes_bit_identical(g, w);
     }
     assert_eq!(
-        batched.checkpoint_json().unwrap(),
-        one_by_one.checkpoint_json().unwrap(),
+        batched.checkpoint_compact(2),
+        one_by_one.checkpoint_compact(2),
         "batch and per-round sessions must end in identical states"
     );
 
@@ -508,13 +508,13 @@ fn churn_to_empty_sniffer_set_is_rejected() {
         ids: Vec::new(),
         fluxes: Vec::new(),
     };
-    let before = session.checkpoint_json().unwrap();
+    let before = session.checkpoint_compact(2);
     assert!(matches!(
         session.ingest(&empty),
         Err(EngineError::Netsim(NetsimError::BadRound { field: "ids" }))
     ));
     assert_eq!(session.rounds_ingested(), 1);
-    assert_eq!(session.checkpoint_json().unwrap(), before);
+    assert_eq!(session.checkpoint_compact(2), before);
 }
 
 /// Satellite edge case: checkpoint/restore of a grid whose sessions have

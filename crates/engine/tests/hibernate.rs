@@ -9,7 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fluxprint_engine::{
-    Engine, EngineError, Grid, GridConfig, SessionConfig, SessionId, StepOutcome, Submit,
+    CompactCheckpoint, Engine, EngineError, Grid, GridConfig, SessionConfig, SessionId,
+    StepOutcome, Submit,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
@@ -89,7 +90,7 @@ fn run_duty_cycled(
     trace: &[ObservationRound],
     sessions: usize,
     active_every: usize,
-) -> (Vec<Vec<StepOutcome>>, Vec<String>, usize) {
+) -> (Vec<Vec<StepOutcome>>, Vec<CompactCheckpoint>, usize) {
     let mut grid = Grid::open(engine.clone(), &grid_config(hibernate_after)).unwrap();
     let ids: Vec<SessionId> = (0..sessions)
         .map(|s| grid.open_session(&config(1), 100 + s as u64).unwrap())
@@ -112,7 +113,7 @@ fn run_duty_cycled(
     // an evict/revive cycle is exactly the bit-transparency claim.
     let finals = ids
         .iter()
-        .map(|&id| grid.session_mut(id).unwrap().checkpoint_json().unwrap())
+        .map(|&id| grid.session_mut(id).unwrap().checkpoint_compact(2))
         .collect();
     (outcomes, finals, peak_hibernated)
 }
@@ -188,8 +189,8 @@ fn evict_revive_cycles_are_bit_transparent() {
         assert_outcomes_bit_identical(g, w);
     }
     assert_eq!(
-        grid.session_mut(id).unwrap().checkpoint_json().unwrap(),
-        solo.checkpoint_json().unwrap(),
+        grid.session_mut(id).unwrap().checkpoint_compact(2),
+        solo.checkpoint_compact(2),
         "state after evict/revive cycles must match the uninterrupted run"
     );
 }
@@ -242,8 +243,8 @@ fn skewed_activity_matches_solo_sessions_bitwise() {
                 assert_outcomes_bit_identical(g, w);
             }
             assert_eq!(
-                grid.session_mut(id).unwrap().checkpoint_json().unwrap(),
-                solo.checkpoint_json().unwrap(),
+                grid.session_mut(id).unwrap().checkpoint_compact(2),
+                solo.checkpoint_compact(2),
                 "threads={threads} session={s}"
             );
         }
@@ -276,11 +277,17 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     assert!(!grid.is_hibernated(busy).unwrap());
 
     let checkpoint = grid.checkpoint();
-    assert!(checkpoint.sessions[busy.index()].session.is_some());
-    assert!(checkpoint.sessions[busy.index()].hibernated.is_none());
-    let cold_entry = &checkpoint.sessions[idle.index()];
-    assert!(cold_entry.session.is_none());
-    assert!(cold_entry.hibernated.is_some());
+    assert!(!checkpoint.sessions[busy.index()].hibernated);
+    assert!(checkpoint.sessions[idle.index()].hibernated);
+    // One resident's checkpoint is its grid entry, and taking it leaves
+    // a cold resident cold.
+    for id in [busy, idle] {
+        assert_eq!(
+            grid.session_checkpoint(id).unwrap(),
+            checkpoint.sessions[id.index()].session
+        );
+    }
+    assert!(grid.is_hibernated(idle).unwrap());
     let json = grid.checkpoint_json().unwrap();
 
     // The restored grid adopts the cold resident cold: no revival, the
@@ -306,8 +313,8 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     revived.join().unwrap();
 
     for id in [busy, idle] {
-        let want = grid.session_mut(id).unwrap().checkpoint_json().unwrap();
-        let got = revived.session_mut(id).unwrap().checkpoint_json().unwrap();
+        let want = grid.session_mut(id).unwrap().checkpoint_compact(2);
+        let got = revived.session_mut(id).unwrap().checkpoint_compact(2);
         assert_eq!(got, want, "session {} diverged", id.index());
     }
     let got = revived.take_outcomes(idle).unwrap();

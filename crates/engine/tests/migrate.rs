@@ -1,15 +1,12 @@
-//! The checkpoint format matrix: documents of any older version are
-//! refused in every shape, compact and full forms convert both ways
-//! through live sessions, and delta chains built from real ingests
-//! materialize to the exact live state — with the documented rejection
-//! for every way a chain can be abused.
+//! The checkpoint format matrix: session and grid documents of any older
+//! version are refused, and a live session's checkpoint round-trips
+//! through JSON and continues bit-identically.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fluxprint_engine::{
-    materialize, DeltaBasis, Engine, EngineError, Grid, GridConfig, SessionConfig, StepOutcome,
-    CHECKPOINT_VERSION,
+    Engine, EngineError, Grid, GridConfig, SessionConfig, StepOutcome, CHECKPOINT_VERSION,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
@@ -63,24 +60,6 @@ fn assert_outcomes_bit_identical(a: &StepOutcome, b: &StepOutcome) {
     assert_eq!(a.residual.to_bits(), b.residual.to_bits());
 }
 
-/// Rewrites a checkpoint's JSON to an older on-disk shape: the given
-/// version number, and (for v1) no `warm` key.
-fn downgrade_json(json: &str, version: u32) -> String {
-    let mut value: serde_json::Value = serde_json::from_str(json).unwrap();
-    let serde_json::Value::Object(pairs) = &mut value else {
-        panic!("checkpoint JSON is an object");
-    };
-    if version < 2 {
-        pairs.retain(|(key, _)| key != "warm");
-    }
-    for (key, v) in pairs.iter_mut() {
-        if key == "version" {
-            *v = serde_json::json!(version);
-        }
-    }
-    serde_json::to_string(&value).unwrap()
-}
-
 fn refused(result: Result<impl Sized, EngineError>, version: u32) -> bool {
     matches!(
         result.err(),
@@ -89,24 +68,20 @@ fn refused(result: Result<impl Sized, EngineError>, version: u32) -> bool {
     )
 }
 
-/// Restore reads exactly the current format version: v1 and v2
-/// documents — full (v1 without its `warm` key), compact, delta and grid
-/// (with a hibernated resident) — are refused with
+/// Restore reads exactly the current format version: session documents
+/// and grid documents (with a hibernated resident) of every older
+/// version, or holding an older session entry, are refused with
 /// [`EngineError::UnsupportedVersion`] rather than migrated.
 #[test]
-fn pre_v3_checkpoints_are_refused() {
+fn older_checkpoints_are_refused() {
     let net = network(91);
     let trace = rounds(&net, 3, 92);
     let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
     let mut session = engine.open_session(&config(1, true), 95).unwrap();
-    let base = session.checkpoint();
-    let mut basis = DeltaBasis::new(&base).unwrap();
     for round in &trace {
         session.ingest(round).unwrap();
     }
-    let mut delta = session.delta_checkpoint(&mut basis).unwrap();
-    let json = session.checkpoint_json().unwrap();
-    let mut compact = session.checkpoint_compact(2);
+    let mut checkpoint = session.checkpoint_compact(2);
 
     let grid_config = GridConfig {
         shards: 1,
@@ -119,32 +94,33 @@ fn pre_v3_checkpoints_are_refused() {
     grid.drain().unwrap();
     grid.drain().unwrap();
     assert!(grid.is_hibernated(id).unwrap());
-    let mut grid_checkpoint = grid.checkpoint();
+    let current = grid.checkpoint();
 
-    for version in [1, 2] {
-        let old_json = downgrade_json(&json, version);
+    for version in 1..CHECKPOINT_VERSION {
+        checkpoint.version = version;
         assert!(
-            refused(engine.restore_json(&old_json), version),
-            "full v{version}"
+            refused(engine.restore_compact(&checkpoint), version),
+            "session v{version}"
         );
-        compact.version = version;
+        let json = checkpoint.to_json().unwrap();
         assert!(
-            refused(engine.restore_compact(&compact), version),
-            "compact v{version}"
+            refused(engine.restore_compact_json(&json), version),
+            "session JSON v{version}"
         );
-        delta.version = version;
-        let chain = materialize(Some(&base), std::slice::from_ref(&delta));
-        assert!(refused(chain, version), "delta v{version}");
-        grid_checkpoint.version = version;
-        let revived = Grid::restore(engine.clone(), &grid_config, &grid_checkpoint);
+        let mut old = current.clone();
+        old.version = version;
+        let revived = Grid::restore(engine.clone(), &grid_config, &old);
         assert!(refused(revived, version), "grid v{version}");
+        let mut old_entry = current.clone();
+        old_entry.sessions[id.index()].session.version = version;
+        let revived = Grid::restore(engine.clone(), &grid_config, &old_entry);
+        assert!(refused(revived, version), "grid entry v{version}");
     }
 }
 
-/// compact↔full through a live session: the compact form of a real
-/// checkpoint expands back to the exact original, restores through
-/// [`Engine::restore_compact`], and continues bit-identically — and the
-/// compact JSON is strictly smaller than the full form it encodes.
+/// A live session's checkpoint round-trips through JSON: it restores
+/// through [`Engine::restore_compact_json`], re-checkpoints to the same
+/// value, and continues bit-identically.
 #[test]
 fn compact_round_trips_a_live_session_bit_exactly() {
     let net = network(93);
@@ -161,93 +137,17 @@ fn compact_round_trips_a_live_session_bit_exactly() {
     for round in &trace[..3] {
         half.ingest(round).unwrap();
     }
-    let full = half.checkpoint();
     let compact = half.checkpoint_compact(2);
-    compact.validate().unwrap();
-    // Lossless at the live tracker's own history bound: expansion is
-    // the exact full checkpoint, not an approximation of it.
-    assert_eq!(compact.expand().unwrap(), full);
-    let full_json = serde_json::to_string(&full).unwrap();
-    let compact_json = serde_json::to_string(&compact).unwrap();
-    assert!(
-        compact_json.len() < full_json.len(),
-        "compact {} >= full {}",
-        compact_json.len(),
-        full_json.len()
-    );
-
-    let mut revived = engine.restore_compact_json(&compact_json).unwrap();
+    let mut revived = engine
+        .restore_compact_json(&compact.to_json().unwrap())
+        .unwrap();
+    assert_eq!(revived.checkpoint_compact(2), compact);
     for (round, want) in trace[3..].iter().zip(&want[3..]) {
         let got = revived.ingest(round).unwrap();
         assert_outcomes_bit_identical(&got, want);
     }
-    assert_eq!(revived.checkpoint(), uninterrupted.checkpoint());
-
-    // A compact checkpoint cannot claim a pre-v3 version.
-    let mut old = compact;
-    old.version = 2;
-    assert!(matches!(
-        old.validate(),
-        Err(EngineError::UnsupportedVersion {
-            found: 2,
-            supported: CHECKPOINT_VERSION
-        })
-    ));
-}
-
-/// Delta chains over real ingests: a basis opened on a base snapshot
-/// yields one small delta per round, the chain materializes to the
-/// exact live checkpoint, and every abuse of the chain — missing base,
-/// out-of-order links, a foreign base — is rejected with its own error.
-#[test]
-fn delta_chain_materializes_real_ingests_and_rejects_abuse() {
-    let net = network(95);
-    let trace = rounds(&net, 6, 96);
-    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
-
-    let mut session = engine.open_session(&config(1, false), 99).unwrap();
-    for round in &trace[..2] {
-        session.ingest(round).unwrap();
-    }
-    let base = session.checkpoint();
-    let mut basis = DeltaBasis::new(&base).unwrap();
-
-    let mut deltas = Vec::new();
-    for round in &trace[2..5] {
-        session.ingest(round).unwrap();
-        deltas.push(session.delta_checkpoint(&mut basis).unwrap());
-    }
-    assert_eq!(deltas.len(), 3);
-    for (i, delta) in deltas.iter().enumerate() {
-        assert_eq!(delta.seq, i as u64 + 1);
-        assert_eq!(delta.base, base.snapshot_id().unwrap());
-    }
-
-    // The materialized chain IS the live state, and it restores into a
-    // session that continues bit-identically.
-    let materialized = materialize(Some(&base), &deltas).unwrap();
-    assert_eq!(materialized, session.checkpoint());
-    let mut revived = engine.restore(&materialized).unwrap();
-    let want = session.ingest(&trace[5]).unwrap();
-    let got = revived.ingest(&trace[5]).unwrap();
-    assert_outcomes_bit_identical(&got, &want);
-
-    // Abuse matrix, each with its own error variant.
-    assert!(matches!(
-        materialize(None, &deltas),
-        Err(EngineError::DeltaBaseMissing { .. })
-    ));
-    let swapped = vec![deltas[1].clone(), deltas[0].clone()];
-    assert!(matches!(
-        materialize(Some(&base), &swapped),
-        Err(EngineError::DeltaChainBroken {
-            expected: 1,
-            found: 2
-        })
-    ));
-    let foreign = engine.open_session(&config(1, false), 77).unwrap();
-    assert!(matches!(
-        materialize(Some(&foreign.checkpoint()), &deltas),
-        Err(EngineError::DeltaBaseMismatch { .. })
-    ));
+    assert_eq!(
+        revived.checkpoint_compact(2),
+        uninterrupted.checkpoint_compact(2)
+    );
 }

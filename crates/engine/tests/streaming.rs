@@ -137,10 +137,10 @@ fn restore_then_ingest_matches_uninterrupted_run() {
     for round in &trace[..4] {
         first_half.ingest(round).unwrap();
     }
-    let json = first_half.checkpoint_json().unwrap();
+    let json = first_half.checkpoint_compact(2).to_json().unwrap();
     drop(first_half);
 
-    let mut revived = engine.restore_json(&json).unwrap();
+    let mut revived = engine.restore_compact_json(&json).unwrap();
     assert_eq!(revived.rounds_ingested(), 4);
     for (round, want) in trace[4..].iter().zip(&reference[4..]) {
         let got = revived.ingest(round).unwrap();
@@ -148,9 +148,9 @@ fn restore_then_ingest_matches_uninterrupted_run() {
     }
 
     // A second checkpoint cycle from the revived session still agrees.
-    let cp = revived.checkpoint();
+    let cp = revived.checkpoint_compact(2);
     assert_eq!(cp.rounds_ingested, 8);
-    assert_eq!(cp.tracker, uninterrupted.checkpoint().tracker);
+    assert_eq!(cp.tracker, uninterrupted.checkpoint_compact(2).tracker);
 }
 
 #[test]
@@ -267,7 +267,9 @@ fn lifecycle_states_gate_updates() {
     ));
 
     // Departed users survive a checkpoint cycle with their state intact.
-    let revived = engine.restore(&session.checkpoint()).unwrap();
+    let revived = engine
+        .restore_compact(&session.checkpoint_compact(2))
+        .unwrap();
     assert_eq!(
         revived.user_states(),
         &[UserState::Active, UserState::Departed]

@@ -86,7 +86,7 @@ fn warm_restore_then_ingest_matches_uninterrupted_run() {
     for round in &trace[..5] {
         first_half.ingest(round).unwrap();
     }
-    let cp = first_half.checkpoint();
+    let cp = first_half.checkpoint_compact(2);
     assert_eq!(cp.version, CHECKPOINT_VERSION);
     let warm = cp.warm.as_ref().expect("warm session checkpoints Some");
     assert!(
@@ -94,18 +94,18 @@ fn warm_restore_then_ingest_matches_uninterrupted_run() {
         "five active rounds should leave the user hot"
     );
     assert!(warm.rounds_since_escape > 0);
-    let json = first_half.checkpoint_json().unwrap();
+    let json = cp.to_json().unwrap();
     drop(first_half);
 
-    let mut revived = engine.restore_json(&json).unwrap();
+    let mut revived = engine.restore_compact_json(&json).unwrap();
     assert_eq!(revived.warm(), Some(warm));
     for (round, want) in trace[5..].iter().zip(&reference[5..]) {
         let got = revived.ingest(round).unwrap();
         assert_outcomes_bit_identical(&got, want);
     }
     assert_eq!(
-        revived.checkpoint().tracker,
-        uninterrupted.checkpoint().tracker
+        revived.checkpoint_compact(2).tracker,
+        uninterrupted.checkpoint_compact(2).tracker
     );
     assert_eq!(revived.warm(), uninterrupted.warm());
 }

@@ -212,7 +212,9 @@ impl Client {
         }
     }
 
-    /// Fetches a session's full checkpoint JSON.
+    /// Fetches a session's checkpoint document: the JSON that
+    /// [`Engine::restore_compact_json`](fluxprint_engine::Engine::restore_compact_json)
+    /// revives. A hibernated session is not revived to answer.
     ///
     /// # Errors
     ///

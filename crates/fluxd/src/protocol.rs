@@ -273,7 +273,8 @@ pub enum Request {
         /// User index within the session.
         user: u32,
     },
-    /// Full session checkpoint as JSON.
+    /// The session's checkpoint document
+    /// ([`CompactCheckpoint`](fluxprint_engine::CompactCheckpoint) JSON).
     Checkpoint {
         /// Target session id.
         session: u32,

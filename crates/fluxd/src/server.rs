@@ -606,10 +606,12 @@ impl Core {
         }
     }
 
-    fn checkpoint(&mut self, session: u32) -> Result<String, EngineError> {
+    /// The session's checkpoint document; a hibernated session stays
+    /// cold.
+    fn checkpoint(&self, session: u32) -> Result<String, EngineError> {
         self.grid
-            .session_mut(SessionId(session as usize))?
-            .checkpoint_json()
+            .session_checkpoint(SessionId(session as usize))?
+            .to_json()
     }
 
     fn handle_submit(

@@ -272,10 +272,15 @@ fn credit_window_stalls_a_fast_client_without_corrupting_results() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// The served checkpoint is the in-process session's checkpoint
+/// document, byte for byte. It restores, and the restored session fed
+/// the next rounds stays bit-identical to the uninterrupted in-process
+/// session.
 #[test]
 fn served_checkpoint_matches_in_process_checkpoint() {
     let net = test_network();
     let trace = test_trace(&net);
+    let (head, tail) = trace.split_at(ROUNDS / 2);
 
     // In-process reference checkpoint.
     let engine = Engine::for_network(&net, FluxModel::default()).expect("valid engine");
@@ -292,10 +297,13 @@ fn served_checkpoint_matches_in_process_checkpoint() {
     let mut solo = engine
         .open_session(&config, session_seed(0))
         .expect("session opens");
-    for round in &trace {
+    for round in head {
         solo.ingest(round).expect("round ingests");
     }
-    let want = solo.checkpoint_json().expect("checkpoint serializes");
+    let want = solo
+        .checkpoint_compact(2)
+        .to_json()
+        .expect("checkpoint serializes");
 
     let server = spawn_server(&net, 16);
     let mut client = Client::connect(server.addr()).expect("client connects");
@@ -305,9 +313,27 @@ fn served_checkpoint_matches_in_process_checkpoint() {
             ..spec()
         })
         .expect("session opens");
-    client.submit(session, &trace).expect("trace submits");
+    client.submit(session, head).expect("trace submits");
     let got = client.checkpoint(session).expect("checkpoint arrives");
     assert_eq!(got, want, "served checkpoint is byte-identical");
+
+    let mut revived = engine
+        .restore_compact_json(&got)
+        .expect("served checkpoint restores");
+    let mut served_on = Vec::new();
+    let mut reference = Vec::new();
+    for round in tail {
+        let outcome = revived.ingest(round).expect("round ingests");
+        served_on.push(WireOutcome {
+            time: outcome.time,
+            residual: outcome.residual,
+            estimates: outcome.estimates.iter().map(|p| (p.x, p.y)).collect(),
+            active: outcome.active,
+        });
+        reference.push(solo.ingest(round).expect("round ingests"));
+    }
+    assert_bit_identical(0, &served_on, &reference);
+    assert_eq!(revived.checkpoint_compact(2), solo.checkpoint_compact(2));
 
     // Suspend/resume round-trips over the wire too.
     client.suspend(session, 0).expect("suspend applies");

@@ -4,6 +4,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::SmcError;
 
+/// The largest [`SmcConfig::keep_m`]: the number of distinct `u16` pool
+/// indices a compact snapshot can address per user.
+const MAX_KEEP_M: usize = 1 << 16;
+
 /// Parameters of the Sequential Monte Carlo tracker.
 ///
 /// Defaults follow §5.B: `N = 1000` predictions, `M = 10` kept samples,
@@ -12,7 +16,10 @@ use crate::SmcError;
 pub struct SmcConfig {
     /// `N`: candidate positions predicted per user per round.
     pub n_predictions: usize,
-    /// `M`: samples kept per user after filtering.
+    /// `M`: samples kept per user after filtering. At most 65,536: the
+    /// compact snapshot addresses each user's sample pools with `u16`
+    /// indices, and a larger `M` would make a checkpoint restore into a
+    /// different session.
     pub keep_m: usize,
     /// Maximum user speed `v_max` (field units per time unit).
     pub vmax: f64,
@@ -77,7 +84,7 @@ impl SmcConfig {
                 field: "n_predictions",
             });
         }
-        if self.keep_m == 0 || self.keep_m > self.n_predictions {
+        if self.keep_m == 0 || self.keep_m > self.n_predictions || self.keep_m > MAX_KEEP_M {
             return Err(SmcError::BadConfig { field: "keep_m" });
         }
         if !(self.vmax.is_finite() && self.vmax > 0.0) {
@@ -144,6 +151,14 @@ mod tests {
                 },
                 "keep_m",
             ),
+            (
+                SmcConfig {
+                    n_predictions: 70_000,
+                    keep_m: MAX_KEEP_M + 1,
+                    ..base
+                },
+                "keep_m",
+            ),
             (SmcConfig { vmax: 0.0, ..base }, "vmax"),
             (
                 SmcConfig {
@@ -186,5 +201,12 @@ mod tests {
                 other => panic!("expected BadConfig({field}), got {other:?}"),
             }
         }
+        SmcConfig {
+            n_predictions: 70_000,
+            keep_m: MAX_KEEP_M,
+            ..base
+        }
+        .validate()
+        .unwrap();
     }
 }

@@ -1,21 +1,25 @@
-//! Serializable tracker state snapshots.
+//! Tracker state snapshots and their one serialized form.
 //!
 //! A [`Tracker`](crate::Tracker) is a live object holding an
 //! `Arc<dyn Boundary>`; the boundary is scenario geometry, not tracker
-//! state, so it cannot (and should not) travel through serde. Everything
-//! else — per-user weighted samples, freeze times, initialization flags,
-//! the §4.C heading history, the configuration, and the flux model — is
-//! captured by [`TrackerState`], a plain data snapshot with derived serde
-//! impls. [`Tracker::state`](crate::Tracker::state) produces it and
-//! [`Tracker::from_state`](crate::Tracker::from_state) revives it against
-//! a caller-supplied boundary, validating every invariant the live
-//! tracker relies on.
+//! state. Everything else — per-user weighted samples, freeze times,
+//! initialization flags, the §4.C heading history, the configuration,
+//! and the flux model — is captured by [`TrackerState`], a plain
+//! in-memory snapshot that [`Tracker::state`](crate::Tracker::state)
+//! produces.
 //!
-//! The round-trip is exact: every float is preserved bit-for-bit (JSON
-//! serialization in this workspace's `serde_json` stand-in goes through
-//! `f64` without rounding), so a revived tracker continues producing
-//! bit-identical [`StepOutcome`](crate::StepOutcome)s — the engine
-//! crate's checkpoint guarantee builds directly on this.
+//! The serialized form is [`CompactTrackerState`]: per-user pools of raw
+//! `f64` bit patterns, packed as base64, without the configuration or
+//! model. [`TrackerState::compact`] writes it and
+//! [`CompactTrackerState::expand`] reads it back, checking every
+//! invariant the live tracker relies on;
+//! [`Tracker::from_compact`](crate::Tracker::from_compact) revives a
+//! tracker from it against a caller-supplied boundary.
+//!
+//! The round-trip is exact: every float is preserved bit-for-bit, so a
+//! revived tracker continues producing bit-identical
+//! [`StepOutcome`](crate::StepOutcome)s — the engine crate's checkpoint
+//! guarantee builds directly on this.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +30,7 @@ use crate::{SmcConfig, SmcError, WeightedSample};
 
 /// Snapshot of one tracked user: the `<P(i), w(i)>` duples of §4.D plus
 /// the asynchronous-gate bookkeeping of §4.E.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserTrackState {
     /// The user's current weighted position samples.
     pub samples: Vec<WeightedSample>,
@@ -40,48 +44,10 @@ pub struct UserTrackState {
     pub history: Vec<(f64, Point2)>,
 }
 
-impl UserTrackState {
-    /// Validates the per-user invariants the live tracker relies on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmcError::BadConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), SmcError> {
-        if self.samples.is_empty() {
-            return Err(SmcError::BadConfig {
-                field: "state.samples",
-            });
-        }
-        for s in &self.samples {
-            if !(s.weight.is_finite() && s.weight >= 0.0) {
-                return Err(SmcError::BadConfig {
-                    field: "state.samples.weight",
-                });
-            }
-            if !(s.position.x.is_finite() && s.position.y.is_finite()) {
-                return Err(SmcError::BadConfig {
-                    field: "state.samples.position",
-                });
-            }
-        }
-        if !self.t_last.is_finite() {
-            return Err(SmcError::BadConfig {
-                field: "state.t_last",
-            });
-        }
-        if self.history.len() > 2 {
-            return Err(SmcError::BadConfig {
-                field: "state.history",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Complete serializable tracker state: configuration, flux model, and
-/// every user's track. Produced by [`Tracker::state`](crate::Tracker::state),
-/// revived by [`Tracker::from_state`](crate::Tracker::from_state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Complete tracker state: configuration, flux model, and every user's
+/// track. Produced by [`Tracker::state`](crate::Tracker::state) and
+/// [`CompactTrackerState::expand`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackerState {
     /// The tracker's configuration.
     pub config: SmcConfig,
@@ -94,38 +60,62 @@ pub struct TrackerState {
 }
 
 impl TrackerState {
-    /// Validates the snapshot's invariants: a valid configuration, a
-    /// positive finite model floor, at least one user, and well-formed
-    /// per-user tracks.
+    /// Validates every invariant the live tracker relies on: a valid
+    /// configuration, a positive finite model floor, a finite step
+    /// clock, and at least one user, each with a nonempty set of
+    /// finite, nonnegatively weighted samples, at most two history
+    /// entries, and a finite `Δt` origin no later than the step clock
+    /// (the tracker only ever sets `t_last` to a step time, and a later
+    /// one would make the next prediction disc's radius
+    /// `v_max·(t − t_last)` negative).
     ///
     /// # Errors
     ///
     /// Returns [`SmcError::ZeroUsers`] for an empty user list and
     /// [`SmcError::BadConfig`] for any other violation.
     pub fn validate(&self) -> Result<(), SmcError> {
-        self.validate_params()?;
+        self.config.validate()?;
+        if !(self.model.d_floor().is_finite() && self.model.d_floor() > 0.0) {
+            return Err(SmcError::BadConfig {
+                field: "state.model.d_floor",
+            });
+        }
         if self.users.is_empty() {
             return Err(SmcError::ZeroUsers);
-        }
-        for user in &self.users {
-            user.validate()?;
         }
         if !self.last_step_time.is_finite() {
             return Err(SmcError::BadConfig {
                 field: "state.last_step_time",
             });
         }
-        Ok(())
-    }
-
-    /// The configuration and model checks of [`validate`](Self::validate),
-    /// which come first there.
-    fn validate_params(&self) -> Result<(), SmcError> {
-        self.config.validate()?;
-        if !(self.model.d_floor().is_finite() && self.model.d_floor() > 0.0) {
-            return Err(SmcError::BadConfig {
-                field: "state.model.d_floor",
-            });
+        for user in &self.users {
+            if user.samples.is_empty() {
+                return Err(SmcError::BadConfig {
+                    field: "state.samples",
+                });
+            }
+            for s in &user.samples {
+                if !(s.weight.is_finite() && s.weight >= 0.0) {
+                    return Err(SmcError::BadConfig {
+                        field: "state.samples.weight",
+                    });
+                }
+                if !(s.position.x.is_finite() && s.position.y.is_finite()) {
+                    return Err(SmcError::BadConfig {
+                        field: "state.samples.position",
+                    });
+                }
+            }
+            if !(user.t_last.is_finite() && user.t_last <= self.last_step_time) {
+                return Err(SmcError::BadConfig {
+                    field: "state.t_last",
+                });
+            }
+            if user.history.len() > 2 {
+                return Err(SmcError::BadConfig {
+                    field: "state.history",
+                });
+            }
         }
         Ok(())
     }
@@ -136,12 +126,14 @@ impl TrackerState {
 ///
 /// Positions and weights are deduplicated into per-user pools of raw
 /// little-endian `f64` bit patterns; each sample is then a `(position,
-/// weight)` pair of `u16` pool indices. The encoding is quantization-free
-/// — every float survives bit-for-bit — so [`expand`](CompactUserTrackState)
-/// inverts [`compact`](UserTrackState::compact) exactly. Sample *count*
+/// weight)` pair of `u16` pool indices, which is why
+/// [`SmcConfig::keep_m`] is bounded by the index range. The encoding is
+/// quantization-free — every float survives bit-for-bit — so
+/// [`CompactTrackerState::expand`] inverts
+/// [`compact`](UserTrackState::compact) exactly. Sample *count*
 /// information is carried redundantly in [`n`](Self::n) so a truncated
-/// pool or index blob is caught by [`validate`](Self::validate) instead
-/// of silently shrinking the sample set.
+/// pool or index blob is refused instead of silently shrinking the
+/// sample set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompactUserTrackState {
     /// Unique sample positions: base64 of little-endian `(x, y)` bit
@@ -210,28 +202,9 @@ impl UserTrackState {
 }
 
 impl CompactUserTrackState {
-    /// Validates the compact per-user invariants: decodable pools with
-    /// whole entries, a sample blob matching `n`, in-range indices, and
-    /// the same float constraints [`UserTrackState::validate`] enforces.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmcError::BadConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), SmcError> {
-        self.decode().map(|_| ())
-    }
-
-    /// Expands the compact form back into a full [`UserTrackState`],
-    /// bit-for-bit identical to the one it was packed from (minus any
-    /// history entries the cap truncated).
-    ///
-    /// # Errors
-    ///
-    /// As [`validate`](Self::validate).
-    pub fn expand(&self) -> Result<UserTrackState, SmcError> {
-        self.decode()
-    }
-
+    /// Decodes the blobs: pools of whole entries, a sample blob matching
+    /// `n`, and in-range indices. The float invariants are
+    /// [`TrackerState::validate`]'s.
     fn decode(&self) -> Result<UserTrackState, SmcError> {
         let pos_bytes = b64_decode(&self.pos_pool).ok_or(SmcError::BadConfig {
             field: "compact.pos_pool",
@@ -289,14 +262,12 @@ impl CompactUserTrackState {
             };
             samples.push(WeightedSample { position, weight });
         }
-        let user = UserTrackState {
+        Ok(UserTrackState {
             samples,
             t_last: self.t_last,
             initialized: self.initialized,
             history: self.history.clone(),
-        };
-        user.validate()?;
-        Ok(user)
+        })
     }
 }
 
@@ -336,32 +307,32 @@ impl TrackerState {
 }
 
 impl CompactTrackerState {
-    /// Validates the compact snapshot's invariants by decoding every
-    /// user's blobs (the decoded samples are discarded).
+    /// Expands the compact snapshot into a [`TrackerState`] under a
+    /// caller-supplied configuration and flux model, bit-for-bit equal
+    /// to the one it was packed from (minus any history entries the cap
+    /// truncated). Each blob is decoded once and the result validated
+    /// once.
     ///
     /// # Errors
     ///
-    /// Returns [`SmcError::ZeroUsers`] for an empty user list and
-    /// [`SmcError::BadConfig`] for any other violation.
-    pub fn validate(&self) -> Result<(), SmcError> {
-        self.decode_users().map(|_| ())
-    }
-
-    /// Expands the compact snapshot back into a full [`TrackerState`]
-    /// under a caller-supplied configuration and flux model. Each blob
-    /// is decoded once and the result validated once; a malformed
-    /// snapshot fails with the same error [`validate`](Self::validate)
-    /// reports.
-    ///
-    /// # Errors
-    ///
-    /// As [`validate`](Self::validate); then [`SmcError::BadConfig`] with
-    /// field `compact.history_cap` when the pack-time cap was below 2 but
+    /// [`SmcError::BadConfig`] with a `compact.*` field for a malformed
+    /// blob or a history longer than the cap, and with field
+    /// `compact.history_cap` when the pack-time cap was below 2 but
     /// `config.heading_bias` is nonzero (the truncation would change
-    /// stepping); then the configuration and model checks of
-    /// [`TrackerState::validate`].
+    /// stepping); then the errors of [`TrackerState::validate`].
     pub fn expand(&self, config: SmcConfig, model: FluxModel) -> Result<TrackerState, SmcError> {
-        let users = self.decode_users()?;
+        let users = self
+            .users
+            .iter()
+            .map(|user| {
+                if user.history.len() > self.history_cap.min(2) as usize {
+                    return Err(SmcError::BadConfig {
+                        field: "compact.history",
+                    });
+                }
+                user.decode()
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         // fluxlint: allow(float-eq) — exact-zero sentinel: any nonzero bias reads history[1]
         if self.history_cap < 2 && config.heading_bias != 0.0 {
             return Err(SmcError::BadConfig {
@@ -374,37 +345,8 @@ impl CompactTrackerState {
             users,
             last_step_time: self.last_step_time,
         };
-        // The users and the clock passed their checks while decoding.
-        state.validate_params()?;
+        state.validate()?;
         Ok(state)
-    }
-
-    /// Decodes every user, applying the per-user checks of
-    /// [`TrackerState::validate`] plus the compact ones (blob shapes,
-    /// indices, the history cap) in user order.
-    fn decode_users(&self) -> Result<Vec<UserTrackState>, SmcError> {
-        if self.users.is_empty() {
-            return Err(SmcError::ZeroUsers);
-        }
-        let users = self
-            .users
-            .iter()
-            .map(|user| {
-                let decoded = user.decode()?;
-                if user.history.len() > self.history_cap.min(2) as usize {
-                    return Err(SmcError::BadConfig {
-                        field: "compact.history",
-                    });
-                }
-                Ok(decoded)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if !self.last_step_time.is_finite() {
-            return Err(SmcError::BadConfig {
-                field: "state.last_step_time",
-            });
-        }
-        Ok(users)
     }
 }
 
@@ -564,6 +506,17 @@ mod tests {
             })
         ));
 
+        // A `Δt` origin later than the step clock: the next prediction
+        // disc would have a negative radius.
+        let mut s = valid_state();
+        s.users[0].t_last = s.last_step_time + 0.5;
+        assert!(matches!(
+            s.validate(),
+            Err(SmcError::BadConfig {
+                field: "state.t_last"
+            })
+        ));
+
         let mut s = valid_state();
         s.last_step_time = f64::NEG_INFINITY;
         assert!(matches!(
@@ -612,7 +565,6 @@ mod tests {
         ];
         state.users[0].history = vec![(1.0, Point2::new(2.0, 2.0)), (2.0, Point2::new(3.0, -0.0))];
         let compact = state.compact(2);
-        compact.validate().unwrap();
         assert_eq!(compact.users[0].n, 4);
         let back = compact.expand(state.config, state.model).unwrap();
         assert_eq!(back.users.len(), state.users.len());
@@ -667,14 +619,15 @@ mod tests {
     }
 
     #[test]
-    fn compact_validate_rejects_malformed_blobs() {
+    fn compact_expand_rejects_malformed_blobs() {
         let state = valid_state();
         let good = state.compact(2);
+        let expand = |c: &CompactTrackerState| c.expand(state.config, state.model);
 
         let mut c = good.clone();
         c.users[0].pos_pool = "!!!".into();
         assert!(matches!(
-            c.validate(),
+            expand(&c),
             Err(SmcError::BadConfig {
                 field: "compact.pos_pool"
             })
@@ -683,7 +636,7 @@ mod tests {
         let mut c = good.clone();
         c.users[0].w_pool = String::new();
         assert!(matches!(
-            c.validate(),
+            expand(&c),
             Err(SmcError::BadConfig {
                 field: "compact.w_pool"
             })
@@ -693,7 +646,7 @@ mod tests {
         let mut c = good.clone();
         c.users[0].n += 1;
         assert!(matches!(
-            c.validate(),
+            expand(&c),
             Err(SmcError::BadConfig {
                 field: "compact.samples"
             })
@@ -704,7 +657,7 @@ mod tests {
         c.users[0].samples = b64_encode(&[0xff, 0xff, 0, 0]);
         c.users[0].n = 1;
         assert!(matches!(
-            c.validate(),
+            expand(&c),
             Err(SmcError::BadConfig {
                 field: "compact.samples"
             })
@@ -714,7 +667,7 @@ mod tests {
         let mut c = good.clone();
         c.history_cap = 0;
         assert!(matches!(
-            c.validate(),
+            expand(&c),
             Err(SmcError::BadConfig {
                 field: "compact.history"
             })
@@ -722,7 +675,7 @@ mod tests {
 
         let mut c = good;
         c.users.clear();
-        assert!(matches!(c.validate(), Err(SmcError::ZeroUsers)));
+        assert!(matches!(expand(&c), Err(SmcError::ZeroUsers)));
     }
 
     #[test]

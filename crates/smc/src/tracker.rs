@@ -142,10 +142,10 @@ impl Tracker {
         self.last_step_time
     }
 
-    /// Snapshots the tracker's complete serializable state: per-user
-    /// samples, freeze times, heading histories, the configuration, and
-    /// the flux model. The boundary is scenario geometry, not tracker
-    /// state — supply it again at [`from_state`](Tracker::from_state).
+    /// Snapshots the tracker's complete state: per-user samples, freeze
+    /// times, heading histories, the configuration, and the flux model.
+    /// The boundary is scenario geometry, not tracker state — supply it
+    /// again at [`from_compact`](Tracker::from_compact).
     pub fn state(&self) -> TrackerState {
         TrackerState {
             config: self.config,
@@ -164,27 +164,15 @@ impl Tracker {
         }
     }
 
-    /// Revives a tracker from a [`state`](Tracker::state) snapshot and
-    /// the field boundary it tracked over.
+    /// Revives a tracker from a compact snapshot (see
+    /// [`TrackerState::compact`]) under the caller's configuration and
+    /// flux model, and the field boundary it tracked over. Each blob is
+    /// decoded once and the result validated once (see
+    /// [`CompactTrackerState::expand`]).
     ///
     /// Restore is exact: the revived tracker produces bit-identical
     /// [`StepOutcome`]s to the one the snapshot was taken from, given the
     /// same observation and RNG streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmcError::ZeroUsers`] or [`SmcError::BadConfig`] when
-    /// the snapshot violates a tracker invariant (see
-    /// [`TrackerState::validate`]).
-    pub fn from_state(state: TrackerState, boundary: Arc<dyn Boundary>) -> Result<Self, SmcError> {
-        state.validate()?;
-        Ok(Self::from_valid_state(state, boundary))
-    }
-
-    /// Revives a tracker straight from a compact snapshot under the
-    /// caller's configuration and flux model, decoding each blob once and
-    /// validating once (see [`CompactTrackerState::expand`]). The result
-    /// equals [`from_state`](Tracker::from_state) of the expanded state.
     ///
     /// # Errors
     ///
@@ -195,14 +183,8 @@ impl Tracker {
         model: FluxModel,
         boundary: Arc<dyn Boundary>,
     ) -> Result<Self, SmcError> {
-        Ok(Self::from_valid_state(
-            compact.expand(config, model)?,
-            boundary,
-        ))
-    }
-
-    fn from_valid_state(state: TrackerState, boundary: Arc<dyn Boundary>) -> Self {
-        Tracker {
+        let state = compact.expand(config, model)?;
+        Ok(Tracker {
             config: state.config,
             boundary,
             model: state.model,
@@ -217,7 +199,7 @@ impl Tracker {
                 })
                 .collect(),
             last_step_time: state.last_step_time,
-        }
+        })
     }
 
     /// The current weighted samples of user `index`.

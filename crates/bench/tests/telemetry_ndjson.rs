@@ -371,7 +371,14 @@ fn drive_cached_filter() {
     let objective =
         fluxprint_solver::FluxObjective::new(Arc::new(field), model, sniffers, measured)
             .expect("valid objective");
-    let candidates = vec![
+    // Three hand-placed candidates per user, then 17 more on a ring, so
+    // that each scan's first pass spans two 16-probe chunks and fans out
+    // on the two-thread pool.
+    let ring = |i: usize| {
+        let a = i as f64 * 0.37;
+        Point2::new(15.0 + 12.0 * a.cos(), 15.0 + 12.0 * a.sin())
+    };
+    let mut candidates = vec![
         vec![
             Point2::new(9.0, 9.0),
             Point2::new(20.0, 5.0),
@@ -383,11 +390,14 @@ fn drive_cached_filter() {
             Point2::new(27.0, 3.0),
         ],
     ];
+    for (u, set) in candidates.iter_mut().enumerate() {
+        set.extend((0..17).map(|i| ring(u * 17 + i)));
+    }
     let pool = fluxprint_fluxpar::Pool::with_threads(2);
     fluxprint_smc::associate(
         &objective,
         &candidates,
-        &[3, 3],
+        &[20, 20],
         &fluxprint_smc::SmcConfig::default(),
         &pool,
         &mut fluxprint_solver::CacheScratch::new(),

@@ -40,6 +40,25 @@ pub(crate) fn check_version(found: u32) -> Result<(), EngineError> {
     }
 }
 
+/// Decodes a checkpoint document (a session's or a grid's) from JSON
+/// text. The document is parsed once, and a `version` it carries is
+/// checked before the typed conversion, so an older document is
+/// refused by its version rather than by whichever field its shape
+/// lacks.
+///
+/// # Errors
+///
+/// [`EngineError::CheckpointCodec`] for unparseable JSON or a shape
+/// mismatch, [`EngineError::UnsupportedVersion`] for any other version.
+pub(crate) fn from_json<T: Deserialize>(json: &str) -> Result<T, EngineError> {
+    let value =
+        serde_json::parse_value(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
+    if let Some(found) = value.get("version").and_then(|v| u32::from_value(v).ok()) {
+        check_version(found)?;
+    }
+    T::from_value(&value).map_err(|e| EngineError::CheckpointCodec(e.to_string()))
+}
+
 /// A serializable session snapshot: the tracker in compact form (see
 /// [`CompactTrackerState`]) with its configuration and model, plus the
 /// session's own state.

@@ -11,7 +11,7 @@ use fluxprint_netsim::Network;
 use fluxprint_smc::{SmcConfig, Tracker};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::{CompactCheckpoint, EngineError, Session, UserState, WarmState};
+use crate::{checkpoint, CompactCheckpoint, EngineError, Session, UserState, WarmState};
 
 /// Parameters for one tracking session.
 #[derive(Debug, Clone)]
@@ -221,12 +221,12 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::CheckpointCodec`] for unparseable JSON;
-    /// otherwise as [`restore_compact`](Engine::restore_compact).
+    /// Returns [`EngineError::UnsupportedVersion`] for a document of
+    /// another version, whatever its shape, and
+    /// [`EngineError::CheckpointCodec`] for unparseable JSON; otherwise
+    /// as [`restore_compact`](Engine::restore_compact).
     pub fn restore_compact_json(&self, json: &str) -> Result<Session, EngineError> {
-        let checkpoint: CompactCheckpoint =
-            serde_json::from_str(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        self.restore_compact(&checkpoint)
+        self.restore_compact(&checkpoint::from_json(json)?)
     }
 
     /// The field boundary sessions track over.

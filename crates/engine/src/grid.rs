@@ -65,8 +65,8 @@ use fluxprint_solver::CacheScratch;
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::{
-    checkpoint::check_version, CompactCheckpoint, Engine, EngineError, Session, SessionConfig,
-    CHECKPOINT_VERSION,
+    checkpoint::{self, check_version},
+    CompactCheckpoint, Engine, EngineError, Session, SessionConfig, CHECKPOINT_VERSION,
 };
 
 /// History cap of every snapshot the grid takes (evictions and
@@ -643,16 +643,16 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::CheckpointCodec`] for undecodable JSON,
-    /// else as [`restore`](Grid::restore).
+    /// Returns [`EngineError::UnsupportedVersion`] for a document of
+    /// another version, whatever its shape, and
+    /// [`EngineError::CheckpointCodec`] for undecodable JSON, else as
+    /// [`restore`](Grid::restore).
     pub fn restore_json(
         engine: Engine,
         config: &GridConfig,
         json: &str,
     ) -> Result<GridHandle, EngineError> {
-        let checkpoint: GridCheckpoint =
-            serde_json::from_str(json).map_err(|e| EngineError::CheckpointCodec(e.to_string()))?;
-        Grid::restore(engine, config, &checkpoint)
+        Grid::restore(engine, config, &checkpoint::from_json(json)?)
     }
 
     /// The index of a known session id.

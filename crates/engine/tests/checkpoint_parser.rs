@@ -15,7 +15,7 @@ use fluxprint_engine::{Engine, EngineError, Grid, GridConfig, SessionConfig};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
 use fluxprint_netsim::{NetworkBuilder, NoiseModel, ObservationRound, Sniffer};
-use fluxprint_smc::SmcConfig;
+use fluxprint_smc::{SmcConfig, SmcError, MAX_N_PREDICTIONS};
 
 /// Replacement values for one number token: zeros, signs, the edges of
 /// the integer types the documents carry, and floats at and beyond the
@@ -228,6 +228,48 @@ proptest! {
                 }
             }
             Err(e) => prop_assert!(is_checkpoint_error(&e), "unexpected error {e:?}"),
+        }
+    }
+}
+
+/// A document asking for more predictions per user than
+/// [`MAX_N_PREDICTIONS`] is refused by restore, before its first ingest
+/// could allocate for them: as a session, as a grid's hot resident and
+/// as a grid's cold one.
+#[test]
+fn oversized_prediction_counts_are_refused_at_restore() {
+    let f = fixtures();
+    let valid = "\"n_predictions\":40";
+    for n in [MAX_N_PREDICTIONS + 1, u32::MAX as usize] {
+        let huge = format!("\"n_predictions\":{n}");
+        let refused = |e: EngineError| {
+            matches!(
+                e,
+                EngineError::Smc(SmcError::BadConfig {
+                    field: "n_predictions"
+                })
+            )
+        };
+        let session = f.session.replace(valid, &huge);
+        assert_ne!(session, f.session);
+        let err = f.engine.restore_compact_json(&session).err().unwrap();
+        assert!(refused(err), "session n={n}");
+        // The grid document holds one hot and one cold resident; each is
+        // refused on its own.
+        for nth in 0..2 {
+            let mut at = 0;
+            for _ in 0..=nth {
+                at += f.grid[at..].find(valid).unwrap() + 1;
+            }
+            let grid = format!(
+                "{}{huge}{}",
+                &f.grid[..at - 1],
+                &f.grid[at - 1 + valid.len()..]
+            );
+            let err = Grid::restore_json(f.engine.clone(), &grid_config(), &grid)
+                .err()
+                .unwrap();
+            assert!(refused(err), "grid resident {nth} n={n}");
         }
     }
 }

@@ -118,6 +118,35 @@ fn older_checkpoints_are_refused() {
     }
 }
 
+/// Real v3 documents, written by the last build that wrote v3 (its
+/// golden grid checkpoint, and that grid's hot session entry, a
+/// full-form session checkpoint), are refused by their version, though
+/// their shape differs from the current one in more than the version.
+#[test]
+fn v3_documents_are_refused_by_version() {
+    let fixture = |name: &str| {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("fixture exists")
+    };
+    let net = network(91);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let session = fixture("session_checkpoint_v3.json");
+    assert!(
+        refused(engine.restore_compact_json(&session), 3),
+        "session: {:?}",
+        engine.restore_compact_json(&session).err()
+    );
+    let grid_config = GridConfig {
+        shards: 2,
+        threads: 1,
+        queue_capacity: 8,
+        hibernate_after: 1,
+    };
+    let grid = fixture("grid_checkpoint_v3.json");
+    let revived = Grid::restore_json(engine, &grid_config, &grid);
+    assert!(refused(revived, 3), "grid");
+}
+
 /// A live session's checkpoint round-trips through JSON: it restores
 /// through [`Engine::restore_compact_json`], re-checkpoints to the same
 /// value, and continues bit-identically.

@@ -13,8 +13,8 @@ use rand::SeedableRng;
 
 use fluxprint_engine::{Engine, GridConfig};
 use fluxprint_fluxd::{
-    server, ErrorCode, ProtocolError, Request, Response, ServerConfig, ServerHandle, MAX_FRAME_LEN,
-    VERSION,
+    server, Client, ErrorCode, FluxdError, ProtocolError, Request, Response, ServerConfig,
+    ServerHandle, SessionSpec, MAX_FRAME_LEN, VERSION,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Rect;
@@ -198,6 +198,35 @@ fn credit_overrun_is_refused_and_kills_the_connection() {
     stream.read_to_end(&mut rest).expect("post-error read");
     assert!(rest.is_empty(), "connection closed after overrun");
 
+    server.shutdown().expect("clean shutdown");
+}
+
+/// An `OpenSession` frame asking for `u32::MAX` predictions per user is
+/// refused with a typed engine error when the session opens, before any
+/// round could allocate for them, and the daemon keeps serving.
+#[test]
+fn oversized_prediction_count_is_refused_at_open() {
+    let server = spawn_server();
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let spec = |n_predictions| SessionSpec {
+        seed: 7,
+        users: 1,
+        n_predictions,
+        keep_m: 4,
+        warm: false,
+        start_time: 0.0,
+    };
+    match client.open_session(&spec(u32::MAX)) {
+        Err(FluxdError::Remote {
+            code: ErrorCode::Engine,
+            detail,
+        }) => assert!(detail.contains("n_predictions"), "{detail}"),
+        other => panic!("expected an engine refusal, got {other:?}"),
+    }
+    client
+        .open_session(&spec(16))
+        .expect("a valid spec still opens");
+    client.goodbye().expect("clean goodbye");
     server.shutdown().expect("clean shutdown");
 }
 

@@ -206,32 +206,6 @@ impl Pool {
         out
     }
 
-    /// Like [`map_with`](Pool::map_with), but reusing a caller-owned
-    /// scratch value when the dispatch runs sequentially (one effective
-    /// worker: nested dispatch, `len <= 1`, or a one-thread pool).
-    ///
-    /// On the sequential path `f` runs against `scratch` directly and the
-    /// allocations it grew survive into the caller's next dispatch — this
-    /// is what makes batched ingestion allocation-free on one-thread shard
-    /// slices. On the parallel path per-worker state comes from `init`
-    /// exactly as in [`map_with`](Pool::map_with) and `scratch` is
-    /// untouched. The existing scratch contract makes the two paths
-    /// interchangeable: state may be reused across items and calls but
-    /// must never change the value returned for an item, so results are
-    /// bit-identical either way.
-    pub fn map_reusing<S, R, FS, F>(&self, len: usize, scratch: &mut S, init: FS, f: F) -> Vec<R>
-    where
-        R: Send,
-        FS: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        if self.effective_workers(len) <= 1 {
-            telemetry::counter(names::FLUXPAR_TASKS, len as u64);
-            return (0..len).map(|i| f(scratch, i)).collect();
-        }
-        self.map_with(len, init, f)
-    }
-
     /// Maps `f` over contiguous chunks of `0..len` of size `chunk_size`
     /// (the last chunk may be short), returning one result per chunk in
     /// chunk order.
@@ -375,7 +349,8 @@ pub fn threads_env_warning_once() -> Option<String> {
 /// Caller-owned output buffers that [`Pool::fill_chunks`] hands out in
 /// disjoint pieces. Each buffer holds the dispatch's items back to back,
 /// all of one width: `len` items in a slice of `width · len` elements.
-/// A slice splits at an item boundary; a triple splits its members alike.
+/// A slice splits at an item boundary; a pair or a triple splits its
+/// members alike.
 pub trait Items: Send + Sized {
     /// Splits the first `head` of the `len` items this value holds from
     /// the rest.
@@ -386,6 +361,14 @@ impl<T: Send> Items for &mut [T] {
     fn split_items(self, head: usize, len: usize) -> (Self, Self) {
         let width = self.len().checked_div(len).unwrap_or(0);
         self.split_at_mut(head * width)
+    }
+}
+
+impl<A: Items, B: Items> Items for (A, B) {
+    fn split_items(self, head: usize, len: usize) -> (Self, Self) {
+        let (a, a_rest) = self.0.split_items(head, len);
+        let (b, b_rest) = self.1.split_items(head, len);
+        ((a, b), (a_rest, b_rest))
     }
 }
 
@@ -577,30 +560,6 @@ mod tests {
         assert_eq!(sizes(2, 5), vec![1, 1, 1, 1, 1]);
         assert_eq!(sizes(3, 1), vec![3]);
         assert_eq!(Pool::with_threads(6).split(0).len(), 1);
-    }
-
-    #[test]
-    fn map_reusing_matches_map_with_and_reuses_sequentially() {
-        let f = |scratch: &mut Vec<f64>, i: usize| {
-            scratch.clear();
-            scratch.extend((0..16).map(|j| noisy(i * 16 + j)));
-            scratch.iter().sum::<f64>()
-        };
-        let reference = Pool::with_threads(1).map_with(60, Vec::new, f);
-        // Sequential path: the caller's scratch is used and keeps its
-        // grown allocation across the call.
-        let mut scratch: Vec<f64> = Vec::new();
-        let got = Pool::with_threads(1).map_reusing(60, &mut scratch, Vec::new, f);
-        assert!(scratch.capacity() >= 16);
-        for (g, r) in got.iter().zip(&reference) {
-            assert_eq!(g.to_bits(), r.to_bits());
-        }
-        // Parallel path: falls back to per-worker init, same bits.
-        let mut scratch: Vec<f64> = Vec::new();
-        let got = Pool::with_threads(8).map_reusing(60, &mut scratch, Vec::new, f);
-        for (g, r) in got.iter().zip(&reference) {
-            assert_eq!(g.to_bits(), r.to_bits());
-        }
     }
 
     #[test]

@@ -29,7 +29,10 @@
 //! the dense column path (the scoring cache's
 //! `conditioned_eval_is_bit_identical_to_column_path` test); the rest
 //! read `+∞` and provably cannot make it
-//! (`screened_scans_rank_like_exhaustive_ones` below). Selection order,
+//! (`screened_scans_rank_like_exhaustive_ones` below). The joint fit of
+//! the selected sources comes from the same cache as one cold exact
+//! evaluation ([`ScoringCache::joint_fit`]), bit-identical to the dense
+//! [`FluxObjective::evaluate`] on their positions. Selection order,
 //! tie-breaks and every returned float are identical at any thread count
 //! (`association_is_identical_across_thread_counts` below). [`associate`]
 //! is the one entry point; its `seeded` flag only chooses how the
@@ -206,13 +209,9 @@ pub fn associate(
         per_candidate_residual[i] = Some(residuals);
     }
 
-    let positions: Vec<Point2> = selected
-        .iter()
-        // fluxlint: allow(no-panic) — every selected user has chosen set by the auction above
-        .map(|&i| candidates[i][chosen[i].expect("selected")])
-        .collect();
+    // The joint fit of the selected sources, in selection order.
+    let fit = cache.joint_fit(&selected_slots(&selected, &chosen), scratch)?;
     cache.recycle(scratch);
-    let fit = objective.evaluate(&positions)?;
     Ok(Association {
         selected,
         per_candidate_residual,
@@ -599,6 +598,39 @@ mod tests {
             }
             // Not vacuous: screening spared some probe their exact solve.
             prop_assert!(spared > 0);
+        }
+    }
+
+    /// The joint fit `associate` returns is the dense evaluation of the
+    /// selected sources in selection order, bit for bit, on cold and
+    /// seeded caches.
+    #[test]
+    fn joint_fit_is_the_dense_evaluation_of_the_selection() {
+        let (obj, candidates, explore_from) = large_instance();
+        for seeded in [false, true] {
+            let mut scratch = CacheScratch::new();
+            let a = associate(
+                &obj,
+                &candidates,
+                &explore_from,
+                &SmcConfig::default(),
+                &Pool::with_threads(2),
+                &mut scratch,
+                seeded,
+            )
+            .unwrap();
+            assert_eq!(a.selected.len(), 3, "seeded={seeded}");
+            let positions: Vec<Point2> = a
+                .selected
+                .iter()
+                .map(|&i| candidates[i][a.chosen[i].unwrap()])
+                .collect();
+            let want = obj.evaluate(&positions).unwrap();
+            let fit = a.fit.unwrap();
+            assert_eq!(fit.positions, positions);
+            assert_eq!(fit.residual.to_bits(), want.residual.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fit.stretches), bits(&want.stretches));
         }
     }
 

@@ -8,13 +8,23 @@ use crate::SmcError;
 /// indices a compact snapshot can address per user.
 const MAX_KEEP_M: usize = 1 << 16;
 
+/// The largest [`SmcConfig::n_predictions`]: 100 times the paper's
+/// `N = 1000`, and above the largest `keep_m` (65,536), so that every
+/// `keep_m` stays reachable. A round allocates per user a few words
+/// per prediction plus a basis column over every sniffer, so a
+/// restored checkpoint or a wire spec asking for `u32::MAX`
+/// predictions would abort the process on its next ingest instead of
+/// failing here.
+pub const MAX_N_PREDICTIONS: usize = 100_000;
+
 /// Parameters of the Sequential Monte Carlo tracker.
 ///
 /// Defaults follow §5.B: `N = 1000` predictions, `M = 10` kept samples,
 /// maximum speed 5 per detection interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SmcConfig {
-    /// `N`: candidate positions predicted per user per round.
+    /// `N`: candidate positions predicted per user per round, at most
+    /// [`MAX_N_PREDICTIONS`].
     pub n_predictions: usize,
     /// `M`: samples kept per user after filtering. At most 65,536: the
     /// compact snapshot addresses each user's sample pools with `u16`
@@ -79,7 +89,7 @@ impl SmcConfig {
     ///
     /// Returns [`SmcError::BadConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), SmcError> {
-        if self.n_predictions == 0 {
+        if self.n_predictions == 0 || self.n_predictions > MAX_N_PREDICTIONS {
             return Err(SmcError::BadConfig {
                 field: "n_predictions",
             });
@@ -139,6 +149,20 @@ mod tests {
             (
                 SmcConfig {
                     n_predictions: 0,
+                    ..base
+                },
+                "n_predictions",
+            ),
+            (
+                SmcConfig {
+                    n_predictions: MAX_N_PREDICTIONS + 1,
+                    ..base
+                },
+                "n_predictions",
+            ),
+            (
+                SmcConfig {
+                    n_predictions: u32::MAX as usize,
                     ..base
                 },
                 "n_predictions",
@@ -204,6 +228,12 @@ mod tests {
         SmcConfig {
             n_predictions: 70_000,
             keep_m: MAX_KEEP_M,
+            ..base
+        }
+        .validate()
+        .unwrap();
+        SmcConfig {
+            n_predictions: MAX_N_PREDICTIONS,
             ..base
         }
         .validate()

@@ -60,7 +60,7 @@ mod state;
 mod tracker;
 
 pub use association::{associate, Association};
-pub use config::SmcConfig;
+pub use config::{SmcConfig, MAX_N_PREDICTIONS};
 pub use error::SmcError;
 pub use estimate::{effective_sample_size, weighted_mean, WeightedSample};
 pub use state::{CompactTrackerState, CompactUserTrackState, TrackerState, UserTrackState};

@@ -141,7 +141,7 @@ impl ScenarioBuilder {
     ///
     /// Beyond the paper: a smooth boundary makes the NLS objective
     /// differentiable everywhere, the regime where §4.A says classical
-    /// Gauss–Newton / Levenberg–Marquardt solvers become applicable.
+    /// smooth solvers such as Levenberg–Marquardt become applicable.
     pub fn circular_field(mut self, radius: f64) -> Self {
         self.field = FieldShape::Circle { radius };
         self

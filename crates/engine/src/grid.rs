@@ -34,10 +34,11 @@
 //! # Checkpointing
 //!
 //! [`Grid::checkpoint`] snapshots every resident session *plus its
-//! pending (queued, not yet ingested) rounds*; restoring and draining
-//! yields the same outcomes as never having stopped. Every resident is
-//! captured as the same [`CompactCheckpoint`] the hibernarium holds, and
-//! [`Grid::session_checkpoint`] returns one resident's.
+//! pending (queued, not yet ingested) rounds*; restoring under any
+//! [`GridConfig`] and draining yields the same outcomes as never having
+//! stopped. Every resident is captured as the same [`CompactCheckpoint`]
+//! the hibernarium holds, and [`Grid::session_checkpoint`] returns one
+//! resident's.
 //!
 //! # Hibernation
 //!
@@ -584,8 +585,6 @@ impl Grid {
             .collect();
         GridCheckpoint {
             version: CHECKPOINT_VERSION,
-            shards: self.shards.len(),
-            queue_capacity: self.queue_capacity,
             sessions,
         }
     }
@@ -607,25 +606,21 @@ impl Grid {
     /// hibernated entries are validated and adopted *cold* — straight
     /// back into the hibernarium without ever building a live session,
     /// so a restored fleet's memory stays bounded from the first
-    /// instant. The config must keep the checkpoint's shard count; the
-    /// thread budget, queue capacity, and hibernation threshold are free
-    /// to change — none affects results.
+    /// instant. The config is free: the shard count, thread budget,
+    /// queue capacity, and hibernation threshold may all differ from
+    /// the checkpointed grid's — none affects results.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnsupportedVersion`] for any format
-    /// version but [`CHECKPOINT_VERSION`], [`EngineError::BadCheckpoint`]
-    /// when `config.shards` disagrees with the checkpoint, and
-    /// propagates per-session restore errors.
+    /// version but [`CHECKPOINT_VERSION`], and propagates per-session
+    /// restore errors.
     pub fn restore(
         engine: Engine,
         config: &GridConfig,
         checkpoint: &GridCheckpoint,
     ) -> Result<GridHandle, EngineError> {
         check_version(checkpoint.version)?;
-        if config.shards != checkpoint.shards {
-            return Err(EngineError::BadCheckpoint { field: "shards" });
-        }
         let mut grid = Grid::open(engine, config)?;
         for entry in &checkpoint.sessions {
             let residency = if entry.hibernated {
@@ -765,11 +760,6 @@ pub struct GridSessionCheckpoint {
 pub struct GridCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// Shard count at checkpoint time (restore must keep it).
-    pub shards: usize,
-    /// Queue capacity at checkpoint time (informational; restore may
-    /// change it).
-    pub queue_capacity: usize,
     /// Resident sessions in id order.
     pub sessions: Vec<GridSessionCheckpoint>,
 }

@@ -133,6 +133,22 @@ fn grid_checkpoint_matches_golden_fixture() {
     // The fixture restores, and re-checkpoints to the same bytes.
     let restored = Grid::restore_json(engine.clone(), &grid_config(), want.trim_end()).unwrap();
     assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
+    // Earlier builds also wrote the grid's shard count and queue
+    // capacity. Such a document still restores, under any shard count,
+    // and re-checkpoints to the current bytes.
+    let head = format!("{{\"version\":{CHECKPOINT_VERSION},");
+    assert!(want.starts_with(&head));
+    let pinned = want.replacen(
+        &head,
+        &format!("{head}\"shards\":2,\"queue_capacity\":8,"),
+        1,
+    );
+    let config = GridConfig {
+        shards: 3,
+        ..grid_config()
+    };
+    let restored = Grid::restore_json(engine.clone(), &config, pinned.trim_end()).unwrap();
+    assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
     // The same document under the previous format version is refused,
     // not migrated.
     let current = format!("\"version\":{CHECKPOINT_VERSION},");

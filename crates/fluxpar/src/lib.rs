@@ -16,10 +16,9 @@
 //! As long as `f(i)` depends only on `i` (scratch state may be *reused*
 //! across calls but must not change results), the output vector is
 //! byte-for-byte independent of the partition, so callers can fold it
-//! sequentially and deterministically. Callers that fold *per-chunk*
-//! summaries instead (see [`Pool::map_chunks`]) pick the chunk size
-//! themselves, so the partition — and therefore the fold — is a function
-//! of `len` alone, never of the thread count.
+//! sequentially and deterministically. [`Pool::fill_chunks`] hands its
+//! closure whole chunks of a size the caller picks, so the partition it
+//! sees is a function of `len` alone, never of the thread count.
 //!
 //! The pool is *scoped*: threads are spawned per dispatch with
 //! [`std::thread::scope`] and joined before the call returns, so closures
@@ -206,36 +205,15 @@ impl Pool {
         out
     }
 
-    /// Maps `f` over contiguous chunks of `0..len` of size `chunk_size`
-    /// (the last chunk may be short), returning one result per chunk in
-    /// chunk order.
-    ///
-    /// The partition is a function of `len` and `chunk_size` only — never
-    /// of the thread count — so a caller folding the returned summaries
-    /// sequentially gets bit-identical results at any thread count even
-    /// when the fold itself is order-sensitive.
-    pub fn map_chunks<R, F>(&self, len: usize, chunk_size: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        let size = chunk_size.max(1);
-        let chunks = len.div_ceil(size);
-        self.map_indexed(chunks, |c| {
-            let start = c * size;
-            f(start..len.min(start + size))
-        })
-    }
-
     /// Fills caller-owned buffers in place. `out` holds `len` items (see
     /// [`Items`]) and is cut into chunks of `chunk_size` items (the last
     /// may be short); `f(range, part)` writes chunk `range`, where `part`
     /// is exactly that chunk's share of every buffer.
     ///
-    /// As for [`map_chunks`](Pool::map_chunks), the partition is a
-    /// function of `len` and `chunk_size` only: `f` sees the same chunks
-    /// at any thread count, and workers take contiguous runs of them. The
-    /// sequential path allocates nothing.
+    /// The partition is a function of `len` and `chunk_size` only — never
+    /// of the thread count — so `f` sees the same chunks at any thread
+    /// count, and workers take contiguous runs of them. The sequential
+    /// path allocates nothing.
     pub fn fill_chunks<P, F>(&self, len: usize, chunk_size: usize, out: P, f: F)
     where
         P: Items,
@@ -481,34 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_partition_depends_only_on_len_and_size() {
-        // Sequential fold over per-chunk sums: order-sensitive, so this
-        // fails if the partition ever varied with the thread count.
-        let fold = |pool: &Pool| -> f64 {
-            pool.map_chunks(1000, 64, |r| r.map(noisy).sum::<f64>())
-                .into_iter()
-                .fold(0.0, |acc, s| acc + s)
-        };
-        let reference = fold(&Pool::with_threads(1));
-        for threads in [2, 8] {
-            assert_eq!(
-                fold(&Pool::with_threads(threads)).to_bits(),
-                reference.to_bits()
-            );
-        }
-        // 1000 items at chunk size 64 → 16 chunks, last one short.
-        let sizes: Vec<usize> = Pool::with_threads(4).map_chunks(1000, 64, |r| r.len());
-        assert_eq!(sizes.len(), 16);
-        assert!(sizes[..15].iter().all(|&s| s == 64));
-        assert_eq!(sizes[15], 40);
-    }
-
-    #[test]
     fn empty_and_singleton_dispatches_work() {
         let pool = Pool::with_threads(8);
         assert!(pool.map_indexed(0, noisy).is_empty());
         assert_eq!(pool.map_indexed(1, |i| i + 7), vec![7]);
-        assert!(pool.map_chunks(0, 10, |r| r.len()).is_empty());
         let mut none: [f64; 0] = [];
         pool.fill_chunks(0, 10, &mut none[..], |_, _| panic!("no chunk to fill"));
     }

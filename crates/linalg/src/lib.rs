@@ -9,7 +9,6 @@
 //! need, implemented from scratch:
 //!
 //! - [`Matrix`] — dense row-major matrices with the usual operations;
-//! - [`CholeskyFactor`] — SPD factorization for normal equations;
 //! - [`QrFactor`] — Householder QR for numerically robust least squares;
 //! - [`LuFactor`] — partially pivoted LU for the Levenberg–Marquardt steps;
 //! - [`nnls`] — Lawson–Hanson non-negative least squares;
@@ -34,7 +33,6 @@
 // mirror the textbook algorithms; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-mod cholesky;
 mod error;
 mod lu;
 mod matrix;
@@ -42,7 +40,6 @@ mod nnls;
 mod qr;
 pub mod vecops;
 
-pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
 pub use lu::LuFactor;
 pub use matrix::Matrix;

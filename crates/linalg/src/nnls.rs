@@ -327,9 +327,9 @@ fn active_set(gram: &Matrix, atb: &[f64], scratch: &mut NnlsScratch) -> Result<u
 }
 
 /// Solves the unconstrained subproblem restricted to the passive columns
-/// (`scratch.idx`), leaving the solution in `scratch.z`. The arithmetic
-/// mirrors [`CholeskyFactor`](crate::CholeskyFactor) exactly, inlined here
-/// over reusable buffers so the hot loop performs no allocation.
+/// (`scratch.idx`), leaving the solution in `scratch.z`, by a Cholesky
+/// factorization over reusable buffers so the hot loop performs no
+/// allocation.
 fn solve_passive(gram: &Matrix, atb: &[f64], scratch: &mut NnlsScratch) -> Result<(), LinalgError> {
     let k = scratch.idx.len();
     scratch.z.clear();
@@ -364,8 +364,8 @@ fn solve_passive(gram: &Matrix, atb: &[f64], scratch: &mut NnlsScratch) -> Resul
 }
 
 /// Cholesky-factors `scratch.sub` (k×k, row-major) into `scratch.l` and
-/// solves for `scratch.rhs`, leaving the result in `scratch.z`. Loop
-/// order matches `CholeskyFactor::{new, solve}` bit-for-bit.
+/// solves for `scratch.rhs` by forward then back substitution, leaving
+/// the result in `scratch.z`.
 fn factor_and_solve(k: usize, scratch: &mut NnlsScratch) -> Result<(), LinalgError> {
     scratch.l.clear();
     scratch.l.resize(k * k, 0.0);

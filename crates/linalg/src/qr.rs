@@ -283,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_cholesky_normal_equations() {
+    fn agrees_with_normal_equations() {
         let mut rng = StdRng::seed_from_u64(11);
         let m = 30;
         let n = 3;
@@ -293,7 +293,7 @@ mod tests {
         let x_qr = lstsq(&a, &b).unwrap();
         let g = a.gram();
         let atb = a.tr_matvec(&b).unwrap();
-        let x_ne = crate::CholeskyFactor::new(&g).unwrap().solve(&atb).unwrap();
+        let x_ne = crate::LuFactor::new(&g).unwrap().solve(&atb).unwrap();
         for (p, q) in x_qr.iter().zip(&x_ne) {
             assert!((p - q).abs() < 1e-8, "qr {p} vs normal equations {q}");
         }

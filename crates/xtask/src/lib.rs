@@ -11,16 +11,14 @@
 //! `lint-hygiene`. Violations can only be silenced by an inline
 //! `// fluxlint: allow(<rule>) — <reason>` waiver ([`waiver`]); waivers
 //! without a reason — or ones that suppress nothing — are themselves
-//! reported. `--format json` emits a machine-readable report, and a
-//! committed baseline ([`baseline`]) lets CI gate on *new* findings only
-//! via `--diff-baseline`.
+//! reported. `--format json` emits a machine-readable report; the exit
+//! code is the gate.
 //!
 //! The crate is deliberately dependency-free so the lint gate can never
 //! be the thing that fails to build. Policy details live in DESIGN.md
 //! ("The fluxlint pass", "Static analysis v2") and the README's
 //! "Linting" section.
 
-pub mod baseline;
 pub mod lexer;
 pub mod region;
 pub mod report;

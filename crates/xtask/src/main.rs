@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! cargo run -p fluxprint-xtask -- lint [--format human|json] [--root <dir>]
-//!                                      [--diff-baseline <file>]
-//!                                      [--write-baseline <file>]
 //! ```
 //!
 //! Exit codes:
 //!
-//! * `0` — clean (no findings; in diff mode, no *new* findings)
-//! * `1` — findings reported (diff mode: new findings vs. the baseline)
+//! * `0` — clean (no findings)
+//! * `1` — findings reported
 //! * `2` — usage error (unknown command or flag)
-//! * `3` — internal error (unreadable file, malformed baseline)
+//! * `3` — internal error (unreadable file, or no Rust source under the
+//!   root)
 //!
 //! CI keys off the distinction: a `1` means the tree regressed, a `3`
 //! means the lint run itself is broken and needs a human.
@@ -19,13 +18,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fluxprint_xtask::{baseline, report, run_lint};
+use fluxprint_xtask::{report, run_lint};
 
 /// Why a run could not produce a verdict; decides the exit code.
 enum Failure {
     /// The invocation itself is wrong (exit 2).
     Usage(String),
-    /// The run could not complete: I/O or a bad baseline (exit 3).
+    /// The run could not complete (exit 3).
     Internal(String),
 }
 
@@ -51,8 +50,7 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<ExitCode, Failure> {
-    let usage = "usage: cargo run -p fluxprint-xtask -- lint [--format human|json] \
-                 [--root <dir>] [--diff-baseline <file>] [--write-baseline <file>]";
+    let usage = "usage: cargo run -p fluxprint-xtask -- lint [--format human|json] [--root <dir>]";
     let mut args = args.iter().map(String::as_str);
     match args.next() {
         Some("lint") => {}
@@ -65,8 +63,6 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
     }
 
     let mut format = Format::Human;
-    let mut diff_baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     // Default root: the workspace directory two levels above this crate,
     // so the command works regardless of the caller's working directory.
     let mut root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -74,14 +70,8 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
         .nth(2)
         .map(PathBuf::from)
         .ok_or_else(|| Failure::Internal("cannot locate workspace root".to_string()))?;
-    let value_of = |flag: &str, args: &mut dyn Iterator<Item = &str>| {
-        args.next()
-            .map(PathBuf::from)
-            .ok_or_else(|| Failure::Usage(format!("{flag} needs a value")))
-    };
     while let Some(arg) = args.next() {
         match arg {
-            "--json" => format = Format::Json,
             "--format" => {
                 format = match args.next() {
                     Some("human") => Format::Human,
@@ -93,51 +83,24 @@ fn run(args: &[String]) -> Result<ExitCode, Failure> {
                     }
                 };
             }
-            "--root" => root = value_of("--root", &mut args)?,
-            "--diff-baseline" => diff_baseline = Some(value_of("--diff-baseline", &mut args)?),
-            "--write-baseline" => write_baseline = Some(value_of("--write-baseline", &mut args)?),
+            "--root" => {
+                root = args
+                    .next()
+                    .map(PathBuf::from)
+                    .ok_or_else(|| Failure::Usage("--root needs a value".to_string()))?;
+            }
             other => return Err(Failure::Usage(format!("unknown flag `{other}`\n{usage}"))),
         }
-    }
-    if diff_baseline.is_some() && write_baseline.is_some() {
-        return Err(Failure::Usage(
-            "--diff-baseline and --write-baseline are mutually exclusive".to_string(),
-        ));
     }
 
     let outcome =
         run_lint(&root).map_err(|e| Failure::Internal(format!("lint walk failed: {e}")))?;
-
-    if let Some(path) = write_baseline {
-        std::fs::write(&path, baseline::render(&outcome)).map_err(|e| {
-            Failure::Internal(format!("cannot write baseline {}: {e}", path.display()))
-        })?;
-        eprintln!(
-            "xtask: wrote {} finding(s) to {}",
-            outcome.findings.len(),
-            path.display()
-        );
-        // Writing a baseline *accepts* the current findings: exit clean.
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if let Some(path) = diff_baseline {
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            Failure::Internal(format!("cannot read baseline {}: {e}", path.display()))
-        })?;
-        let accepted = baseline::parse(&text).map_err(|e| {
-            Failure::Internal(format!("malformed baseline {}: {e}", path.display()))
-        })?;
-        let diff = baseline::diff(&accepted, &outcome);
-        match format {
-            Format::Json => println!("{}", report::diff_json(&diff)),
-            Format::Human => print!("{}", report::diff_human(&diff)),
-        }
-        return Ok(if diff.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        });
+    // A run that linted nothing proves nothing: a wrong root must not pass.
+    if outcome.files_scanned == 0 {
+        return Err(Failure::Internal(format!(
+            "no Rust source under {} (expected src/ or crates/*/src/)",
+            root.display()
+        )));
     }
 
     match format {

@@ -1,9 +1,7 @@
-//! Report rendering: a human diff-style listing, a JSON document, and
-//! the baseline-diff views.
+//! Report rendering: a human diff-style listing and a JSON document.
 
 use std::fmt::Write as _;
 
-use crate::baseline::Diff;
 use crate::rules::{Finding, Rule};
 use crate::waiver::WaivedFinding;
 
@@ -124,80 +122,9 @@ pub fn json(outcome: &Outcome) -> String {
     out
 }
 
-/// Renders the human-oriented baseline diff.
-pub fn diff_human(diff: &Diff) -> String {
-    let mut out = String::new();
-    for f in &diff.new {
-        let _ = writeln!(out, "NEW {} {}", location(f), f.message);
-        if !f.source.is_empty() {
-            let _ = writeln!(out, "    | {}", f.source);
-        }
-    }
-    for e in &diff.stale {
-        let _ = writeln!(
-            out,
-            "stale baseline entry: {}:{} [{}]{} no longer matches; refresh with --write-baseline",
-            e.file,
-            e.line,
-            e.rule,
-            if e.function.is_empty() {
-                String::new()
-            } else {
-                format!(" in `{}`", e.function)
-            },
-        );
-    }
-    let _ = writeln!(
-        out,
-        "fluxlint diff: {} new finding(s), {} stale baseline entr(ies)",
-        diff.new.len(),
-        diff.stale.len(),
-    );
-    out
-}
-
-/// Renders the machine-oriented baseline diff.
-pub fn diff_json(diff: &Diff) -> String {
-    let mut out = String::from("{\n  \"new\": [");
-    for (i, f) in diff.new.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        json_finding(&mut out, f, None);
-    }
-    if !diff.new.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"stale\": [");
-    for (i, e) in diff.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"function\": {}}}",
-            escape(&e.file),
-            e.line,
-            escape(&e.rule),
-            escape(&e.function),
-        );
-    }
-    if !diff.stale.is_empty() {
-        out.push_str("\n  ");
-    }
-    let _ = write!(
-        out,
-        "],\n  \"summary\": {{\"new\": {}, \"stale\": {}}}\n}}",
-        diff.new.len(),
-        diff.stale.len(),
-    );
-    out
-}
-
 /// Minimal JSON string escaping (the only JSON writer xtask needs; the
 /// driver stays dependency-free on purpose).
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -274,26 +201,5 @@ mod tests {
         });
         assert!(empty.contains("\"findings\": []"));
         assert!(empty.contains("\"waived\": []"));
-    }
-
-    #[test]
-    fn diff_reports_new_and_stale() {
-        let sample = sample();
-        let diff = Diff {
-            new: sample.findings.clone(),
-            stale: vec![crate::baseline::BaselineEntry {
-                file: "crates/smc/src/b.rs".into(),
-                line: 7,
-                rule: "nondet-order".into(),
-                function: "scan".into(),
-            }],
-        };
-        let text = diff_human(&diff);
-        assert!(text.contains("NEW crates/core/src/a.rs:3"));
-        assert!(text.contains("stale baseline entry: crates/smc/src/b.rs:7"));
-        assert!(text.contains("1 new finding(s), 1 stale baseline entr(ies)"));
-        let js = diff_json(&diff);
-        assert!(js.contains("\"new\": ["));
-        assert!(js.contains("\"summary\": {\"new\": 1, \"stale\": 1}"));
     }
 }

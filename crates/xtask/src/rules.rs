@@ -118,8 +118,7 @@ pub struct Finding {
     pub source: String,
     /// `::`-joined path of the innermost enclosing named item
     /// (`Type::method`, `module::fn`), `None` at module top level or for
-    /// manifest findings. Baseline matching keys on this instead of the
-    /// line number, so unrelated edits do not churn the baseline.
+    /// manifest findings.
     pub function: Option<String>,
 }
 

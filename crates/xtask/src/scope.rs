@@ -9,9 +9,8 @@
 //! * [`item_paths`] — the innermost named item (`fn` / `impl` / `mod` /
 //!   `trait` / `struct` / `enum` / `union`) enclosing each line, as a
 //!   `::`-joined path such as `ScoringCache::evaluate_conditioned`. Findings
-//!   carry this so reports and the baseline can attribute a violation to
-//!   a function rather than a raw line number, which also makes baseline
-//!   matching robust against line drift.
+//!   carry this so reports can attribute a violation to a function
+//!   rather than a raw line number.
 //!
 //! Both walk the token stream / byte view produced by [`crate::lexer`],
 //! so comments and literal contents can never open or close a scope.

@@ -36,7 +36,7 @@ pub struct Waiver {
 
 /// A finding suppressed by a valid waiver, kept for the report: the JSON
 /// output lists waived findings with their justification so reviewers
-/// and the baseline can audit them without re-running the scan.
+/// can audit them without re-running the scan.
 #[derive(Debug, Clone)]
 pub struct WaivedFinding {
     /// The suppressed finding.

@@ -11,12 +11,12 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`geometry`] | `fluxprint-geometry` | points, field boundaries, deployments, spatial index |
-//! | [`linalg`] | `fluxprint-linalg` | dense matrices, Cholesky/QR/LU, NNLS |
+//! | [`linalg`] | `fluxprint-linalg` | dense matrices, QR/LU, NNLS |
 //! | [`stats`] | `fluxprint-stats` | descriptive stats, ECDF, weighted sampling |
 //! | [`netsim`] | `fluxprint-netsim` | the sensor-network simulator: unit-disk topologies, collection trees, flux, sniffers |
 //! | [`mobility`] | `fluxprint-mobility` | trajectories, mobility models, campus-trace generator, schedules |
 //! | [`fluxmodel`] | `fluxprint-fluxmodel` | the analytical flux model (Formulas 3.2–3.4) and its accuracy statistics |
-//! | [`solver`] | `fluxprint-solver` | NLS objective, random search + Nelder–Mead, GN/LM baselines, flux briefing, Hungarian matching |
+//! | [`solver`] | `fluxprint-solver` | NLS objective, random search + Nelder–Mead, LM baseline, flux briefing, Hungarian matching |
 //! | [`smc`] | `fluxprint-smc` | the Sequential Monte Carlo tracker (Algorithm 4.1) |
 //! | [`core`] | `fluxprint-core` | scenarios, end-to-end attacks, metrics, countermeasures |
 //!

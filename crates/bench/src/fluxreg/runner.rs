@@ -8,9 +8,9 @@
 //!
 //! * **Deterministic** (gateable with tight tolerances): `mean_error`
 //!   (identity-free accuracy vs. ground truth, via `core::metrics`),
-//!   `mean_residual` and `active_fraction` (engine [`OutcomeKpis`]),
-//!   `evals_per_round` (objective evaluations per ingested round),
-//!   `rounds`, and the residency pair `checkpoint_bytes` /
+//!   `mean_residual` and `active_fraction` (folded from the sessions'
+//!   outcomes), `evals_per_round` (objective evaluations per ingested
+//!   round), `rounds`, and the residency pair `checkpoint_bytes` /
 //!   `resident_sessions` (end-of-run grid footprint under the job's
 //!   `hibernate_after` / `active_pct` duty cycle). These are bit-stable
 //!   for a fixed seed at any thread count (DESIGN.md §9/§11/§15).
@@ -35,7 +35,7 @@ use rand::SeedableRng;
 use serde_json::{json, Value};
 
 use fluxprint_core::metrics::mean_trajectory_error;
-use fluxprint_engine::{Engine, Grid, GridConfig, OutcomeKpis, SessionConfig, StepOutcome, Submit};
+use fluxprint_engine::{Engine, Grid, GridConfig, SessionConfig, StepOutcome, Submit};
 use fluxprint_fluxd::{server as fluxd_server, Client, ServerConfig, SessionSpec, WireOutcome};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::{Point2, Rect};
@@ -137,27 +137,64 @@ fn duty_stride(job: &Job) -> usize {
     ((100.0 / active_pct).round() as usize).max(1)
 }
 
-/// One fleet drive's results: per-session outcomes with the trace
-/// indices of the rounds each session actually ingested (duty cycling
-/// makes them sparse), plus the end-of-run residency KPIs.
-struct DriveResult {
-    outcomes: Vec<Vec<StepOutcome>>,
-    ingested: Vec<Vec<usize>>,
-    /// Serialized size of the whole grid checkpoint after the run —
-    /// every resident, hot or hibernated, as its compact checkpoint.
-    checkpoint_bytes: usize,
-    /// Sessions still hot (fully resident) after the final drain.
-    resident_sessions: usize,
+/// One ingested round as the KPI fold reads it. Both drives produce
+/// it: the in-process one from a [`StepOutcome`], the served one from
+/// the [`WireOutcome`] that carries the same values over the wire.
+struct RoundView {
+    estimates: Vec<Point2>,
+    residual: f64,
+    active: Vec<bool>,
 }
 
-/// Drives the job's fleet once.
-fn drive(engine: &Engine, job: &Job, trace: &[ObservationRound]) -> Result<DriveResult, String> {
-    let grid_config = GridConfig {
+impl From<StepOutcome> for RoundView {
+    fn from(outcome: StepOutcome) -> Self {
+        RoundView {
+            estimates: outcome.estimates,
+            residual: outcome.residual,
+            active: outcome.active,
+        }
+    }
+}
+
+impl From<WireOutcome> for RoundView {
+    fn from(outcome: WireOutcome) -> Self {
+        RoundView {
+            estimates: outcome
+                .estimates
+                .into_iter()
+                .map(|(x, y)| Point2::new(x, y))
+                .collect(),
+            residual: outcome.residual,
+            active: outcome.active,
+        }
+    }
+}
+
+/// One drive of the job's fleet: per-session rounds with the trace
+/// indices each session actually ingested (duty cycling makes them
+/// sparse), plus the KPIs only that drive can report.
+struct DriveResult {
+    rounds: Vec<Vec<RoundView>>,
+    ingested: Vec<Vec<usize>>,
+    kpis: Vec<(&'static str, f64)>,
+}
+
+fn grid_config_for(job: &Job, trace: &[ObservationRound]) -> GridConfig {
+    GridConfig {
         shards: job.count("shards"),
         queue_capacity: trace.len().max(1),
         threads: job.count("threads"),
         hibernate_after: job.count("hibernate_after") as u64,
-    };
+    }
+}
+
+/// Drives the job's fleet once through an in-process [`Grid`]. Its own
+/// KPIs are the end-of-run residency pair: `checkpoint_bytes`, the
+/// serialized size of the whole grid checkpoint (every resident, hot or
+/// hibernated, as its compact checkpoint), and `resident_sessions`, the
+/// sessions still hot after the final drain.
+fn drive(engine: &Engine, job: &Job, trace: &[ObservationRound]) -> Result<DriveResult, String> {
+    let grid_config = grid_config_for(job, trace);
     let config = SessionConfig {
         users: job.count("users"),
         smc: SmcConfig {
@@ -198,27 +235,26 @@ fn drive(engine: &Engine, job: &Job, trace: &[ObservationRound]) -> Result<Drive
         }
     }
     grid.join().map_err(|e| format!("drain: {e}"))?;
-    let outcomes = ids
+    let rounds = ids
         .iter()
-        .map(|&id| grid.take_outcomes(id).map_err(|e| format!("outcomes: {e}")))
+        .map(|&id| {
+            grid.take_outcomes(id)
+                .map(|outcomes| outcomes.into_iter().map(RoundView::from).collect())
+                .map_err(|e| format!("outcomes: {e}"))
+        })
         .collect::<Result<_, _>>()?;
+    let checkpoint_bytes = grid
+        .checkpoint_json()
+        .map_err(|e| format!("checkpoint: {e}"))?
+        .len();
     Ok(DriveResult {
-        outcomes,
+        rounds,
         ingested,
-        checkpoint_bytes: grid
-            .checkpoint_json()
-            .map_err(|e| format!("checkpoint: {e}"))?
-            .len(),
-        resident_sessions: grid.hot_sessions(),
+        kpis: vec![
+            ("checkpoint_bytes", checkpoint_bytes as f64),
+            ("resident_sessions", grid.hot_sessions() as f64),
+        ],
     })
-}
-
-/// One serve-mode drive: per-session wire outcomes plus latency stats.
-struct ServeDrive {
-    outcomes: Vec<Vec<WireOutcome>>,
-    ingested: Vec<Vec<usize>>,
-    latencies_ns: Vec<u64>,
-    stall_ns: u64,
 }
 
 /// Drives the job's fleet through a loopback fluxd: one TCP connection
@@ -226,23 +262,18 @@ struct ServeDrive {
 /// pipelined batches under credit-window flow control. The wire
 /// outcomes are bit-identical to the in-process [`drive`] by the
 /// serving layer's determinism contract, so serve-mode rows gate the
-/// same KPIs.
+/// same KPIs. Its own KPIs are the clients' `p99_latency_ms` and
+/// summed `backpressure_stall_ms`.
 fn drive_served(
     engine: &Engine,
     job: &Job,
     trace: &[ObservationRound],
-) -> Result<ServeDrive, String> {
-    let grid_config = GridConfig {
-        shards: job.count("shards"),
-        queue_capacity: trace.len().max(1),
-        threads: job.count("threads"),
-        hibernate_after: job.count("hibernate_after") as u64,
-    };
+) -> Result<DriveResult, String> {
     let server = fluxd_server::spawn(
         engine.clone(),
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            grid: grid_config,
+            grid: grid_config_for(job, trace),
             credits: 0,
             drain_threshold: 0,
         },
@@ -298,126 +329,30 @@ fn drive_served(
     });
     server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
 
-    let mut result = ServeDrive {
-        outcomes: Vec::with_capacity(sessions),
-        ingested: Vec::with_capacity(sessions),
-        latencies_ns: Vec::new(),
-        stall_ns: 0,
-    };
+    let mut rounds = Vec::with_capacity(sessions);
+    let mut ingested = Vec::with_capacity(sessions);
+    let mut latencies = Vec::new();
+    let mut stall_ns = 0;
     for conn in per_conn {
-        let (outcomes, mine, latencies, stall) = conn?;
-        result.outcomes.push(outcomes);
-        result.ingested.push(mine);
-        result.latencies_ns.extend(latencies);
-        result.stall_ns += stall;
+        let (outcomes, mine, conn_latencies, stall) = conn?;
+        rounds.push(outcomes.into_iter().map(RoundView::from).collect());
+        ingested.push(mine);
+        latencies.extend(conn_latencies);
+        stall_ns += stall;
     }
-    Ok(result)
-}
-
-fn run_job_served(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> {
-    fluxprint_telemetry::reset();
-    let net = network_for(job)?;
-    let (trace_rounds, truths) = trace_for(job, &net)?;
-    let engine =
-        Engine::for_network(&net, FluxModel::default()).map_err(|e| format!("engine: {e}"))?;
-
-    let reps = job.count("reps").max(1);
-    let mut wall_ms = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        result = Some(drive_served(&engine, job, &trace_rounds)?);
-        wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let result = result.expect("reps >= 1");
-
-    let total_rounds = result.ingested.iter().map(Vec::len).sum::<usize>() as f64;
-    let evals = fluxprint_telemetry::snapshot().counter(names::SOLVER_OBJECTIVE_EVALS);
-    let evals_per_round = evals as f64 / (reps as f64 * total_rounds);
-
-    // Fold the wire outcomes into the same deterministic aggregates the
-    // in-process path reports, so a serve plan's gates pin the serving
-    // layer's bit-identity, not just its liveness.
-    let mut engine_kpis = OutcomeKpis::default();
-    let mut error_sum = 0.0;
-    let mut error_sessions = 0usize;
-    for (session_outcomes, rounds) in result.outcomes.iter().zip(&result.ingested) {
-        for outcome in session_outcomes {
-            engine_kpis.rounds += 1;
-            engine_kpis.residual_sum += outcome.residual;
-            engine_kpis.user_rounds += outcome.active.len() as u64;
-            engine_kpis.active_user_rounds += outcome.active.iter().filter(|a| **a).count() as u64;
-        }
-        let pairs: Vec<(Vec<Point2>, Vec<Point2>)> = session_outcomes
-            .iter()
-            .zip(rounds)
-            .map(|(outcome, &i)| {
-                let estimates = outcome
-                    .estimates
-                    .iter()
-                    .map(|&(x, y)| Point2::new(x, y))
-                    .collect();
-                (estimates, truths[i].clone())
-            })
-            .collect();
-        let err = mean_trajectory_error(&pairs).map_err(|e| format!("accuracy: {e}"))?;
-        if err.is_finite() {
-            error_sum += err;
-            error_sessions += 1;
-        }
-    }
-
-    let mut latencies = result.latencies_ns;
     latencies.sort_unstable();
     let p99_ms = if latencies.is_empty() {
         0.0
     } else {
         latencies[((latencies.len() - 1) as f64 * 0.99).round() as usize] as f64 / 1e6
     };
-
-    let mut kpis = BTreeMap::new();
-    let mut kpi = |name: &str, value: f64| {
-        if value.is_finite() {
-            kpis.insert(name.to_string(), value);
-        }
-    };
-    kpi("rounds", total_rounds);
-    kpi("wall_ms", wall_ms);
-    kpi("rounds_per_s", total_rounds / (wall_ms / 1e3));
-    kpi("evals_per_round", evals_per_round);
-    if error_sessions > 0 {
-        kpi("mean_error", error_sum / error_sessions as f64);
-    }
-    kpi("mean_residual", engine_kpis.mean_residual());
-    kpi("active_fraction", engine_kpis.active_fraction());
-    kpi("p99_latency_ms", p99_ms);
-    kpi("backpressure_stall_ms", result.stall_ns as f64 / 1e6);
-
-    let prov = trace::thread_provenance();
-    let telemetry: Value = serde_json::from_str(&fluxprint_telemetry::snapshot().to_inline_json())
-        .map_err(|e| format!("telemetry fold: {e}"))?;
-    Ok(Row {
-        plan: plan.name.clone(),
-        plan_hash: plan.hash.clone(),
-        seed: job.seed,
-        commit: commit.map(str::to_string),
-        source: "plan".to_string(),
-        params: job
-            .params
-            .iter()
-            .map(|(k, v)| (k.clone(), param_json(*v)))
-            .collect(),
-        kpis,
-        run_meta: json!({
-            "target": format!("plan:{}", plan.name),
-            "effort": "plan",
-            "seed": job.seed,
-            "git": commit.map_or(Value::Null, |c| Value::String(c.to_string())),
-            "threads": prov.threads,
-            "threads_env": prov.env.as_deref().map_or(Value::Null, |e| Value::String(e.to_string())),
-            "threads_env_status": prov.status,
-        }),
-        telemetry,
+    Ok(DriveResult {
+        rounds,
+        ingested,
+        kpis: vec![
+            ("p99_latency_ms", p99_ms),
+            ("backpressure_stall_ms", stall_ns as f64 / 1e6),
+        ],
     })
 }
 
@@ -427,21 +362,23 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
             return Err(format!("parameter {required:?} must be at least 1"));
         }
     }
-    if job.count("serve") > 0 {
-        return run_job_served(plan, job, commit);
-    }
     fluxprint_telemetry::reset();
     let net = network_for(job)?;
     let (trace_rounds, truths) = trace_for(job, &net)?;
     let engine =
         Engine::for_network(&net, FluxModel::default()).map_err(|e| format!("engine: {e}"))?;
 
+    let serve = job.count("serve") > 0;
     let reps = job.count("reps").max(1);
     let mut wall_ms = f64::INFINITY;
     let mut result = None;
     for _ in 0..reps {
         let start = Instant::now();
-        result = Some(drive(&engine, job, &trace_rounds)?);
+        result = Some(if serve {
+            drive_served(&engine, job, &trace_rounds)?
+        } else {
+            drive(&engine, job, &trace_rounds)?
+        });
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }
     let result = result.expect("reps >= 1");
@@ -452,17 +389,27 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
     let evals = fluxprint_telemetry::snapshot().counter(names::SOLVER_OBJECTIVE_EVALS);
     let evals_per_round = evals as f64 / (reps as f64 * total_rounds);
 
-    let mut engine_kpis = OutcomeKpis::default();
+    // Sums run session by session, each in round order, so the KPIs are
+    // bit-stable for a fixed seed and equal across the two drives.
+    let mut residual_sum = 0.0;
+    let mut residual_rounds = 0u64;
+    let mut user_rounds = 0u64;
+    let mut active_user_rounds = 0u64;
     let mut error_sum = 0.0;
-    let mut error_sessions = 0usize;
-    for (session_outcomes, rounds) in result.outcomes.iter().zip(&result.ingested) {
-        engine_kpis.fold(session_outcomes);
-        // Zip each outcome with the truth of the round it came from —
+    let mut error_sessions = 0u64;
+    for (session_rounds, ingested) in result.rounds.iter().zip(&result.ingested) {
+        for round in session_rounds {
+            residual_rounds += 1;
+            residual_sum += round.residual;
+            user_rounds += round.active.len() as u64;
+            active_user_rounds += round.active.iter().filter(|a| **a).count() as u64;
+        }
+        // Zip each round with the truth of the trace round it came from —
         // under duty cycling those are not the first len() rounds.
-        let pairs: Vec<(Vec<Point2>, Vec<Point2>)> = session_outcomes
+        let pairs: Vec<(Vec<Point2>, Vec<Point2>)> = session_rounds
             .iter()
-            .zip(rounds)
-            .map(|(outcome, &i)| (outcome.estimates.clone(), truths[i].clone()))
+            .zip(ingested)
+            .map(|(round, &i)| (round.estimates.clone(), truths[i].clone()))
             .collect();
         let err = mean_trajectory_error(&pairs).map_err(|e| format!("accuracy: {e}"))?;
         if err.is_finite() {
@@ -471,6 +418,7 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
         }
     }
 
+    // A ratio over nothing is 0/0 = NaN, which `kpi` leaves out.
     let mut kpis = BTreeMap::new();
     let mut kpi = |name: &str, value: f64| {
         if value.is_finite() {
@@ -481,18 +429,15 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
     kpi("wall_ms", wall_ms);
     kpi("rounds_per_s", total_rounds / (wall_ms / 1e3));
     kpi("evals_per_round", evals_per_round);
-    if error_sessions > 0 {
-        kpi("mean_error", error_sum / error_sessions as f64);
+    kpi("mean_error", error_sum / error_sessions as f64);
+    kpi("mean_residual", residual_sum / residual_rounds as f64);
+    kpi(
+        "active_fraction",
+        active_user_rounds as f64 / user_rounds as f64,
+    );
+    for &(name, value) in &result.kpis {
+        kpi(name, value);
     }
-    kpi("mean_residual", engine_kpis.mean_residual());
-    kpi("active_fraction", engine_kpis.active_fraction());
-    // Residency KPIs: the serialized footprint of the end-of-run grid
-    // (hibernated residents compact, hot ones full) and the hot count.
-    // Both are deterministic for a fixed seed, so plans gate them —
-    // `checkpoint_bytes` with a lower-direction tolerance catches
-    // compaction regressions the way eval gates catch solver ones.
-    kpi("checkpoint_bytes", result.checkpoint_bytes as f64);
-    kpi("resident_sessions", result.resident_sessions as f64);
 
     let prov = trace::thread_provenance();
     let telemetry: Value = serde_json::from_str(&fluxprint_telemetry::snapshot().to_inline_json())

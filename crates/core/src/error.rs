@@ -8,7 +8,6 @@ use fluxprint_mobility::MobilityError;
 use fluxprint_netsim::NetsimError;
 use fluxprint_smc::SmcError;
 use fluxprint_solver::SolverError;
-use fluxprint_stats::StatsError;
 
 /// Errors produced while building scenarios or running attacks.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,8 +28,6 @@ pub enum CoreError {
     Solver(SolverError),
     /// A tracker failure.
     Smc(SmcError),
-    /// A statistics failure.
-    Stats(StatsError),
     /// A streaming-engine failure (session or checkpoint layer).
     Engine(EngineError),
 }
@@ -44,7 +41,6 @@ impl fmt::Display for CoreError {
             CoreError::Mobility(e) => write!(f, "mobility: {e}"),
             CoreError::Solver(e) => write!(f, "solver: {e}"),
             CoreError::Smc(e) => write!(f, "tracker: {e}"),
-            CoreError::Stats(e) => write!(f, "statistics: {e}"),
             CoreError::Engine(e) => write!(f, "engine: {e}"),
         }
     }
@@ -57,7 +53,6 @@ impl Error for CoreError {
             CoreError::Mobility(e) => Some(e),
             CoreError::Solver(e) => Some(e),
             CoreError::Smc(e) => Some(e),
-            CoreError::Stats(e) => Some(e),
             CoreError::Engine(e) => Some(e),
             _ => None,
         }
@@ -88,12 +83,6 @@ impl From<SmcError> for CoreError {
     }
 }
 
-impl From<StatsError> for CoreError {
-    fn from(e: StatsError) -> Self {
-        CoreError::Stats(e)
-    }
-}
-
 impl From<EngineError> for CoreError {
     fn from(e: EngineError) -> Self {
         // Unwrap layer errors the engine merely relayed, so call sites
@@ -121,7 +110,6 @@ mod tests {
             MobilityError::EmptyTrajectory.into(),
             SolverError::ZeroSinks.into(),
             SmcError::ZeroUsers.into(),
-            StatsError::EmptyInput.into(),
             EngineError::BadCheckpoint { field: "rng" }.into(),
         ];
         for e in &errs {

@@ -50,7 +50,6 @@ mod error;
 pub mod metrics;
 mod scenario;
 pub mod spec;
-pub mod sweep;
 
 pub use attack::{
     run_instant_localization, run_tracking, AttackConfig, InstantReport, SnifferSpec,

@@ -90,7 +90,6 @@ mod checkpoint;
 mod engine;
 mod error;
 pub mod grid;
-pub mod kpi;
 mod session;
 
 pub use checkpoint::{CompactCheckpoint, CHECKPOINT_VERSION};
@@ -99,7 +98,6 @@ pub use error::EngineError;
 pub use grid::{
     Grid, GridCheckpoint, GridConfig, GridHandle, GridSessionCheckpoint, SessionId, Submit,
 };
-pub use kpi::OutcomeKpis;
 pub use session::{Session, UserState, WarmState, WARM_ESCAPE_EVERY, WARM_SHRINK};
 
 // Re-exported so engine users can name round inputs and step outputs

@@ -50,7 +50,6 @@
 mod assignment;
 mod briefing;
 mod error;
-mod grid_search;
 mod levenberg_marquardt;
 mod nelder_mead;
 mod objective;
@@ -60,7 +59,6 @@ mod scoring;
 pub use assignment::min_cost_assignment;
 pub use briefing::{brief_flux_map, BriefedSink, BriefingConfig, BriefingRound};
 pub use error::SolverError;
-pub use grid_search::{grid_search, grid_search_with, GridSearchConfig};
 pub use levenberg_marquardt::{levenberg_marquardt, SmoothSolverReport};
 pub use nelder_mead::{nelder_mead, NelderMeadConfig};
 pub use objective::{FluxObjective, SinkFit};

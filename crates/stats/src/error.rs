@@ -18,8 +18,6 @@ pub enum StatsError {
     BadPercentile(f64),
     /// Weights summed to zero (or a weight was negative).
     BadWeights,
-    /// A histogram was requested with zero bins or an empty range.
-    BadHistogramSpec,
     /// More distinct indices were requested than exist.
     NotEnoughItems {
         /// Items requested.
@@ -40,9 +38,6 @@ impl fmt::Display for StatsError {
                 write!(f, "percentile must be within [0, 100], got {p}")
             }
             StatsError::BadWeights => write!(f, "weights must be non-negative with positive sum"),
-            StatsError::BadHistogramSpec => {
-                write!(f, "histogram needs at least one bin and a non-empty range")
-            }
             StatsError::NotEnoughItems {
                 requested,
                 available,
@@ -66,7 +61,6 @@ mod tests {
             StatsError::NonFiniteSample { index: 3 },
             StatsError::BadPercentile(120.0),
             StatsError::BadWeights,
-            StatsError::BadHistogramSpec,
             StatsError::NotEnoughItems {
                 requested: 5,
                 available: 2,

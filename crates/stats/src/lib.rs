@@ -1,38 +1,31 @@
-//! Descriptive statistics and sampling utilities for the `fluxprint`
-//! workspace.
+//! Sampling utilities and the empirical CDF for the `fluxprint` workspace.
 //!
-//! Everything the evaluation harness reports — error CDFs (Figure 3a),
-//! percentile summaries of localization/tracking error (Figures 5–10),
-//! flux-energy fractions — is computed through this crate, and the particle
-//! filter's importance resampling builds on its weighted samplers.
+//! Three callers, three items: the SMC tracker draws each round's
+//! predictions from its weighted samples through [`WeightedAlias`], the
+//! sniffer selection draws distinct nodes with
+//! [`sample_indices_without_replacement`], and Figure 3(a) evaluates the
+//! flux-model error CDF through [`Ecdf`].
 //!
 //! # Example
 //!
 //! ```
-//! use fluxprint_stats::{Ecdf, Summary};
+//! use fluxprint_stats::{Ecdf, WeightedAlias};
+//! use rand::SeedableRng;
 //!
-//! let errors = [0.4, 0.9, 1.1, 0.3, 2.0];
-//! let summary = Summary::from_samples(&errors).unwrap();
-//! assert!((summary.mean - 0.94).abs() < 1e-12);
-//!
-//! let cdf = Ecdf::from_samples(&errors).unwrap();
+//! let cdf = Ecdf::from_samples(&[0.4, 0.9, 1.1, 0.3, 2.0]).unwrap();
 //! assert!((cdf.eval(1.0) - 0.6).abs() < 1e-12); // 3 of 5 samples ≤ 1.0
+//!
+//! let alias = WeightedAlias::new(&[0.0, 1.0]).unwrap();
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! assert_eq!(alias.sample(&mut rng), 1); // zero-weight index never drawn
 //! ```
 
 #![warn(missing_docs)]
 
-mod descriptive;
 mod ecdf;
 mod error;
-mod histogram;
-mod online;
 mod sampling;
-mod summary;
 
-pub use descriptive::{max, mean, median, min, percentile, rmse, std_dev, variance};
 pub use ecdf::Ecdf;
 pub use error::StatsError;
-pub use histogram::Histogram;
-pub use online::OnlineStats;
-pub use sampling::{sample_indices_without_replacement, systematic_resample, WeightedAlias};
-pub use summary::Summary;
+pub use sampling::{sample_indices_without_replacement, WeightedAlias};

@@ -101,53 +101,6 @@ impl WeightedAlias {
     }
 }
 
-/// Systematic (low-variance) resampling: draws `count` indices from the
-/// weight distribution with a single uniform offset.
-///
-/// The standard resampler for particle filters: it preserves the expected
-/// multiplicity of every particle while adding the least extra variance.
-///
-/// # Errors
-///
-/// Returns [`StatsError::BadWeights`] / [`StatsError::EmptyInput`] as in
-/// [`WeightedAlias::new`].
-pub fn systematic_resample<R: Rng + ?Sized>(
-    weights: &[f64],
-    count: usize,
-    rng: &mut R,
-) -> Result<Vec<usize>, StatsError> {
-    let n = weights.len();
-    if n == 0 {
-        return Err(StatsError::EmptyInput);
-    }
-    let sum: f64 = weights.iter().sum();
-    if weights.iter().any(|&w| w < 0.0 || !w.is_finite()) || sum <= 0.0 {
-        return Err(StatsError::BadWeights);
-    }
-    if count == 0 {
-        return Ok(Vec::new());
-    }
-    let step = sum / count as f64;
-    let mut u = rng.gen::<f64>() * step;
-    let mut out = Vec::with_capacity(count);
-    let mut cumulative = 0.0;
-    let mut i = 0;
-    for _ in 0..count {
-        while cumulative + weights[i] < u {
-            cumulative += weights[i];
-            i += 1;
-            if i >= n {
-                // Float round-off at the very end: clamp to the last index.
-                i = n - 1;
-                break;
-            }
-        }
-        out.push(i);
-        u += step;
-    }
-    Ok(out)
-}
-
 /// Draws `count` *distinct* indices from `0..n` uniformly at random
 /// (partial Fisher–Yates).
 ///
@@ -237,41 +190,6 @@ mod tests {
             WeightedAlias::new(&[f64::NAN]),
             Err(StatsError::BadWeights)
         ));
-    }
-
-    #[test]
-    fn systematic_preserves_expected_counts() {
-        let weights = [0.1, 0.2, 0.3, 0.4];
-        let mut r = rng();
-        let idx = systematic_resample(&weights, 1000, &mut r).unwrap();
-        assert_eq!(idx.len(), 1000);
-        let mut counts = [0usize; 4];
-        for &i in &idx {
-            counts[i] += 1;
-        }
-        // Systematic resampling guarantees counts within ±1 of n·w.
-        for (i, &w) in weights.iter().enumerate() {
-            let expected = 1000.0 * w;
-            assert!(
-                (counts[i] as f64 - expected).abs() <= 1.0 + 1e-9,
-                "index {i}: {} vs {expected}",
-                counts[i]
-            );
-        }
-    }
-
-    #[test]
-    fn systematic_zero_count_ok() {
-        assert_eq!(
-            systematic_resample(&[1.0], 0, &mut rng()).unwrap(),
-            Vec::<usize>::new()
-        );
-    }
-
-    #[test]
-    fn systematic_rejects_bad_weights() {
-        assert!(systematic_resample(&[], 5, &mut rng()).is_err());
-        assert!(systematic_resample(&[0.0], 5, &mut rng()).is_err());
     }
 
     #[test]

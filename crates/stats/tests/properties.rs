@@ -1,9 +1,6 @@
 //! Property-based tests for the statistics substrate.
 
-use fluxprint_stats::{
-    mean, median, percentile, sample_indices_without_replacement, std_dev, systematic_resample,
-    Ecdf, Histogram, Summary, WeightedAlias,
-};
+use fluxprint_stats::{sample_indices_without_replacement, Ecdf, WeightedAlias};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,30 +10,6 @@ fn samples() -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// Percentiles are monotone in p and bracketed by min/max.
-    #[test]
-    fn percentiles_monotone(xs in samples(), p1 in 0.0..100.0f64, p2 in 0.0..100.0f64) {
-        let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-        let a = percentile(&xs, lo).unwrap();
-        let b = percentile(&xs, hi).unwrap();
-        prop_assert!(a <= b + 1e-12);
-        prop_assert!(a >= percentile(&xs, 0.0).unwrap() - 1e-12);
-        prop_assert!(b <= percentile(&xs, 100.0).unwrap() + 1e-12);
-    }
-
-    /// The mean lies within [min, max] and shifting samples shifts it.
-    #[test]
-    fn mean_shift_equivariant(xs in samples(), shift in -50.0..50.0f64) {
-        let m = mean(&xs).unwrap();
-        let shifted: Vec<f64> = xs.iter().map(|x| x + shift).collect();
-        let ms = mean(&shifted).unwrap();
-        prop_assert!((ms - (m + shift)).abs() < 1e-9);
-        // Standard deviation is shift-invariant.
-        let s = std_dev(&xs).unwrap();
-        let ss = std_dev(&shifted).unwrap();
-        prop_assert!((s - ss).abs() < 1e-9);
-    }
-
     /// ECDF is a proper CDF: 0 before the min, 1 at the max, monotone, and
     /// quantile(eval(x)) ≤ x for sample points.
     #[test]
@@ -53,45 +26,6 @@ proptest! {
             prop_assert!(v >= last - 1e-12);
             last = v;
         }
-    }
-
-    /// The median equals the 50th percentile and the Summary is
-    /// internally consistent.
-    #[test]
-    fn summary_consistent(xs in samples()) {
-        let s = Summary::from_samples(&xs).unwrap();
-        prop_assert_eq!(s.median, median(&xs).unwrap());
-        prop_assert!(s.min <= s.median && s.median <= s.max);
-        prop_assert!(s.median <= s.p90 + 1e-12 && s.p90 <= s.max + 1e-12);
-        prop_assert!(s.mean >= s.min - 1e-12 && s.mean <= s.max + 1e-12);
-        prop_assert_eq!(s.count, xs.len());
-    }
-
-    /// Histogram total equals the number of finite observations.
-    #[test]
-    fn histogram_conserves_count(xs in samples(), bins in 1usize..32) {
-        let mut h = Histogram::new(-100.0, 100.0, bins).unwrap();
-        h.extend(xs.iter().copied());
-        prop_assert_eq!(h.total(), xs.len() as u64);
-        let norm: f64 = h.normalized().iter().sum();
-        prop_assert!((norm - 1.0).abs() < 1e-9);
-    }
-
-    /// Systematic resampling returns monotone indices within range.
-    #[test]
-    fn systematic_resample_monotone(
-        weights in proptest::collection::vec(0.0..1.0f64, 1..32),
-        count in 1usize..64,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(weights.iter().sum::<f64>() > 1e-9);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let idx = systematic_resample(&weights, count, &mut rng).unwrap();
-        prop_assert_eq!(idx.len(), count);
-        for w in idx.windows(2) {
-            prop_assert!(w[0] <= w[1], "systematic indices must be sorted");
-        }
-        prop_assert!(idx.iter().all(|&i| i < weights.len()));
     }
 
     /// Alias sampling only ever returns indices with positive weight.

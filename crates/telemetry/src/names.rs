@@ -17,8 +17,6 @@ pub const SOLVER_RANDOM_SEARCH_SAMPLES: &str = "solver.random_search.samples";
 pub const SOLVER_NM_CONVERGED: &str = "solver.nelder_mead.converged";
 /// Nelder–Mead refinements that exhausted their evaluation budget.
 pub const SOLVER_NM_BUDGET_EXHAUSTED: &str = "solver.nelder_mead.budget_exhausted";
-/// Lattice cells evaluated by the deterministic grid search.
-pub const SOLVER_GRID_CELLS: &str = "solver.grid_search.cells";
 /// Sinks extracted by recursive full-map briefing rounds (§3.C).
 pub const SOLVER_BRIEFING_ROUNDS: &str = "solver.briefing.rounds";
 /// Scoring-cache (Gram) precomputes, one per observation window.
@@ -60,9 +58,6 @@ pub const SMC_WEIGHT_DEGENERATE: &str = "smc.weight.degenerate_fallbacks";
 pub const NETSIM_COLLECTION_TREES: &str = "netsim.collection.trees";
 /// Per-sniffer flux readings taken across all observation windows.
 pub const NETSIM_SNIFFER_OBSERVATIONS: &str = "netsim.sniffer.observations";
-
-/// Trials executed by parameter sweeps.
-pub const SWEEP_TRIALS: &str = "core.sweep.trials";
 
 /// Work items routed through the deterministic worker pool.
 pub const FLUXPAR_TASKS: &str = "fluxpar.tasks";
@@ -146,16 +141,12 @@ pub const HIST_FLUXD_FRAME_LATENCY: &str = "fluxd.frame.latency_ms";
 pub const SPAN_RANDOM_SEARCH: &str = "solver.random_search";
 /// Span: one Nelder–Mead refinement.
 pub const SPAN_NELDER_MEAD: &str = "solver.nelder_mead";
-/// Span: one deterministic grid search.
-pub const SPAN_GRID_SEARCH: &str = "solver.grid_search";
 /// Span: one recursive full-map briefing.
 pub const SPAN_BRIEFING: &str = "solver.briefing";
 /// Span: one SMC tracker observation round.
 pub const SPAN_SMC_STEP: &str = "smc.step";
 /// Span: one simulated observation window (all users' trees).
 pub const SPAN_SIMULATE_FLUX: &str = "netsim.simulate_flux";
-/// Span: one sweep point (all trials at one parameter value).
-pub const SPAN_SWEEP_POINT: &str = "core.sweep_point";
 /// Span: one streaming-engine round ingestion.
 pub const SPAN_ENGINE_INGEST: &str = "engine.ingest";
 /// Span: one grid drain barrier (all shards, all queued rounds).
@@ -168,7 +159,6 @@ pub const COUNTERS: &[&str] = &[
     SOLVER_RANDOM_SEARCH_SAMPLES,
     SOLVER_NM_CONVERGED,
     SOLVER_NM_BUDGET_EXHAUSTED,
-    SOLVER_GRID_CELLS,
     SOLVER_BRIEFING_ROUNDS,
     SOLVER_GRAM_BUILD,
     SOLVER_GRAM_COMBO_EVALS,
@@ -186,7 +176,6 @@ pub const COUNTERS: &[&str] = &[
     SMC_WEIGHT_DEGENERATE,
     NETSIM_COLLECTION_TREES,
     NETSIM_SNIFFER_OBSERVATIONS,
-    SWEEP_TRIALS,
     FLUXPAR_TASKS,
     FLUXPAR_THREADS,
     FLUXPAR_THREADS_ENV_IGNORED,
@@ -230,11 +219,9 @@ pub const HISTOGRAMS: &[&str] = &[
 pub const SPANS: &[&str] = &[
     SPAN_RANDOM_SEARCH,
     SPAN_NELDER_MEAD,
-    SPAN_GRID_SEARCH,
     SPAN_BRIEFING,
     SPAN_SMC_STEP,
     SPAN_SIMULATE_FLUX,
-    SPAN_SWEEP_POINT,
     SPAN_ENGINE_INGEST,
     SPAN_GRID_DRAIN,
 ];

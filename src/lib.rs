@@ -12,12 +12,13 @@
 //! |---|---|---|
 //! | [`geometry`] | `fluxprint-geometry` | points, field boundaries, deployments, spatial index |
 //! | [`linalg`] | `fluxprint-linalg` | dense matrices, QR/LU, NNLS |
-//! | [`stats`] | `fluxprint-stats` | descriptive stats, ECDF, weighted sampling |
+//! | [`stats`] | `fluxprint-stats` | ECDF, alias sampling, distinct-index draws |
 //! | [`netsim`] | `fluxprint-netsim` | the sensor-network simulator: unit-disk topologies, collection trees, flux, sniffers |
 //! | [`mobility`] | `fluxprint-mobility` | trajectories, mobility models, campus-trace generator, schedules |
 //! | [`fluxmodel`] | `fluxprint-fluxmodel` | the analytical flux model (Formulas 3.2–3.4) and its accuracy statistics |
 //! | [`solver`] | `fluxprint-solver` | NLS objective, random search + Nelder–Mead, LM baseline, flux briefing, Hungarian matching |
 //! | [`smc`] | `fluxprint-smc` | the Sequential Monte Carlo tracker (Algorithm 4.1) |
+//! | [`engine`] | `fluxprint-engine` | streaming sessions, compact checkpoints, the sharded grid |
 //! | [`core`] | `fluxprint-core` | scenarios, end-to-end attacks, metrics, countermeasures |
 //!
 //! The most common entry points are re-exported at the top level.
@@ -107,3 +108,9 @@ pub mod engine {
 pub mod core {
     pub use fluxprint_core::*;
 }
+
+// Every Rust block of README.md runs as a doctest of this crate, so the
+// README's examples fail the test suite when the API drifts from them.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

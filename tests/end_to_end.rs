@@ -304,44 +304,6 @@ fn window_averaging_does_not_hurt() {
     );
 }
 
-/// The deterministic grid search localizes on real simulated flux, and
-/// stays within a sane band of the stochastic pipeline.
-#[test]
-fn grid_search_matches_random_search_on_real_flux() {
-    use fluxprint::solver::{grid_search, GridSearchConfig};
-    let mut rng = StdRng::seed_from_u64(41);
-    let truth = Point2::new(11.0, 19.0);
-    let scenario = ScenarioBuilder::new()
-        .user(static_user(truth, 2.0, 5))
-        .build(&mut rng)
-        .unwrap();
-    let flux = scenario.simulate_window(0.0, &mut rng).unwrap();
-    let sniffer = SnifferSpec::Percentage(10.0)
-        .build(&scenario.network, &mut rng)
-        .unwrap();
-    let measured = sniffer.observe_smoothed(&scenario.network, &flux, NoiseModel::None, &mut rng);
-    let objective = fluxprint::solver::FluxObjective::new(
-        scenario.network.boundary_arc(),
-        fluxprint::fluxmodel::FluxModel::default(),
-        sniffer.positions().to_vec(),
-        measured,
-    )
-    .unwrap();
-    // Real (tree-random) flux is a rougher objective than model-generated
-    // data, so give the lattice a finer pitch and a looser bound than the
-    // doctest's clean-data case.
-    let cfg = GridSearchConfig {
-        coarse_cells: 16,
-        refine_levels: 5,
-    };
-    let fit = grid_search(&objective, 1, &cfg).unwrap();
-    assert!(
-        fit.positions[0].distance(truth) < 4.5,
-        "grid search landed at {}",
-        fit.positions[0]
-    );
-}
-
 /// §4.A's smooth-boundary contrast: on a *circular* field the objective is
 /// differentiable and a single-start Levenberg–Marquardt run from a decent
 /// initialization converges — unlike the rectangular case (see

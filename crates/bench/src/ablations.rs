@@ -98,7 +98,6 @@ pub fn run_ablation_filter(spec: RunSpec) -> serde_json::Value {
                 &config,
                 &pool,
                 &mut scratch,
-                false,
             )
             .expect("association runs");
             assoc_time += t0.elapsed().as_secs_f64();

@@ -401,7 +401,6 @@ fn drive_cached_filter() {
         &fluxprint_smc::SmcConfig::default(),
         &pool,
         &mut fluxprint_solver::CacheScratch::new(),
-        false,
     )
     .expect("association runs");
 }

@@ -25,10 +25,12 @@ pub struct SessionConfig {
     /// Time origin: the first ingested round must be strictly later.
     pub start_time: f64,
     /// Warm-started solving: carry per-user hot flags across rounds so
-    /// tracked users search a shrunk candidate set seeded from their
-    /// posterior, with a full-width escape sweep every
-    /// [`WARM_ESCAPE_EVERY`](crate::WARM_ESCAPE_EVERY) rounds. Off by
-    /// default — the cold path is the equivalence oracle.
+    /// tracked users search a shrunk candidate set drawn from their
+    /// posterior (see [`WARM_SHRINK`](fluxprint_smc::WARM_SHRINK)), with
+    /// a full-width escape sweep every
+    /// [`WARM_ESCAPE_EVERY`](crate::WARM_ESCAPE_EVERY) rounds. Every
+    /// NNLS solve stays cold either way. Off by default — the cold path
+    /// is the equivalence oracle.
     pub warm: bool,
 }
 

@@ -218,6 +218,10 @@ struct Shard {
 }
 
 /// The multi-session scheduler. See the [module docs](self).
+///
+/// There is no async runtime and no background thread — worker threads
+/// exist only inside [`drain`](Grid::drain) — so the grid value callers
+/// hold *is* the scheduler.
 #[derive(Debug)]
 pub struct Grid {
     engine: Engine,
@@ -229,11 +233,6 @@ pub struct Grid {
     rounds_ingested: u64,
 }
 
-/// The handle callers drive a grid through. There is no async runtime
-/// and no background thread — worker threads exist only inside
-/// [`drain`](Grid::drain) — so the handle *is* the scheduler.
-pub type GridHandle = Grid;
-
 impl Grid {
     /// Opens an empty grid over `engine`'s scenario knowledge: `shards`
     /// pool slices carved out of the configured thread budget, no
@@ -243,7 +242,7 @@ impl Grid {
     ///
     /// Returns [`EngineError::BadConfig`] for a zero shard count or
     /// queue capacity.
-    pub fn open(engine: Engine, config: &GridConfig) -> Result<GridHandle, EngineError> {
+    pub fn open(engine: Engine, config: &GridConfig) -> Result<Grid, EngineError> {
         config.validate()?;
         let budget = if config.threads == 0 {
             fluxprint_fluxpar::pool().threads()
@@ -619,7 +618,7 @@ impl Grid {
         engine: Engine,
         config: &GridConfig,
         checkpoint: &GridCheckpoint,
-    ) -> Result<GridHandle, EngineError> {
+    ) -> Result<Grid, EngineError> {
         check_version(checkpoint.version)?;
         let mut grid = Grid::open(engine, config)?;
         for entry in &checkpoint.sessions {
@@ -646,7 +645,7 @@ impl Grid {
         engine: Engine,
         config: &GridConfig,
         json: &str,
-    ) -> Result<GridHandle, EngineError> {
+    ) -> Result<Grid, EngineError> {
         Grid::restore(engine, config, &checkpoint::from_json(json)?)
     }
 

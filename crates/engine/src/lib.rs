@@ -95,10 +95,8 @@ mod session;
 pub use checkpoint::{CompactCheckpoint, CHECKPOINT_VERSION};
 pub use engine::{Engine, SessionConfig};
 pub use error::EngineError;
-pub use grid::{
-    Grid, GridCheckpoint, GridConfig, GridHandle, GridSessionCheckpoint, SessionId, Submit,
-};
-pub use session::{Session, UserState, WarmState, WARM_ESCAPE_EVERY, WARM_SHRINK};
+pub use grid::{Grid, GridCheckpoint, GridConfig, GridSessionCheckpoint, SessionId, Submit};
+pub use session::{Session, UserState, WarmState, WARM_ESCAPE_EVERY};
 
 // Re-exported so engine users can name round inputs and step outputs
 // without depending on the producer crates directly.

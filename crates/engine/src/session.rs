@@ -10,17 +10,12 @@ use fluxprint_fluxmodel::FluxModel;
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::{Boundary, Point2};
 use fluxprint_netsim::ObservationRound;
-use fluxprint_smc::{SmcError, StepOutcome, Tracker, WarmDirective};
+use fluxprint_smc::{SmcError, StepOutcome, Tracker};
 use fluxprint_solver::{CacheScratch, FluxObjective};
 use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::checkpoint::encode_rng;
 use crate::{CompactCheckpoint, EngineError, CHECKPOINT_VERSION};
-
-/// Candidate-budget divisor for hot users on warm rounds: a hot user
-/// searches `n_predictions / WARM_SHRINK` candidates (posterior samples
-/// first, fresh motion-disc draws after) instead of the full budget.
-pub const WARM_SHRINK: usize = 4;
 
 /// A warm session runs one full-width escape sweep (an exactly-cold
 /// round: full candidate budget, exploration candidates, cold solves)
@@ -241,7 +236,7 @@ impl Session {
             .template
             .as_ref()
             .ok_or(EngineError::BadConfig { field: "template" })?;
-        // A warm session's directive exists only when the bounded search
+        // A warm session passes its hot flags only when the bounded search
         // has something to bound: off-cadence, with at least one hot
         // participating user. Cold sessions, escape sweeps and hotless
         // rounds pass `None`, which the tracker runs exactly cold.
@@ -249,29 +244,25 @@ impl Session {
             .warm
             .as_ref()
             .is_some_and(|warm| warm.rounds_since_escape + 1 >= WARM_ESCAPE_EVERY);
-        let directive = self
+        let hot = self
             .warm
             .as_ref()
-            .filter(|warm| {
+            .map(|warm| warm.hot.as_slice())
+            .filter(|flags| {
                 !escape
-                    && warm
-                        .hot
+                    && flags
                         .iter()
                         .zip(&mask)
                         .any(|(&hot, &participates)| hot && participates)
-            })
-            .map(|warm| WarmDirective {
-                hot: &warm.hot,
-                shrink: WARM_SHRINK,
             });
         if escape {
             telemetry::counter(names::ENGINE_WARM_ESCAPES, 1);
-        } else if directive.is_some() {
+        } else if hot.is_some() {
             telemetry::counter(names::ENGINE_WARM_ROUNDS, 1);
         }
         let out = self
             .tracker
-            .step_gated_in(round.time, objective, &mask, directive, rng, pool, scratch)?;
+            .step_gated_in(round.time, objective, &mask, hot, rng, pool, scratch)?;
         if let Some(warm) = &mut self.warm {
             warm.rounds_since_escape = if escape {
                 0

@@ -1,17 +1,34 @@
-//! Warm-started solving at the session and grid level: thread-count
-//! invariance, checkpoint round-trips mid-heat, and churn invalidation.
+//! Warm-started solving at the session and grid level: a golden
+//! two-user run, thread-count invariance, checkpoint round-trips
+//! mid-heat, and churn invalidation.
+//!
+//! To re-bless the golden warm session after an *intentional* numeric
+//! change:
+//!
+//! ```text
+//! GOLDEN_BLESS=1 cargo test -p fluxprint-engine --test warm warm_session_matches_golden_fixture
+//! ```
+//!
+//! and commit the updated fixture together with the change that
+//! explains it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde_json::{json, Value};
 
 use fluxprint_engine::{
     Engine, Grid, GridConfig, SessionConfig, StepOutcome, Submit, WarmState, CHECKPOINT_VERSION,
     WARM_ESCAPE_EVERY,
 };
 use fluxprint_fluxmodel::FluxModel;
-use fluxprint_geometry::Point2;
+use fluxprint_geometry::{Point2, Vec2};
 use fluxprint_netsim::{Network, NetworkBuilder, NoiseModel, ObservationRound, Sniffer};
 use fluxprint_smc::SmcConfig;
+
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/warm_session_reference.json"
+);
 
 fn network(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -36,18 +53,32 @@ fn config(users: usize, warm: bool) -> SessionConfig {
     }
 }
 
-/// Simulated rounds from a fixed sniffer over a user walking east.
-fn rounds(net: &Network, n: usize, seed: u64) -> Vec<ObservationRound> {
+/// Simulated rounds from a fixed sniffer over users walking straight
+/// lines: user `j` is at `start + t·velocity` of `walkers[j]` at time `t`.
+fn walk(net: &Network, n: usize, seed: u64, walkers: &[(Point2, Vec2)]) -> Vec<ObservationRound> {
     let mut rng = StdRng::seed_from_u64(seed);
     let sniffer = Sniffer::random_count(net, 40, &mut rng).unwrap();
     (1..=n)
         .map(|i| {
             let t = i as f64;
-            let user = (Point2::new(8.0 + 1.2 * t, 15.0), 2.0);
-            let flux = net.simulate_flux(&[user], &mut rng).unwrap();
+            let users: Vec<(Point2, f64)> = walkers
+                .iter()
+                .map(|&(start, velocity)| (start + velocity * t, 2.0))
+                .collect();
+            let flux = net.simulate_flux(&users, &mut rng).unwrap();
             sniffer.observe_round_smoothed(t, net, &flux, NoiseModel::None, &mut rng)
         })
         .collect()
+}
+
+/// Simulated rounds from a fixed sniffer over a user walking east.
+fn rounds(net: &Network, n: usize, seed: u64) -> Vec<ObservationRound> {
+    walk(
+        net,
+        n,
+        seed,
+        &[(Point2::new(8.0, 15.0), Vec2::new(1.2, 0.0))],
+    )
 }
 
 fn assert_outcomes_bit_identical(a: &StepOutcome, b: &StepOutcome) {
@@ -242,4 +273,71 @@ fn churn_invalidates_warm_state() {
     // The invalidation happened before the round ran; the round itself
     // re-earned heat for whoever matched, but the cadence restarted.
     assert_eq!(session.warm().unwrap().rounds_since_escape, 1);
+}
+
+/// One round's outcome as fixture JSON. `serde_json` writes the shortest
+/// representation that reads back to the same `f64`, so an exact string
+/// match is a bit-for-bit match.
+fn outcome_json(out: &StepOutcome) -> Value {
+    json!({
+        "time": out.time,
+        "estimates": out.estimates.iter().map(|p| [p.x, p.y]).collect::<Vec<_>>(),
+        "active": out.active,
+        "stretches": out.stretches,
+        "residual": out.residual,
+    })
+}
+
+/// Pins a warm two-user session, round by round, against a committed
+/// fixture: 24 rounds cover three escape sweeps (rounds 8, 16 and 24)
+/// and the 20 bounded warm rounds between them (round 1 has no hot user
+/// yet). The comparison is an exact
+/// string match, so any drift in warm candidate generation, screening,
+/// the inner NNLS or the escape cadence fails loudly.
+#[test]
+fn warm_session_matches_golden_fixture() {
+    let net = network(61);
+    let trace = walk(
+        &net,
+        24,
+        62,
+        &[
+            (Point2::new(4.0, 9.0), Vec2::new(0.9, 0.0)),
+            (Point2::new(26.0, 21.0), Vec2::new(-0.9, 0.0)),
+        ],
+    );
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let mut session = engine.open_session(&config(2, true), 63).unwrap();
+    let mut escapes = 0;
+    let mut warm_rounds = 0;
+    let mut outcomes = Vec::with_capacity(trace.len());
+    for round in &trace {
+        // The round is warm iff it is off-cadence with a hot user.
+        let before = session.warm().unwrap().clone();
+        let out = session.ingest(round).unwrap();
+        let after = session.warm().unwrap();
+        if after.rounds_since_escape == 0 {
+            escapes += 1;
+        } else if before.hot.iter().any(|&h| h) {
+            warm_rounds += 1;
+        }
+        outcomes.push(outcome_json(&out));
+    }
+    assert_eq!((escapes, warm_rounds), (3, 20));
+    let got = format!(
+        "{}\n",
+        serde_json::to_string_pretty(&outcomes).expect("outcomes serialize")
+    );
+
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        std::fs::write(FIXTURE, &got).expect("write fixture");
+        return;
+    }
+    let want =
+        std::fs::read_to_string(FIXTURE).expect("fixture exists — bless with GOLDEN_BLESS=1");
+    assert_eq!(
+        got, want,
+        "warm session drifted from the golden fixture; if the change is \
+         intentional, re-bless with GOLDEN_BLESS=1 and commit the new fixture"
+    );
 }

@@ -14,10 +14,9 @@
 //! * [`nnls_gram_into`] takes the precomputed normal equations
 //!   `(AᵀA, Aᵀb)` and never touches the observation dimension `m` again —
 //!   the entry the solver's scoring cache uses to make combination
-//!   evaluation independent of the sniffer count. Unseeded, it runs the
-//!   same active-set iterations as [`nnls`] and returns the same
-//!   coefficient vector; an optional seed support lets a warm caller
-//!   skip the iterations when last round's support still satisfies KKT.
+//!   evaluation independent of the sniffer count. It runs the same
+//!   active-set iterations as [`nnls`] and returns the same coefficient
+//!   vector.
 
 use crate::{LinalgError, Matrix};
 
@@ -123,34 +122,21 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Result<NnlsSolution, LinalgError> {
 /// (symmetric `n × n`) and `atb = Aᵀb` on the caller's scratch, leaving
 /// the coefficients in [`NnlsScratch::solution`]. It never touches the
 /// observation dimension `m`, and the caller computes whichever residual
-/// representation it needs. Returns `(outer iterations, warm_hit)`.
+/// representation it needs. Returns the outer iteration count.
 ///
-/// With `seed == None` this runs the same active-set iterations as
-/// [`nnls`] on the same normal equations, so the coefficients are
-/// bit-identical to it; `warm_hit` is `false`.
-///
-/// With `seed == Some(support)` (`support[i] == true` ⇒ column `i` is
-/// expected in the optimal passive set, typically the previous solve's
-/// support on a nearby problem), the seeded passive set is solved once
-/// and accepted only if it is strictly feasible **and** satisfies the
-/// full KKT conditions (every zero-bound gradient within tolerance). An
-/// accepted seed is a *warm hit* and reports 0 iterations; otherwise the
-/// solve reruns cold and returns exactly what `None` would. An accepted
-/// seed whose passive set matches the cold path's final one is
-/// bit-identical to it.
+/// This runs the same active-set iterations as [`nnls`] on the same
+/// normal equations, so the coefficients are bit-identical to it.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::NotSquare`] for a non-square `gram`,
-/// [`LinalgError::ShapeMismatch`] when `atb.len() != gram.rows()` or
-/// `support.len() != gram.rows()`, and [`LinalgError::NoConvergence`] as
-/// for [`nnls`].
+/// [`LinalgError::ShapeMismatch`] when `atb.len() != gram.rows()`, and
+/// [`LinalgError::NoConvergence`] as for [`nnls`].
 pub fn nnls_gram_into(
     gram: &Matrix,
     atb: &[f64],
-    seed: Option<&[bool]>,
     scratch: &mut NnlsScratch,
-) -> Result<(usize, bool), LinalgError> {
+) -> Result<usize, LinalgError> {
     let (rows, cols) = gram.shape();
     if rows != cols {
         return Err(LinalgError::NotSquare {
@@ -164,78 +150,8 @@ pub fn nnls_gram_into(
             op: "nnls_gram",
         });
     }
-    match seed {
-        None => active_set(gram, atb, scratch).map(|iters| (iters, false)),
-        Some(support) if support.len() != rows => Err(LinalgError::ShapeMismatch {
-            left: (rows, cols),
-            right: (support.len(), 1),
-            op: "nnls_gram seed",
-        }),
-        Some(support) => active_set_warm(gram, atb, scratch, support),
-    }
+    active_set(gram, atb, scratch)
 }
-
-// fluxlint: region(hot-path) — warm-started solve entry: runs once per
-// combination evaluation in warm mode, so the seeded attempt must reuse
-// the caller's scratch and allocate nothing on the accept path.
-
-/// Warm-started active-set core: solve the seeded passive set once,
-/// accept on strict feasibility + full KKT, otherwise fall back to the
-/// cold loop. Returns `(outer iterations, warm_hit)`.
-///
-/// On a warm hit the solution is the unique minimizer over the seeded
-/// passive set, which is exactly what the cold loop computes when it
-/// terminates with the same passive set — the two are bit-identical in
-/// that (nondegenerate) case because [`solve_passive`] is a pure
-/// function of `(gram, atb, idx)`. Degenerate problems (duplicate
-/// columns) may satisfy KKT at several vertices, so cross-path
-/// bit-identity is only guaranteed via the fallback.
-fn active_set_warm(
-    gram: &Matrix,
-    atb: &[f64],
-    scratch: &mut NnlsScratch,
-    support: &[bool],
-) -> Result<(usize, bool), LinalgError> {
-    let n = atb.len();
-    if n == 0 || support.iter().all(|&s| !s) {
-        // Nothing to seed: the cold loop starts from the empty set anyway.
-        return active_set(gram, atb, scratch).map(|iters| (iters, false));
-    }
-    scratch.x.clear();
-    scratch.x.resize(n, 0.0);
-    scratch.passive.clear();
-    scratch.passive.extend_from_slice(support);
-    scratch.gx.resize(n, 0.0);
-    scratch.w.resize(n, 0.0);
-    let tol = 1e-10 * gram.max_abs().max(1.0);
-    scratch.idx.clear();
-    scratch.idx.extend((0..n).filter(|&i| scratch.passive[i]));
-    solve_passive(gram, atb, scratch)?;
-    if scratch.z.iter().all(|&v| v > tol.min(1e-12)) {
-        for slot in 0..scratch.idx.len() {
-            scratch.x[scratch.idx[slot]] = scratch.z[slot];
-        }
-        // KKT at the seeded vertex: every zero-bound coordinate's
-        // negative gradient w = Aᵀb − G·x must be within tolerance,
-        // or the true support moved and the seed is stale.
-        gram.matvec_into(&scratch.x, &mut scratch.gx)?;
-        let mut optimal = true;
-        for i in 0..n {
-            scratch.w[i] = atb[i] - scratch.gx[i];
-            if !scratch.passive[i] && scratch.w[i] > tol {
-                optimal = false;
-            }
-        }
-        if optimal {
-            return Ok((0, true));
-        }
-    }
-    // Stale or infeasible seed: rerun from scratch — `active_set` resets
-    // all state, so this is bit-identical to a cold call.
-    active_set(gram, atb, scratch).map(|iters| (iters, false))
-}
-
-// fluxlint: endregion(hot-path)
 
 /// The Lawson–Hanson active-set core on the normal equations. Leaves the
 /// solution in `scratch.x` and returns the outer iteration count.
@@ -531,7 +447,7 @@ mod tests {
 
     #[test]
     fn gram_entry_matches_dense_on_random_problems() {
-        // The unseeded Gram entry on (AᵀA, Aᵀb) runs the same active-set
+        // The Gram entry on (AᵀA, Aᵀb) runs the same active-set
         // iterations as dense nnls on the same normal equations, so the
         // coefficient vectors are bit-identical.
         let mut rng = StdRng::seed_from_u64(77);
@@ -540,10 +456,9 @@ mod tests {
             let (a, b) = well_conditioned(&mut rng, 60, 6);
             let dense = nnls(&a, &b).unwrap();
             let (gram, atb) = normal_equations(&a, &b);
-            let (iterations, hit) = nnls_gram_into(&gram, &atb, None, &mut scratch).unwrap();
+            let iterations = nnls_gram_into(&gram, &atb, &mut scratch).unwrap();
             assert_eq!(scratch.solution(), dense.x.as_slice(), "trial {trial}");
             assert_eq!(iterations, dense.iterations);
-            assert!(!hit);
         }
     }
 
@@ -551,16 +466,11 @@ mod tests {
     fn gram_entry_validates_shapes() {
         let mut scratch = NnlsScratch::new();
         assert!(matches!(
-            nnls_gram_into(&Matrix::zeros(2, 3), &[1.0, 2.0], None, &mut scratch),
+            nnls_gram_into(&Matrix::zeros(2, 3), &[1.0, 2.0], &mut scratch),
             Err(LinalgError::NotSquare { .. })
         ));
-        let gram = Matrix::identity(2);
         assert!(matches!(
-            nnls_gram_into(&gram, &[1.0], None, &mut scratch),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            nnls_gram_into(&gram, &[1.0, 1.0], Some(&[true, false, true]), &mut scratch),
+            nnls_gram_into(&Matrix::identity(2), &[1.0], &mut scratch),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }
@@ -576,63 +486,13 @@ mod tests {
         let b2 = [4.0, 2.0];
         for _ in 0..3 {
             let (g1, atb1) = normal_equations(&a1, &b1);
-            nnls_gram_into(&g1, &atb1, None, &mut scratch).unwrap();
+            nnls_gram_into(&g1, &atb1, &mut scratch).unwrap();
             let expected = nnls(&a1, &b1).unwrap();
             assert_eq!(scratch.solution(), expected.x.as_slice());
             let (g2, atb2) = normal_equations(&a2, &b2);
-            nnls_gram_into(&g2, &atb2, Some(&[true]), &mut scratch).unwrap();
+            nnls_gram_into(&g2, &atb2, &mut scratch).unwrap();
             let expected = nnls(&a2, &b2).unwrap();
             assert_eq!(scratch.solution(), expected.x.as_slice());
-        }
-    }
-
-    #[test]
-    fn seed_with_correct_support_is_bit_identical_and_iteration_free() {
-        // Well-conditioned random problems: solve cold, then re-solve
-        // seeded with the cold support. The seed must be accepted
-        // (0 iterations) and the coefficients bit-identical — the warm
-        // accept path runs the same passive solve the cold loop ended on.
-        let mut rng = StdRng::seed_from_u64(81);
-        let mut scratch = NnlsScratch::new();
-        let mut hits = 0usize;
-        for trial in 0..40 {
-            let (a, b) = well_conditioned(&mut rng, 60, 6);
-            let cold = nnls(&a, &b).unwrap();
-            let support: Vec<bool> = cold.x.iter().map(|&v| v > 0.0).collect();
-            let (gram, atb) = normal_equations(&a, &b);
-            let (iterations, hit) =
-                nnls_gram_into(&gram, &atb, Some(&support), &mut scratch).unwrap();
-            assert_eq!(scratch.solution(), cold.x.as_slice(), "trial {trial}");
-            if hit {
-                hits += 1;
-                assert_eq!(iterations, 0, "trial {trial}");
-            }
-        }
-        // The optimal support must be accepted on essentially every
-        // nondegenerate problem; demand a strong majority.
-        assert!(hits >= 35, "only {hits}/40 warm hits");
-    }
-
-    #[test]
-    fn rejected_seed_reproduces_the_cold_solve() {
-        let identity = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let tall = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let cases: [(&Matrix, &[f64], [bool; 2]); 3] = [
-            // The clamped variable seeded passive: infeasible.
-            (&identity, &[1.0, -0.5], [true, true]),
-            // The true positive variable left out: KKT-stale.
-            (&identity, &[2.0, 3.0], [true, false]),
-            // Nothing seeded: the cold loop starts from the empty set.
-            (&tall, &[1.0, 2.0, 3.0], [false, false]),
-        ];
-        let mut scratch = NnlsScratch::new();
-        for (a, b, seed) in cases {
-            let cold = nnls(a, b).unwrap();
-            let (gram, atb) = normal_equations(a, b);
-            let (iterations, hit) = nnls_gram_into(&gram, &atb, Some(&seed), &mut scratch).unwrap();
-            assert!(!hit, "seed {seed:?}");
-            assert_eq!(scratch.solution(), cold.x.as_slice());
-            assert_eq!(iterations, cold.iterations);
         }
     }
 }

@@ -30,14 +30,13 @@
 //! `conditioned_eval_is_bit_identical_to_column_path` test); the rest
 //! read `+∞` and provably cannot make it
 //! (`screened_scans_rank_like_exhaustive_ones` below). The joint fit of
-//! the selected sources comes from the same cache as one cold exact
+//! the selected sources comes from the same cache as one exact
 //! evaluation ([`ScoringCache::joint_fit`]), bit-identical to the dense
 //! [`FluxObjective::evaluate`] on their positions. Selection order,
 //! tie-breaks and every returned float are identical at any thread count
 //! (`association_is_identical_across_thread_counts` below). [`associate`]
-//! is the one entry point; its `seeded` flag only chooses how the
-//! cache's inner solves start (see [`FluxObjective::scoring_cache`]),
-//! never which scans run.
+//! is the one entry point, and every exact evaluation it runs is the cold
+//! NNLS solve, in warm rounds too.
 
 use std::ops::Range;
 
@@ -89,19 +88,13 @@ struct Bid {
 ///
 /// The scoring cache is built into `scratch`'s recycled buffers and
 /// handed back to it before returning, so a worker associating round
-/// after round stops allocating for the build after its first. With
-/// `seeded` every scan seeds the inner NNLS from the full support (the
-/// warm path). Seeding is bit-transparent on non-degenerate fits — this
-/// returns exactly what the cold call would — but the warm solve's KKT
-/// fallback is the only *guaranteed* equivalence, so the engine keeps
-/// the cold call as its oracle.
+/// after round stops allocating for the build after its first.
 ///
 /// # Errors
 ///
 /// Returns [`SmcError::ZeroUsers`] for empty candidate sets and
 /// [`SmcError::BadConfig`] when `explore_from` does not have one entry
 /// per user; solver failures propagate.
-#[allow(clippy::too_many_arguments)]
 pub fn associate(
     objective: &FluxObjective,
     candidates: &[Vec<Point2>],
@@ -109,7 +102,6 @@ pub fn associate(
     config: &SmcConfig,
     pool: &Pool,
     scratch: &mut CacheScratch,
-    seeded: bool,
 ) -> Result<Association, SmcError> {
     if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
         return Err(SmcError::ZeroUsers);
@@ -122,7 +114,7 @@ pub fn associate(
     }
 
     // Basis columns, projections, and norms once per candidate.
-    let cache = objective.scoring_cache(candidates, pool, seeded, scratch);
+    let cache = objective.scoring_cache(candidates, pool, scratch);
 
     let mut selected: Vec<usize> = Vec::new();
     let mut chosen: Vec<Option<usize>> = vec![None; k];
@@ -309,7 +301,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
-    /// A cold association on `pool` with the default configuration.
+    /// An association on `pool` with the default configuration.
     fn associate_on(
         pool: &Pool,
         objective: &FluxObjective,
@@ -325,7 +317,6 @@ mod tests {
             &config,
             pool,
             &mut scratch,
-            false,
         )
     }
 
@@ -543,19 +534,18 @@ mod tests {
         /// `evaluate_conditioned`: the same argmin per bid class, the
         /// same first `keep` candidates in the tracker's order with the
         /// same bits, `+∞` only where the exhaustive scan would not
-        /// rank, and the same bits at 1, 2 and 8 threads, on cold and
-        /// seeded caches and with exact ties from duplicate candidates.
+        /// rank, and the same bits at 1, 2 and 8 threads, with exact ties
+        /// from duplicate candidates.
         #[test]
         fn screened_scans_rank_like_exhaustive_ones(
             seed in 0u64..u64::MAX,
             users in 1usize..=3,
             noise in 0usize..2,
             keep in 1usize..=12,
-            seeded in 0usize..2,
         ) {
             let (obj, cands) = screening_instance(seed, users, [0.0, 0.05][noise]);
             let mut build = CacheScratch::new();
-            let cache = obj.scoring_cache(&cands, &Pool::with_threads(1), seeded == 1, &mut build);
+            let cache = obj.scoring_cache(&cands, &Pool::with_threads(1), &mut build);
             let mut scratch = CacheScratch::new();
             let size = cands[0].len();
             let split = size - 8;
@@ -602,36 +592,23 @@ mod tests {
     }
 
     /// The joint fit `associate` returns is the dense evaluation of the
-    /// selected sources in selection order, bit for bit, on cold and
-    /// seeded caches.
+    /// selected sources in selection order, bit for bit.
     #[test]
     fn joint_fit_is_the_dense_evaluation_of_the_selection() {
         let (obj, candidates, explore_from) = large_instance();
-        for seeded in [false, true] {
-            let mut scratch = CacheScratch::new();
-            let a = associate(
-                &obj,
-                &candidates,
-                &explore_from,
-                &SmcConfig::default(),
-                &Pool::with_threads(2),
-                &mut scratch,
-                seeded,
-            )
-            .unwrap();
-            assert_eq!(a.selected.len(), 3, "seeded={seeded}");
-            let positions: Vec<Point2> = a
-                .selected
-                .iter()
-                .map(|&i| candidates[i][a.chosen[i].unwrap()])
-                .collect();
-            let want = obj.evaluate(&positions).unwrap();
-            let fit = a.fit.unwrap();
-            assert_eq!(fit.positions, positions);
-            assert_eq!(fit.residual.to_bits(), want.residual.to_bits());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fit.stretches), bits(&want.stretches));
-        }
+        let a = associate_on(&Pool::with_threads(2), &obj, &candidates, &explore_from).unwrap();
+        assert_eq!(a.selected.len(), 3);
+        let positions: Vec<Point2> = a
+            .selected
+            .iter()
+            .map(|&i| candidates[i][a.chosen[i].unwrap()])
+            .collect();
+        let want = obj.evaluate(&positions).unwrap();
+        let fit = a.fit.unwrap();
+        assert_eq!(fit.positions, positions);
+        assert_eq!(fit.residual.to_bits(), want.residual.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fit.stretches), bits(&want.stretches));
     }
 
     #[test]

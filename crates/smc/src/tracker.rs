@@ -16,26 +16,11 @@ use crate::{
     UserTrackState, WeightedSample,
 };
 
-/// Engine-owned policy for one warm round: which users get the bounded
-/// fast path and how hard their candidate budget shrinks.
-///
-/// A hot user carries its posterior instead of re-searching: its kept
-/// samples enter the candidate set verbatim (so "stay put" is always a
-/// hypothesis), topped up to `n_predictions / shrink` fresh draws from
-/// the `v_max·Δt` motion disc, with **no** exploration candidates — the
-/// caller's periodic escape sweep (a fully cold round) is what recovers
-/// a user the bounded search loses. Cold users in the same round keep
-/// the full cold candidate recipe.
-#[derive(Debug, Clone, Copy)]
-pub struct WarmDirective<'a> {
-    /// Per-user flags (indexed by user id, length `k`): `true` selects
-    /// the bounded fast path. Users that have never matched an
-    /// observation are searched cold regardless.
-    pub hot: &'a [bool],
-    /// Candidate-budget divisor for hot users (≥ 1); the budget never
-    /// shrinks below the kept-sample count.
-    pub shrink: usize,
-}
+/// Candidate-budget divisor for hot users on warm rounds: a hot user
+/// searches `n_predictions / WARM_SHRINK` candidates (posterior samples
+/// first, fresh motion-disc draws after) instead of the full budget, and
+/// never fewer than its kept samples.
+pub const WARM_SHRINK: usize = 4;
 
 /// Per-round tracker output.
 #[derive(Debug, Clone)]
@@ -272,21 +257,27 @@ impl Tracker {
         )
     }
 
-    /// [`step`](Tracker::step) with a participation mask, an optional
-    /// warm directive, an explicit pool, and a caller-owned
-    /// [`CacheScratch`].
+    /// [`step`](Tracker::step) with a participation mask, optional warm
+    /// hot flags, an explicit pool, and a caller-owned [`CacheScratch`].
     ///
     /// Only users with `participating[i] == true` predict, bid, and
     /// update; the rest get the paper's Null update unconditionally
     /// (frozen samples, growing `Δt`) — the mechanism behind
     /// session-level suspend/leave lifecycle states. With an all-`true`
-    /// mask and no directive this is bit-identical to `step`.
+    /// mask and no hot flags this is bit-identical to `step`.
     ///
-    /// A [`WarmDirective`] gives its hot users a bounded,
-    /// posterior-seeded candidate set and seeds every inner solve from
-    /// the full support. With `directive == None` the round is exactly
-    /// cold — the engine passes `None` on escape rounds and whenever no
-    /// user is hot.
+    /// `hot` (indexed by user id) picks the users of a warm round. A hot
+    /// user carries its posterior instead of re-searching: its kept
+    /// samples enter the candidate set verbatim (so "stay put" is always
+    /// a hypothesis), topped up to `n_predictions / WARM_SHRINK` (see
+    /// [`WARM_SHRINK`]) fresh draws from the `v_max·Δt` motion disc, with
+    /// **no** exploration candidates — the caller's periodic escape sweep
+    /// (a fully cold round) is what recovers a user the bounded search
+    /// loses. Users that are not hot, or have never matched an
+    /// observation, keep the full cold candidate recipe. Every inner solve
+    /// is cold either way. With `hot == None` the round is exactly cold —
+    /// the engine passes `None` on escape rounds and whenever no user is
+    /// hot.
     ///
     /// The scratch is reused across sequential dispatches, so a grid
     /// shard worker stepping many rounds on a one-thread pool slice
@@ -296,15 +287,15 @@ impl Tracker {
     /// # Errors
     ///
     /// As [`step`](Tracker::step); additionally [`SmcError::BadConfig`]
-    /// when the mask or the directive's `hot` flags differ in length from
-    /// the user count, or the directive's `shrink` is zero.
+    /// when the mask or the `hot` flags differ in length from the user
+    /// count.
     #[allow(clippy::too_many_arguments)]
     pub fn step_gated_in<R: Rng + ?Sized>(
         &mut self,
         t: f64,
         objective: &FluxObjective,
         participating: &[bool],
-        directive: Option<WarmDirective<'_>>,
+        hot: Option<&[bool]>,
         rng: &mut R,
         pool: &Pool,
         scratch: &mut CacheScratch,
@@ -314,10 +305,8 @@ impl Tracker {
                 field: "participating",
             });
         }
-        if let Some(d) = &directive {
-            if d.hot.len() != self.users.len() || d.shrink == 0 {
-                return Err(SmcError::BadConfig { field: "warm" });
-            }
+        if hot.is_some_and(|hot| hot.len() != self.users.len()) {
+            return Err(SmcError::BadConfig { field: "warm" });
         }
         if t.is_nan() || t <= self.last_step_time {
             return Err(SmcError::TimeNotAdvancing {
@@ -372,21 +361,16 @@ impl Tracker {
             let user = &self.users[ui];
             let mut cands = Vec::with_capacity(n);
             let mut weights = Vec::with_capacity(n);
-            // `Some(shrink)` iff this user takes the warm fast path.
-            let hot_shrink = directive
-                .as_ref()
-                .filter(|d| d.hot[ui] && user.initialized)
-                .map(|d| d.shrink);
             // fluxlint: region(hot-path) — warm candidate generation: runs
             // once per hot user per round; draws must stay deterministic
             // given the RNG stream and allocation-light.
-            if let Some(shrink) = hot_shrink {
+            if user.initialized && hot.is_some_and(|hot| hot[ui]) {
                 // Warm fast path: carry the posterior. Kept samples are
                 // candidates verbatim ("stay put" is always in the
                 // hypothesis set), topped up with fresh motion-disc draws
                 // to a shrunk budget; no exploration — the escape sweep
                 // owns recovery.
-                let n_warm = (n / shrink).max(user.samples.len()).max(1);
+                let n_warm = (n / WARM_SHRINK).max(user.samples.len()).max(1);
                 let radius = self.config.vmax * (t - user.t_last);
                 for s in &user.samples {
                     cands.push(s.position);
@@ -508,7 +492,6 @@ impl Tracker {
             &self.config,
             pool,
             scratch,
-            directive.is_some(),
         )?;
 
         let mut active = vec![false; k];

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::{Point2, Rect};
-use fluxprint_smc::{SmcConfig, SmcError, Tracker, WarmDirective};
+use fluxprint_smc::{SmcConfig, SmcError, Tracker, WARM_SHRINK};
 use fluxprint_solver::{CacheScratch, FluxObjective};
 use fluxprint_telemetry::names;
 use rand::rngs::StdRng;
@@ -60,18 +60,16 @@ fn warm_round_bounds_search_and_keeps_tracking() {
             )
             .unwrap();
     }
-    // Warm rounds: candidate budget shrinks to n/4 and the kept samples
-    // lead the candidate list, yet tracking holds.
+    // Warm rounds: candidate budget shrinks to n / WARM_SHRINK and the
+    // kept samples lead the candidate list, yet tracking holds.
     let before = fluxprint_telemetry::snapshot().counter(names::SMC_SAMPLES_PREDICTED);
-    let hot = [true];
-    let directive = |shrink| WarmDirective { hot: &hot, shrink };
     let mut out = None;
     for round in 3..=5 {
         let step = tracker.step_gated_in(
             round as f64,
             &obs,
             &[true],
-            Some(directive(4)),
+            Some(&[true]),
             &mut rng,
             &pool,
             &mut scratch,
@@ -81,22 +79,24 @@ fn warm_round_bounds_search_and_keeps_tracking() {
     let after = fluxprint_telemetry::snapshot().counter(names::SMC_SAMPLES_PREDICTED);
     assert_eq!(
         after - before,
-        3 * (300 / 4),
+        3 * (300 / WARM_SHRINK) as u64,
         "warm rounds draw the shrunk budget"
     );
     let out = out.unwrap();
     assert!(out.active[0]);
     assert!(out.estimates[0].distance(truth) < 2.0);
 
-    // Directive validation: wrong hot length and zero shrink.
-    let too_long = WarmDirective {
-        hot: &[true, false],
-        shrink: 4,
-    };
-    for bad in [too_long, directive(0)] {
-        assert!(matches!(
-            tracker.step_gated_in(6.0, &obs, &[true], Some(bad), &mut rng, &pool, &mut scratch),
-            Err(SmcError::BadConfig { field: "warm" })
-        ));
-    }
+    // Hot flags of the wrong length are refused.
+    assert!(matches!(
+        tracker.step_gated_in(
+            6.0,
+            &obs,
+            &[true],
+            Some(&[true, false]),
+            &mut rng,
+            &pool,
+            &mut scratch
+        ),
+        Err(SmcError::BadConfig { field: "warm" })
+    ));
 }

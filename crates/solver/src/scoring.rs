@@ -39,7 +39,7 @@
 //! prediction `F̂` is built one whole column at a time, which gives every
 //! row the same sequence of adds as the dense row-by-row product.
 //! [`ScoringCache::joint_fit`] serves the tracker's joint fit of its
-//! selected sources the same way, as one cold exact evaluation,
+//! selected sources the same way, as one exact evaluation,
 //! bit-identical to [`FluxObjective::evaluate`] on their positions.
 //!
 //! # Certified screening
@@ -74,10 +74,8 @@
 //! chains of dependent adds overlap. The buffers come out of the caller's
 //! [`CacheScratch`] and go back with [`ScoringCache::recycle`], so a
 //! worker that builds a cache every round stops allocating after its
-//! first. Its `seeded` flag fixes the cache's inner solves to a
-//! full-support seed (the warm path); a rejected seed falls back to the
-//! cold solve, so the choice is made once, at build time, not per
-//! evaluation.
+//! first. Every inner solve is the cold active-set solve, in warm
+//! sessions too, so the dense column path pins every exact evaluation.
 //!
 //! [`FluxModel::basis_columns`]: fluxprint_fluxmodel::FluxModel::basis_columns
 
@@ -124,9 +122,6 @@ pub struct ScoringCache<'a> {
     objective: &'a FluxObjective,
     n: usize,
     buf: CacheBuffers,
-    /// Whether inner solves are seeded from the full support (the warm
-    /// path).
-    seeded: bool,
     /// `‖F′‖²` and its square root, as rounded; `None` when `‖F′‖²` is
     /// outside [`SCREEN_RANGE`], which makes every bound `−∞`.
     flux: Option<(f64, f64)>,
@@ -172,7 +167,6 @@ pub struct CacheScratch {
     gram: Matrix,
     gram_k: usize,
     atb: Vec<f64>,
-    support: Vec<bool>,
     /// An exact evaluation's probe–base dots.
     dots: Vec<f64>,
     /// An exact evaluation's prediction `F̂`, one value per sniffer.
@@ -198,8 +192,6 @@ impl CacheScratch {
             gram_k: 1,
             // fluxlint: allow(hot-path-alloc) — one-time scratch construction
             atb: Vec::new(),
-            // fluxlint: allow(hot-path-alloc) — buffer is reused across evals
-            support: Vec::new(),
             // fluxlint: allow(hot-path-alloc) — buffer is reused across evals
             dots: Vec::new(),
             // fluxlint: allow(hot-path-alloc) — buffer is reused across evals
@@ -322,16 +314,10 @@ impl FluxObjective {
     /// projections, and norms are written in place, in parallel chunks on
     /// `pool`, into buffers taken from `scratch`; hand them back with
     /// [`ScoringCache::recycle`].
-    ///
-    /// With `seeded` every inner solve starts from the full support (see
-    /// [`evaluate_conditioned`](ScoringCache::evaluate_conditioned));
-    /// otherwise the solves run cold. The buffers are the same floats
-    /// either way.
     pub fn scoring_cache<'a>(
         &'a self,
         candidates: &[Vec<Point2>],
         pool: &Pool,
-        seeded: bool,
         scratch: &mut CacheScratch,
     ) -> ScoringCache<'a> {
         telemetry::counter(names::SOLVER_GRAM_BUILD, 1);
@@ -374,7 +360,6 @@ impl FluxObjective {
             objective: self,
             n,
             buf,
-            seeded,
             flux: SCREEN_RANGE
                 .contains(&flux_sq)
                 .then(|| (flux_sq, flux_sq.sqrt())),
@@ -504,20 +489,6 @@ impl<'a> ScoringCache<'a> {
     /// [`scan_conditioned`](ScoringCache::scan_conditioned) runs for
     /// every probe that can rank, and the oracle its tests hold it to.
     ///
-    /// On a cache built `seeded` the inner solve is warm-seeded: the
-    /// active set starts from the full support (every placed source
-    /// emitting) and is accepted outright when that guess passes
-    /// feasibility and the KKT check, falling back to the cold iteration
-    /// otherwise. The fallback *is* the cold solve, so seeding changes
-    /// which work is done, not which floats come out, on non-degenerate
-    /// fits.
-    ///
-    /// The smc crate's `associate` never puts the probe's user in the
-    /// base, so two columns of one combination are never the same
-    /// candidate's. A probe that repeats a base slot makes the Gram
-    /// rank-deficient, and there the seeded and cold solves may differ
-    /// in the last bit.
-    ///
     /// # Errors
     ///
     /// Linear-algebra failures propagate.
@@ -532,12 +503,12 @@ impl<'a> ScoringCache<'a> {
         self.exact(cond, probe, scratch)
     }
 
-    /// The joint fit of `slots`, in that column order: one cold exact
+    /// The joint fit of `slots`, in that column order: one exact
     /// evaluation with the first slot as the probe and the rest as the
     /// base. Positions, stretches and residual are bit-identical to
-    /// [`FluxObjective::evaluate`] on the slots' positions, on a cold or
-    /// a seeded cache, and it counts what `evaluate` counts: one
-    /// objective evaluation and one NNLS solve.
+    /// [`FluxObjective::evaluate`] on the slots' positions, and it counts
+    /// what `evaluate` counts: one objective evaluation and one NNLS
+    /// solve.
     ///
     /// # Errors
     ///
@@ -553,7 +524,7 @@ impl<'a> ScoringCache<'a> {
         };
         telemetry::counter(names::SOLVER_OBJECTIVE_EVALS, 1);
         let cond = self.conditioner(base);
-        let residual = self.solve_conditioned(&cond, probe, false, scratch)?;
+        let residual = self.solve_conditioned(&cond, probe, scratch)?;
         let positions = slots.iter().map(|&s| self.buf.positions[self.global(s)]);
         Ok(SinkFit {
             // fluxlint: allow(hot-path-alloc) — the fit's own positions, once per window
@@ -855,52 +826,29 @@ impl<'a> ScoringCache<'a> {
         (1.0 - 8.0 * (n + 5.0) * U) * inner - UNDERFLOW
     }
 
-    /// The exact evaluation a scan runs: seeded as the cache was built,
-    /// and counted as one exact residual.
+    /// The exact evaluation a scan runs, counted as one exact residual.
     fn exact(
         &self,
         cond: &Conditioner,
         probe: Slot,
         scratch: &mut CacheScratch,
     ) -> Result<f64, SolverError> {
-        let residual = self.solve_conditioned(cond, probe, self.seeded, scratch)?;
+        let residual = self.solve_conditioned(cond, probe, scratch)?;
         telemetry::counter(names::SOLVER_RESIDUAL_EXACT, 1);
         Ok(residual)
     }
 
     /// Gram assembly, NNLS and the exact data residual of `probe`
     /// followed by `cond`'s base; counts one NNLS solve.
-    ///
-    /// The solve is seeded from the full support when `seeded`: combination
-    /// scans probe small perturbations of fits whose sources were all
-    /// emitting, so "everything stays in the passive set" is the
-    /// overwhelmingly common outcome and the seeded KKT check replaces
-    /// the whole active-set iteration.
     fn solve_conditioned(
         &self,
         cond: &Conditioner,
         probe: Slot,
-        seeded: bool,
         scratch: &mut CacheScratch,
     ) -> Result<f64, SolverError> {
         self.assemble_conditioned(cond, probe, scratch);
         telemetry::counter(names::SOLVER_NNLS_SOLVES, 1);
-        let seed = if seeded {
-            scratch.support.clear();
-            scratch.support.resize(cond.base.len() + 1, true);
-            Some(scratch.support.as_slice())
-        } else {
-            None
-        };
-        let (_, warm_hit) = nnls_gram_into(&scratch.gram, &scratch.atb, seed, &mut scratch.nnls)?;
-        if seeded {
-            let counter = if warm_hit {
-                names::SOLVER_NNLS_WARM_HITS
-            } else {
-                names::SOLVER_NNLS_WARM_MISSES
-            };
-            telemetry::counter(counter, 1);
-        }
+        nnls_gram_into(&scratch.gram, &scratch.atb, &mut scratch.nnls)?;
         Ok(self.data_residual(cond, probe, scratch))
     }
 
@@ -1203,34 +1151,20 @@ mod tests {
             (1, &[(2, 0), (0, 2)]),
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let seeded_solves = |s: &fluxprint_telemetry::Snapshot| {
-            s.counter(names::SOLVER_NNLS_WARM_HITS) + s.counter(names::SOLVER_NNLS_WARM_MISSES)
-        };
-        let before = fluxprint_telemetry::snapshot();
-        let mut probes = 0;
-        for seeded in [false, true] {
-            let cache = obj.scoring_cache(&cands, &pool, seeded, &mut CacheScratch::new());
-            let mut scratch = CacheScratch::new();
-            for &(user, base) in &shapes {
-                let cond = cache.conditioner(base);
-                for c in 0..cache.size(user) {
-                    let want = column_fit(&obj, &cands, (user, c), base);
-                    let got = cache
-                        .evaluate_conditioned(&cond, (user, c), &mut scratch)
-                        .unwrap();
-                    let label = format!("seeded={seeded} probe=({user}, {c}) base={base:?}");
-                    assert_eq!(want.residual.to_bits(), got.to_bits(), "{label}");
-                    assert_eq!(bits(&want.stretches), bits(scratch.stretches()), "{label}");
-                    probes += usize::from(seeded);
-                }
+        let cache = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+        let mut scratch = CacheScratch::new();
+        for &(user, base) in &shapes {
+            let cond = cache.conditioner(base);
+            for c in 0..cache.size(user) {
+                let want = column_fit(&obj, &cands, (user, c), base);
+                let got = cache
+                    .evaluate_conditioned(&cond, (user, c), &mut scratch)
+                    .unwrap();
+                let label = format!("probe=({user}, {c}) base={base:?}");
+                assert_eq!(want.residual.to_bits(), got.to_bits(), "{label}");
+                assert_eq!(bits(&want.stretches), bits(scratch.stretches()), "{label}");
             }
         }
-        // The seeded cache took the seeded-or-fallback solve every time.
-        let after = fluxprint_telemetry::snapshot();
-        assert!(
-            seeded_solves(&after) - seeded_solves(&before) >= probes as u64,
-            "seeded solves recorded"
-        );
     }
 
     #[test]
@@ -1243,18 +1177,18 @@ mod tests {
         let cands = demo_candidates();
         let pool = Pool::with_threads(1);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let fresh = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
+        let fresh = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
         // The scratch first holds a larger build, then a smaller one, so
         // the recycled buffers both shrink and grow into this build.
         let mut scratch = CacheScratch::new();
         let mut larger = cands.clone();
         larger.push(vec![Point2::new(1.0, 2.0); 9]);
         for set in [larger, vec![vec![Point2::new(4.0, 4.0)]], cands.clone()] {
-            obj.scoring_cache(&set, &pool, false, &mut scratch)
+            obj.scoring_cache(&set, &pool, &mut scratch)
                 .recycle(&mut scratch);
         }
         let cols = scratch.buffers.cols.as_ptr();
-        let recycled = obj.scoring_cache(&cands, &pool, false, &mut scratch);
+        let recycled = obj.scoring_cache(&cands, &pool, &mut scratch);
         assert_eq!(recycled.buf.cols.as_ptr(), cols, "capacity reused");
         assert_eq!(fresh.buf.offsets, recycled.buf.offsets);
         assert_eq!(fresh.buf.positions, recycled.buf.positions);
@@ -1335,8 +1269,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The screening bound never exceeds what `evaluate_conditioned`
-        /// returns for the same probe, on cold and seeded caches, at
-        /// every base size, across sniffer counts, noise, flux scales,
+        /// returns for the same probe, at every base size, across sniffer counts, noise, flux scales,
         /// duplicate candidates and near-exact fits; and it is tight
         /// somewhere, so the check is not vacuous.
         ///
@@ -1359,28 +1292,25 @@ mod tests {
             let (obj, cands) = random_instance(seed, n, users, noise, scale, 0);
             let pool = Pool::with_threads(1);
             let mut tight = 0;
-            for seeded in [false, true] {
-                let cache = obj.scoring_cache(&cands, &pool, seeded, &mut CacheScratch::new());
-                let mut scratch = CacheScratch::new();
-                for user in 0..users {
-                    for base in bases_for(user, users) {
-                        let cond = cache.conditioner(&base);
-                        for c in 0..cache.size(user) {
-                            let bound = cache.bound(&cond, (user, c));
-                            // A base holding the shared spot twice is singular,
-                            // and there the exact solve may fail: no oracle.
-                            let Ok(exact) =
-                                cache.evaluate_conditioned(&cond, (user, c), &mut scratch)
-                            else {
-                                continue;
-                            };
-                            prop_assert!(
-                                bound <= exact,
-                                "bound {bound:e} > exact {exact:e}: seeded={seeded} \
-                                 probe=({user}, {c}) base={base:?}"
-                            );
-                            tight += usize::from(exact > 0.0 && bound >= exact * (1.0 - 1e-6));
-                        }
+            let cache = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+            let mut scratch = CacheScratch::new();
+            for user in 0..users {
+                for base in bases_for(user, users) {
+                    let cond = cache.conditioner(&base);
+                    for c in 0..cache.size(user) {
+                        let bound = cache.bound(&cond, (user, c));
+                        // A base holding the shared spot twice is singular,
+                        // and there the exact solve may fail: no oracle.
+                        let Ok(exact) =
+                            cache.evaluate_conditioned(&cond, (user, c), &mut scratch)
+                        else {
+                            continue;
+                        };
+                        prop_assert!(
+                            bound <= exact,
+                            "bound {bound:e} > exact {exact:e}: probe=({user}, {c}) base={base:?}"
+                        );
+                        tight += usize::from(exact > 0.0 && bound >= exact * (1.0 - 1e-6));
                     }
                 }
             }
@@ -1415,52 +1345,50 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
             let build = &Pool::with_threads(1);
             let (mut finite, mut floors) = (0, 0);
-            for seeded in [false, true] {
-                let mut cache = obj.scoring_cache(&cands, build, seeded, &mut CacheScratch::new());
-                // Norms outside the range: one probe of user 0 reads 0,
-                // and a base may hold one of user 1's that reads 1e280.
-                if out_of_range > 0 {
-                    let g = cache.global((0, 2));
-                    cache.buf.diag[g] = 0.0;
-                    let g = cache.global((users.min(2) - 1, 3));
-                    cache.buf.diag[g] = [1e280, 1e-280][out_of_range - 1];
-                }
-                let mut scratch = CacheScratch::new();
-                for user in 0..users {
-                    let others: Vec<usize> = (0..users).filter(|&u| u != user).collect();
-                    let kb = rng.gen_range(0..=others.len().min(4));
-                    let base: Vec<Slot> = others[..kb]
-                        .iter()
-                        .map(|&u| (u, rng.gen_range(0..cache.size(u))))
+            let mut cache = obj.scoring_cache(&cands, build, &mut CacheScratch::new());
+            // Norms outside the range: one probe of user 0 reads 0,
+            // and a base may hold one of user 1's that reads 1e280.
+            if out_of_range > 0 {
+                let g = cache.global((0, 2));
+                cache.buf.diag[g] = 0.0;
+                let g = cache.global((users.min(2) - 1, 3));
+                cache.buf.diag[g] = [1e280, 1e-280][out_of_range - 1];
+            }
+            let mut scratch = CacheScratch::new();
+            for user in 0..users {
+                let others: Vec<usize> = (0..users).filter(|&u| u != user).collect();
+                let kb = rng.gen_range(0..=others.len().min(4));
+                let base: Vec<Slot> = others[..kb]
+                    .iter()
+                    .map(|&u| (u, rng.gen_range(0..cache.size(u))))
+                    .collect();
+                let cond = cache.conditioner(&base);
+                let size = cache.size(user);
+                let start = rng.gen_range(0..size);
+                for range in [0..size, start..size] {
+                    let want: Vec<u64> = range
+                        .clone()
+                        .map(|c| cache.bound(&cond, (user, c)).to_bits())
                         .collect();
-                    let cond = cache.conditioner(&base);
-                    let size = cache.size(user);
-                    let start = rng.gen_range(0..size);
-                    for range in [0..size, start..size] {
-                        let want: Vec<u64> = range
-                            .clone()
-                            .map(|c| cache.bound(&cond, (user, c)).to_bits())
-                            .collect();
-                        for b in want.iter().map(|&b| f64::from_bits(b)) {
-                            finite += usize::from(b.is_finite());
-                            floors += usize::from(b == f64::NEG_INFINITY);
-                        }
-                        for threads in [1, 2, 8] {
-                            let pool = Pool::with_threads(threads);
-                            // A scan leaves its bounds in the scratch, also
-                            // when an exact solve on a singular base fails.
-                            let _ = cache.scan_conditioned(
-                                &cond, user, range.clone(), range.len(), &pool, &mut scratch,
-                            );
-                            let got: Vec<u64> = scratch.bounds.iter().map(|b| b.to_bits()).collect();
-                            let diff = got.iter().zip(&want).position(|(a, b)| a != b);
-                            prop_assert!(
-                                got.len() == want.len() && diff.is_none(),
-                                "seeded={} user={} base={:?} range={:?} threads={} at {:?}: {:?} vs {:?}",
-                                seeded, user, &base, &range, threads, diff,
-                                diff.map(|i| f64::from_bits(got[i])), diff.map(|i| f64::from_bits(want[i]))
-                            );
-                        }
+                    for b in want.iter().map(|&b| f64::from_bits(b)) {
+                        finite += usize::from(b.is_finite());
+                        floors += usize::from(b == f64::NEG_INFINITY);
+                    }
+                    for threads in [1, 2, 8] {
+                        let pool = Pool::with_threads(threads);
+                        // A scan leaves its bounds in the scratch, also
+                        // when an exact solve on a singular base fails.
+                        let _ = cache.scan_conditioned(
+                            &cond, user, range.clone(), range.len(), &pool, &mut scratch,
+                        );
+                        let got: Vec<u64> = scratch.bounds.iter().map(|b| b.to_bits()).collect();
+                        let diff = got.iter().zip(&want).position(|(a, b)| a != b);
+                        prop_assert!(
+                            got.len() == want.len() && diff.is_none(),
+                            "user={} base={:?} range={:?} threads={} at {:?}: {:?} vs {:?}",
+                            user, &base, &range, threads, diff,
+                            diff.map(|i| f64::from_bits(got[i])), diff.map(|i| f64::from_bits(want[i]))
+                        );
                     }
                 }
             }
@@ -1472,8 +1400,7 @@ mod tests {
 
         /// The cache-served joint fit returns `FluxObjective::evaluate`'s
         /// positions, stretches and residual bit for bit, for 1 to 4
-        /// sources in any order, on cold and seeded caches, duplicate
-        /// and shared candidates included.
+        /// sources in any order, duplicate and shared candidates included.
         #[test]
         fn joint_fit_equals_the_dense_evaluation(
             seed in 0u64..u64::MAX,
@@ -1486,33 +1413,31 @@ mod tests {
             let (obj, cands) = random_instance(seed, n, users, noise, scale, 0);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xF17);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for seeded in [false, true] {
-                let cache = obj.scoring_cache(&cands, &Pool::with_threads(2), seeded, &mut CacheScratch::new());
-                let mut scratch = CacheScratch::new();
-                for _ in 0..8 {
-                    let mut order: Vec<usize> = (0..users).collect();
-                    for i in (1..users).rev() {
-                        order.swap(i, rng.gen_range(0..=i));
+            let cache = obj.scoring_cache(&cands, &Pool::with_threads(2), &mut CacheScratch::new());
+            let mut scratch = CacheScratch::new();
+            for _ in 0..8 {
+                let mut order: Vec<usize> = (0..users).collect();
+                for i in (1..users).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                order.truncate(rng.gen_range(1..=users));
+                let slots: Vec<Slot> = order
+                    .iter()
+                    .map(|&u| (u, rng.gen_range(0..cache.size(u))))
+                    .collect();
+                let positions: Vec<Point2> = slots.iter().map(|&(u, c)| cands[u][c]).collect();
+                let want = obj.evaluate(&positions);
+                let got = cache.joint_fit(&slots, &mut scratch);
+                match (want, got) {
+                    (Ok(want), Ok(got)) => {
+                        prop_assert_eq!(&got.positions, &want.positions);
+                        prop_assert_eq!(bits(&got.stretches), bits(&want.stretches), "{:?}", &slots);
+                        prop_assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{:?}", &slots);
                     }
-                    order.truncate(rng.gen_range(1..=users));
-                    let slots: Vec<Slot> = order
-                        .iter()
-                        .map(|&u| (u, rng.gen_range(0..cache.size(u))))
-                        .collect();
-                    let positions: Vec<Point2> = slots.iter().map(|&(u, c)| cands[u][c]).collect();
-                    let want = obj.evaluate(&positions);
-                    let got = cache.joint_fit(&slots, &mut scratch);
-                    match (want, got) {
-                        (Ok(want), Ok(got)) => {
-                            prop_assert_eq!(&got.positions, &want.positions);
-                            prop_assert_eq!(bits(&got.stretches), bits(&want.stretches), "{:?}", &slots);
-                            prop_assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{:?}", &slots);
-                        }
-                        (want, got) => prop_assert!(
-                            want.is_err() && got.is_err(),
-                            "one path failed: {:?} / {:?}", want.err(), got.err()
-                        ),
-                    }
+                    (want, got) => prop_assert!(
+                        want.is_err() && got.is_err(),
+                        "one path failed: {:?} / {:?}", want.err(), got.err()
+                    ),
                 }
             }
         }
@@ -1538,7 +1463,6 @@ mod tests {
                 let cache = obj.scoring_cache(
                     &cands,
                     &Pool::with_threads(threads),
-                    false,
                     &mut CacheScratch::new(),
                 );
                 for g in 0..total {
@@ -1568,7 +1492,7 @@ mod tests {
             vec![0.0; 2],
         )
         .unwrap();
-        let cache = silent.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
+        let cache = silent.scoring_cache(&cands, &pool, &mut CacheScratch::new());
         let cond = cache.conditioner(&[(0, 0)]);
         for c in 0..cache.size(1) {
             assert_eq!(cache.bound(&cond, (1, c)), f64::NEG_INFINITY);
@@ -1603,7 +1527,7 @@ mod tests {
         let obj = objective_for(&[(Point2::new(8.0, 8.0), 1.0)]);
         let cands = demo_candidates();
         let pool = Pool::with_threads(1);
-        let cache = obj.scoring_cache(&cands, &pool, false, &mut CacheScratch::new());
+        let cache = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
         assert_eq!(cache.size(0), 3);
         assert_eq!(cache.size(1), 4);
         assert_eq!(cache.size(2), 3);

@@ -4,8 +4,6 @@
 //! error for three network densities; [`Ecdf`] is the exact structure the
 //! repro harness evaluates at the figure's x-axis points.
 
-use serde::{Deserialize, Serialize};
-
 use crate::StatsError;
 
 /// An empirical CDF over a fixed sample set.
@@ -19,9 +17,8 @@ use crate::StatsError;
 /// assert_eq!(cdf.eval(0.5), 0.0);
 /// assert_eq!(cdf.eval(2.0), 0.5);
 /// assert_eq!(cdf.eval(10.0), 1.0);
-/// assert_eq!(cdf.quantile(0.5).unwrap(), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -45,46 +42,12 @@ impl Ecdf {
         Ok(Ecdf { sorted })
     }
 
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always `false`: construction rejects empty sample sets.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Fraction of samples `≤ x` (right-continuous step function).
     pub fn eval(&self, x: f64) -> f64 {
         // partition_point returns the count of samples ≤ x because the
         // predicate is `v <= x` over a sorted slice.
         let count = self.sorted.partition_point(|&v| v <= x);
         count as f64 / self.sorted.len() as f64
-    }
-
-    /// Smallest sample value `q` with `eval(q) ≥ p`, for `p ∈ (0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::BadPercentile`] when `p` is outside `(0, 1]`.
-    pub fn quantile(&self, p: f64) -> Result<f64, StatsError> {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(StatsError::BadPercentile(p * 100.0));
-        }
-        let n = self.sorted.len();
-        let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-        Ok(self.sorted[idx])
-    }
-
-    /// Evaluates the CDF at each point of `xs` (convenience for plotting).
-    pub fn eval_many(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.eval(x)).collect()
-    }
-
-    /// The sorted underlying samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -99,26 +62,6 @@ mod tests {
         assert!((cdf.eval(1.0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((cdf.eval(1.5) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cdf.eval(2.0), 1.0);
-    }
-
-    #[test]
-    fn quantile_inverts_eval() {
-        let cdf = Ecdf::from_samples(&[10.0, 20.0, 30.0, 40.0]).unwrap();
-        assert_eq!(cdf.quantile(0.25).unwrap(), 10.0);
-        assert_eq!(cdf.quantile(0.26).unwrap(), 20.0);
-        assert_eq!(cdf.quantile(1.0).unwrap(), 40.0);
-        assert!(cdf.quantile(0.0).is_err());
-        assert!(cdf.quantile(1.5).is_err());
-    }
-
-    #[test]
-    fn eval_many_matches_eval() {
-        let cdf = Ecdf::from_samples(&[1.0, 2.0, 3.0]).unwrap();
-        let xs = [0.0, 1.5, 99.0];
-        assert_eq!(
-            cdf.eval_many(&xs),
-            vec![cdf.eval(0.0), cdf.eval(1.5), cdf.eval(99.0)]
-        );
     }
 
     #[test]
@@ -143,7 +86,5 @@ mod tests {
             assert!(v >= last);
             last = v;
         }
-        assert_eq!(cdf.len(), 8);
-        assert!(!cdf.is_empty());
     }
 }

@@ -14,8 +14,6 @@ pub enum StatsError {
         /// Index of the offending value.
         index: usize,
     },
-    /// A requested percentile was outside `[0, 100]`.
-    BadPercentile(f64),
     /// Weights summed to zero (or a weight was negative).
     BadWeights,
     /// More distinct indices were requested than exist.
@@ -33,9 +31,6 @@ impl fmt::Display for StatsError {
             StatsError::EmptyInput => write!(f, "input must contain at least one sample"),
             StatsError::NonFiniteSample { index } => {
                 write!(f, "sample at index {index} is not finite")
-            }
-            StatsError::BadPercentile(p) => {
-                write!(f, "percentile must be within [0, 100], got {p}")
             }
             StatsError::BadWeights => write!(f, "weights must be non-negative with positive sum"),
             StatsError::NotEnoughItems {
@@ -59,7 +54,6 @@ mod tests {
         let errs = [
             StatsError::EmptyInput,
             StatsError::NonFiniteSample { index: 3 },
-            StatsError::BadPercentile(120.0),
             StatsError::BadWeights,
             StatsError::NotEnoughItems {
                 requested: 5,

@@ -80,16 +80,6 @@ impl WeightedAlias {
         Ok(WeightedAlias { prob, alias })
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Always `false` (construction rejects empty weights).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Draws one index with probability proportional to its weight.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.gen_range(0..self.prob.len());
@@ -168,8 +158,6 @@ mod tests {
         for _ in 0..10_000 {
             assert_eq!(alias.sample(&mut r), 1);
         }
-        assert_eq!(alias.len(), 2);
-        assert!(!alias.is_empty());
     }
 
     #[test]

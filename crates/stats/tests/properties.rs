@@ -10,8 +10,8 @@ fn samples() -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// ECDF is a proper CDF: 0 before the min, 1 at the max, monotone, and
-    /// quantile(eval(x)) ≤ x for sample points.
+    /// ECDF is a proper CDF: 0 before the min, 1 at the max, and
+    /// monotone.
     #[test]
     fn ecdf_is_cdf(xs in samples()) {
         let cdf = Ecdf::from_samples(&xs).unwrap();

@@ -27,10 +27,13 @@ pub const SOLVER_GRAM_COMBO_EVALS: &str = "solver.gram.combo_evals";
 /// whose screening bound could still reach its scan's cut, so at most
 /// [`SOLVER_GRAM_COMBO_EVALS`].
 pub const SOLVER_RESIDUAL_EXACT: &str = "solver.residual.exact";
-/// Warm-seeded NNLS solves whose seeded support passed its KKT check
-/// (no active-set iteration needed).
+/// Warm-seeded NNLS solves that passed their KKT check. Every NNLS solve
+/// now runs cold, so it always reads 0; the name stays because benchmark
+/// reports read it.
 pub const SOLVER_NNLS_WARM_HITS: &str = "solver.nnls.warm_hits";
 /// Warm-seeded NNLS solves that fell back to the cold active-set loop.
+/// Always 0, like [`SOLVER_NNLS_WARM_HITS`], and kept for the same
+/// reason.
 pub const SOLVER_NNLS_WARM_MISSES: &str = "solver.nnls.warm_misses";
 /// Scoring-cache basis columns reused from the previous window. Nothing
 /// reuses columns across windows any more, so it always reads 0; the name
@@ -81,7 +84,7 @@ pub const ENGINE_RESTORES: &str = "engine.restores";
 /// Users joined to live sessions after creation.
 pub const ENGINE_USERS_JOINED: &str = "engine.users.joined";
 /// Rounds ingested on the warm fast path (bounded candidate search
-/// seeded from the previous posterior).
+/// drawn from the previous posterior).
 pub const ENGINE_WARM_ROUNDS: &str = "engine.warm.rounds";
 /// Full-width escape sweeps run by warm sessions (cadence recovery).
 pub const ENGINE_WARM_ESCAPES: &str = "engine.warm.escapes";

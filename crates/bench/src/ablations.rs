@@ -143,7 +143,7 @@ pub fn run_ablation_filter(spec: RunSpec) -> serde_json::Value {
     reporter.note("\nexact: every N^K combination fitted densely (FluxObjective::evaluate);");
     reporter.note("association: forward selection on the scoring cache, as the tracker runs it.");
     reporter.note("Both run on one thread. Association stops short of K when the next source");
-    reporter.note("fails the activity_min_gain test, even though every user is active here.");
+    reporter.note("fails the ACTIVITY_MIN_GAIN test, even though every user is active here.");
     serde_json::Value::object(record)
 }
 
@@ -319,7 +319,6 @@ pub fn run_ablation_solvers(spec: RunSpec) -> serde_json::Value {
         let cfg = fluxprint_solver::RandomSearchConfig {
             samples: 2000,
             top_m: 5,
-            ..Default::default()
         };
         let fits =
             fluxprint_solver::random_search(&objective, 1, &cfg, &mut rng).expect("search runs");
@@ -343,8 +342,9 @@ pub fn run_ablation_solvers(spec: RunSpec) -> serde_json::Value {
         format!("{:.0} %", success(&rs_errs) * 100.0),
     ]);
     reporter.note("\n§4.A's claim, quantified: a single gradient descent is unreliable on the");
-    reporter.note("kinked rectangular-boundary objective; heavy multistart repairs much of it,");
-    reporter.note("but the derivative-free pipeline is uniformly dependable at similar cost.");
+    reporter.note("kinked rectangular-boundary objective; heavy multistart repairs part of it,");
+    reporter.note("and the derivative-free pipeline is the most accurate of the three, though");
+    reporter.note("it too misses some trials.");
     json!({
         "ablation": "solvers",
         "lm1_mean": mean(&lm1_errs),

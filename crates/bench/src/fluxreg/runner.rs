@@ -439,7 +439,11 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
         kpi(name, value);
     }
 
-    let prov = trace::thread_provenance();
+    let mut run_meta = trace::run_meta(&format!("plan:{}", plan.name), "plan", job.seed, commit);
+    if let Value::Object(fields) = &mut run_meta {
+        let oversubscribed = job.count("threads") > trace::available_parallelism();
+        fields.push(("oversubscribed".to_string(), Value::Bool(oversubscribed)));
+    }
     let telemetry: Value = serde_json::from_str(&fluxprint_telemetry::snapshot().to_inline_json())
         .map_err(|e| format!("telemetry fold: {e}"))?;
     Ok(Row {
@@ -454,15 +458,7 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
             .map(|(k, v)| (k.clone(), param_json(*v)))
             .collect(),
         kpis,
-        run_meta: json!({
-            "target": format!("plan:{}", plan.name),
-            "effort": "plan",
-            "seed": job.seed,
-            "git": commit.map_or(Value::Null, |c| Value::String(c.to_string())),
-            "threads": prov.threads,
-            "threads_env": prov.env.as_deref().map_or(Value::Null, |e| Value::String(e.to_string())),
-            "threads_env_status": prov.status,
-        }),
+        run_meta,
         telemetry,
     })
 }

@@ -2,14 +2,16 @@
 //!
 //! The `repro` binary resets the global telemetry registry before each
 //! figure target and calls [`export_run`] after it, producing one
-//! self-describing NDJSON block per target: a `run_meta` record (target,
-//! effort, seed, git version) followed by the full metric-catalog
-//! snapshot. The integration tests share these functions with the binary
-//! so the schema they pin is exactly the schema the binary writes.
+//! self-describing NDJSON block per target: a [`run_meta`] record
+//! (target, effort, seed, git version, threads, host cores) followed by
+//! the full metric-catalog snapshot. The integration tests share these
+//! functions with the binary so the schema they pin is exactly the
+//! schema the binary writes.
 
 use std::process::Command;
 
-use fluxprint_telemetry::{json_string, snapshot};
+use fluxprint_telemetry::snapshot;
+use serde_json::{json, Value};
 
 use crate::Effort;
 
@@ -57,24 +59,37 @@ pub fn thread_provenance() -> ThreadProvenance {
     }
 }
 
-/// The run-metadata NDJSON record that heads every exported block (and
-/// every `--json` results file): target name, effort, run seed, the git
-/// describe string (`null` when unavailable), and the worker-thread
-/// provenance — enough to make any downstream row self-describing.
-pub fn run_meta_line(target: &str, effort: Effort, seed: u64) -> String {
-    let git = git_describe().map_or_else(|| "null".to_string(), |d| json_string(&d));
+/// The host's core count as the standard library reports it (1 when
+/// unknown).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The run-metadata record that heads every exported block and every
+/// `--json` results file, and rides in every fluxreg row: target name,
+/// effort, run seed, the git version (`null` when unavailable), the
+/// worker-thread provenance and the host's core count — enough to make
+/// any downstream row self-describing. A seed above `i64::MAX` is written
+/// as a float, as the workspace's JSON stand-in writes every such
+/// integer.
+pub fn run_meta(target: &str, effort: &str, seed: u64, git: Option<&str>) -> Value {
     let prov = thread_provenance();
-    let env = prov
-        .env
-        .as_deref()
-        .map_or_else(|| "null".to_string(), json_string);
-    format!(
-        "{{\"type\":\"run_meta\",\"target\":{},\"effort\":{},\"seed\":{seed},\"git\":{git},\"threads\":{},\"threads_env\":{env},\"threads_env_status\":{}}}",
-        json_string(target),
-        json_string(effort.name()),
-        prov.threads,
-        json_string(prov.status),
-    )
+    json!({
+        "type": "run_meta",
+        "target": target,
+        "effort": effort,
+        "seed": seed,
+        "git": git,
+        "threads": prov.threads,
+        "threads_env": prov.env,
+        "threads_env_status": prov.status,
+        "available_parallelism": available_parallelism(),
+    })
+}
+
+/// [`run_meta`] for a repro target, as one NDJSON line.
+pub fn run_meta_line(target: &str, effort: Effort, seed: u64) -> String {
+    run_meta(target, effort.name(), seed, git_describe().as_deref()).to_string()
 }
 
 /// One target's telemetry block: the `run_meta` line followed by the
@@ -105,6 +120,12 @@ mod tests {
         // Thread provenance is always present and self-consistent.
         let threads = value["threads"].as_u64().expect("threads recorded");
         assert!(threads >= 1);
+        let cores = value["available_parallelism"]
+            .as_u64()
+            .expect("host cores recorded");
+        assert_eq!(cores, available_parallelism() as u64);
+        assert!(cores >= 1);
+        assert!(value.get("oversubscribed").is_none(), "plan rows only");
         let status = value["threads_env_status"].as_str().expect("status");
         match status {
             "unset" => assert!(value["threads_env"].is_null()),

@@ -51,6 +51,14 @@ fn tiny_plan_produces_a_complete_deterministic_row() {
     assert!(row.kpis["evals_per_round"] > 0.0);
     // The folded telemetry snapshot rode along.
     assert!(row.telemetry["counters"]["engine.rounds"].as_u64().unwrap() >= 4);
+    // So did the host's core count, and whether the job's one thread
+    // outnumbers it.
+    let cores = fluxprint_bench::trace::available_parallelism();
+    assert_eq!(
+        row.run_meta["available_parallelism"].as_u64(),
+        Some(cores as u64)
+    );
+    assert_eq!(row.run_meta["oversubscribed"].as_bool(), Some(1 > cores));
 
     // Deterministic KPIs reproduce exactly on a re-run.
     let again = run_plan(&plan, Some("test-commit")).unwrap();

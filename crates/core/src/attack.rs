@@ -66,11 +66,6 @@ pub struct AttackConfig {
     /// (the paper notes a conservative overestimate also works, with
     /// surplus sinks fitting `q → 0`).
     pub assumed_k: Option<usize>,
-    /// Observation windows averaged per instant-localization fit (≥ 1).
-    /// Each collection rebuilds its randomized tree, so averaging several
-    /// windows of the same users suppresses tree randomness the way §3.A's
-    /// `ΔT → 0` discussion anticipates repeated observations would.
-    pub average_windows: usize,
 }
 
 impl Default for AttackConfig {
@@ -84,7 +79,6 @@ impl Default for AttackConfig {
             defense: Countermeasure::None,
             smooth: true,
             assumed_k: None,
-            average_windows: 1,
         }
     }
 }
@@ -165,11 +159,6 @@ impl TrackingReport {
         Some(half.iter().map(|r| r.mean_error).sum::<f64>() / half.len() as f64)
     }
 
-    /// Per-round mean errors, in time order.
-    pub fn per_round_errors(&self) -> Vec<f64> {
-        self.rounds.iter().map(|r| r.mean_error).collect()
-    }
-
     /// Mean error at collection events: the average of
     /// [`TrackingRound::active_mean_error`] over rounds that detected at
     /// least one active user. The fair trace-driven metric — a user is
@@ -234,20 +223,13 @@ pub fn run_instant_localization<R: Rng + ?Sized>(
     let truths: Vec<Point2> = active.iter().map(|&(_, p, _)| p).collect();
 
     let sniffer = config.sniffer.build(&scenario.network, rng)?;
-    let windows = config.average_windows.max(1);
-    let mut measured = vec![0.0; sniffer.len()];
-    for _ in 0..windows {
-        let mut flux = scenario.simulate_window(t, rng)?;
-        config.defense.apply(&scenario.network, &mut flux, rng)?;
-        let observed = if config.smooth {
-            sniffer.observe_smoothed(&scenario.network, &flux, config.noise, rng)
-        } else {
-            sniffer.observe(&flux, config.noise, rng)
-        };
-        for (m, o) in measured.iter_mut().zip(&observed) {
-            *m += o / windows as f64;
-        }
-    }
+    let mut flux = scenario.simulate_window(t, rng)?;
+    config.defense.apply(&scenario.network, &mut flux, rng)?;
+    let measured = if config.smooth {
+        sniffer.observe_smoothed(&scenario.network, &flux, config.noise, rng)
+    } else {
+        sniffer.observe(&flux, config.noise, rng)
+    };
     let objective = FluxObjective::new(
         scenario.network.boundary_arc(),
         config.model,
@@ -261,7 +243,7 @@ pub fn run_instant_localization<R: Rng + ?Sized>(
     // Report only the sinks the fit deems active; a conservative k leaves
     // the surplus at q ≈ 0.
     let mut estimates: Vec<Point2> = best
-        .active_sinks(config.smc.activity_threshold)
+        .active_sinks(fluxprint_smc::ACTIVITY_THRESHOLD)
         .into_iter()
         .map(|i| best.positions[i])
         .collect();

@@ -58,16 +58,6 @@ pub fn mean_matched_error(estimates: &[Point2], truths: &[Point2]) -> Result<f64
     Ok(errs.iter().sum::<f64>() / errs.len() as f64)
 }
 
-/// Maximum matched error — the paper's "largest error" per case.
-///
-/// # Errors
-///
-/// Same as [`matched_errors`].
-pub fn max_matched_error(estimates: &[Point2], truths: &[Point2]) -> Result<f64, CoreError> {
-    let errs = matched_errors(estimates, truths)?;
-    Ok(errs.iter().cloned().fold(0.0, f64::max))
-}
-
 /// The label permutation that optimally matches `estimates` to `truths`
 /// (both sides must have equal length): `perm[i]` is the truth index
 /// assigned to estimate `i`.
@@ -195,11 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_max_aggregate() {
+    fn mean_aggregates() {
         let truths = [Point2::new(0.0, 0.0), Point2::new(10.0, 0.0)];
         let estimates = [Point2::new(1.0, 0.0), Point2::new(13.0, 0.0)];
         assert!((mean_matched_error(&estimates, &truths).unwrap() - 2.0).abs() < 1e-9);
-        assert!((max_matched_error(&estimates, &truths).unwrap() - 3.0).abs() < 1e-9);
     }
 
     #[test]

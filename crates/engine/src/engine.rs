@@ -50,9 +50,12 @@ impl Default for SessionConfig {
 /// shared by any number of concurrent [`Session`]s.
 ///
 /// The engine itself holds no mutable state; sessions own theirs, which
-/// is what makes them individually checkpointable. All sessions share
-/// the process-wide `fluxpar` worker pool through the solver, so opening
-/// many sessions does not multiply thread counts.
+/// is what makes them individually checkpointable. Opening a session
+/// starts no threads: its solver work runs on whichever pool its ingest
+/// entry point uses (see [`Session`]) — the process-wide `fluxpar` pool
+/// for [`Session::ingest`], a shard's slice of the thread budget inside a
+/// [`Grid`](crate::Grid), or the pool a caller passes to
+/// [`Session::ingest_in`].
 #[derive(Debug, Clone)]
 pub struct Engine {
     boundary: Arc<dyn Boundary>,

@@ -22,18 +22,18 @@
 //!    outcomes an uninterrupted run would have. Grid checkpoints,
 //!    hibernation and fluxd's checkpoint frame carry the same form.
 //! 4. **Grid layer** ([`grid`]) — a sharded multi-session scheduler:
-//!    sessions are assigned to shards with dedicated `fluxpar` pool
-//!    slices, rounds queue into bounded per-session buffers with
-//!    explicit backpressure, and a drain barrier batch-ingests every
-//!    queue with one scoped worker thread per shard — bit-identical to
-//!    driving each session alone.
+//!    rounds queue into bounded per-session buffers with explicit
+//!    backpressure, and a drain barrier batch-ingests every queue on up
+//!    to one worker per shard, each with its own `fluxpar` pool slice,
+//!    claiming sessions from one shared list — bit-identical to driving
+//!    each session alone.
 //! 5. **Driver layer** (`core::attack`) — the legacy batch pipeline is a
 //!    thin adapter over this engine.
 //!
-//! Standalone sessions share the process-wide `fluxpar` worker pool
-//! through the solver; grid-resident sessions run on their shard's
-//! dedicated pool slice instead, so thousands of sessions never
-//! serialize on shared state.
+//! [`Session::ingest`] runs on the process-wide `fluxpar` worker pool;
+//! grid-resident sessions run on the pool slice of whichever drain
+//! worker claims them, so thousands of sessions never serialize on
+//! shared state.
 //!
 //! # Quickstart
 //!

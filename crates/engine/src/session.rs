@@ -74,8 +74,14 @@ pub enum UserState {
 ///
 /// Sessions are opened (or restored) by an [`Engine`](crate::Engine) and
 /// driven one [`ObservationRound`] at a time via [`ingest`](Session::ingest).
-/// All solver work inside a step runs on the process-wide `fluxpar` pool,
-/// so any number of concurrent sessions share one set of worker threads.
+/// Which worker pool a step's solver work runs on depends on the entry
+/// point: [`ingest`](Session::ingest) and
+/// [`ingest_with`](Session::ingest_with) use the process-wide `fluxpar`
+/// pool; [`ingest_in`](Session::ingest_in) and the batch entry points use
+/// the caller's. A [`Grid`](crate::Grid) drain worker passes its shard's
+/// slice of the grid's thread budget, and a caller driving many sessions
+/// itself (fluxbench does) can pass one-thread pools. Results are
+/// bit-identical on any pool.
 #[derive(Debug, Clone)]
 pub struct Session {
     pub(crate) boundary: Arc<dyn Boundary>,

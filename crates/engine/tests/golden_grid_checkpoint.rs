@@ -149,6 +149,21 @@ fn grid_checkpoint_matches_golden_fixture() {
     };
     let restored = Grid::restore_json(engine.clone(), &config, pinned.trim_end()).unwrap();
     assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
+    // They also wrote four tracker constants into every session's
+    // configuration. Such a document still restores, and re-checkpoints
+    // to the current bytes.
+    let config_head = "\"config\":{\"n_predictions\":40,\"keep_m\":4,\"vmax\":5.0,";
+    assert_eq!(want.matches(config_head).count(), SESSIONS);
+    let with_constants = want.replace(
+        config_head,
+        &format!(
+            "{config_head}\"activity_threshold\":0.05,\"activity_min_gain\":1.15,\
+             \"explore_fraction\":0.1,\"explore_accept_ratio\":0.5,"
+        ),
+    );
+    let restored =
+        Grid::restore_json(engine.clone(), &grid_config(), with_constants.trim_end()).unwrap();
+    assert_eq!(format!("{}\n", restored.checkpoint_json().unwrap()), want);
     // The same document under the previous format version is refused,
     // not migrated.
     let current = format!("\"version\":{CHECKPOINT_VERSION},");

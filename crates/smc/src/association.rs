@@ -10,10 +10,10 @@
 //! 2. let every unselected user bid its best candidate conditioned on the
 //!    sources selected so far — bids from motion-prior candidates are
 //!    preferred, exploration (uniform recovery) bids are penalized by
-//!    `1 / explore_accept_ratio`, so a tracked-but-idle user does not
+//!    `1 / EXPLORE_ACCEPT_RATIO`, so a tracked-but-idle user does not
 //!    hijack another user's peak it could only reach by teleporting;
 //! 3. accept the winning bid only if it improves the residual by at least
-//!    `activity_min_gain`; stop otherwise.
+//!    [`ACTIVITY_MIN_GAIN`]; stop otherwise.
 //!
 //! The selected users are this round's active set; everyone else gets the
 //! paper's Null update (frozen samples, growing `Δt`).
@@ -44,7 +44,7 @@ use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
 use fluxprint_solver::{CacheScratch, Conditioner, FluxObjective, ScoringCache, SinkFit, Slot};
 
-use crate::{SmcConfig, SmcError};
+use crate::{SmcConfig, SmcError, ACTIVITY_MIN_GAIN, EXPLORE_ACCEPT_RATIO};
 
 /// Result of [`associate`].
 #[derive(Debug, Clone)]
@@ -120,7 +120,6 @@ pub fn associate(
     let mut chosen: Vec<Option<usize>> = vec![None; k];
     let mut used_explore = vec![false; k];
     let mut current_residual = objective.null_residual();
-    let explore_penalty = 1.0 / config.explore_accept_ratio;
 
     while selected.len() < k {
         // Every unselected user bids its best candidate conditioned on the
@@ -134,16 +133,7 @@ pub fn associate(
             if chosen[i].is_some() {
                 continue;
             }
-            let bid = best_bid(
-                &cache,
-                &cond,
-                i,
-                explore_from[i],
-                explore_penalty,
-                config.explore_accept_ratio,
-                pool,
-                scratch,
-            )?;
+            let bid = best_bid(&cache, &cond, i, explore_from[i], pool, scratch)?;
             if best
                 .as_ref()
                 .is_none_or(|(_, b)| bid.effective < b.effective)
@@ -155,7 +145,7 @@ pub fn associate(
         // Gain test: the new source must buy a real residual reduction —
         // and there must be residual left to explain (an exactly-explained
         // observation admits no further sources).
-        if current_residual <= 0.0 || current_residual < bid.residual * config.activity_min_gain {
+        if current_residual <= 0.0 || current_residual < bid.residual * ACTIVITY_MIN_GAIN {
             break;
         }
         chosen[winner] = Some(bid.candidate);
@@ -227,14 +217,11 @@ fn selected_slots(selected: &[usize], chosen: &[Option<usize>]) -> Vec<Slot> {
 
 /// Scans user `i`'s candidates conditioned on the selected sources (in
 /// parallel) and returns its admissible bid.
-#[allow(clippy::too_many_arguments)]
 fn best_bid(
     cache: &ScoringCache,
     cond: &Conditioner,
     i: usize,
     explore_from: usize,
-    explore_penalty: f64,
-    explore_accept_ratio: f64,
     pool: &Pool,
     scratch: &mut CacheScratch,
 ) -> Result<Bid, SmcError> {
@@ -269,11 +256,11 @@ fn best_bid(
             explore: false,
         },
         (Some((cp, rp)), Some((ce, re))) => {
-            if re < explore_accept_ratio * rp {
+            if re < EXPLORE_ACCEPT_RATIO * rp {
                 Bid {
                     candidate: ce,
                     residual: re,
-                    effective: re * explore_penalty,
+                    effective: re * (1.0 / EXPLORE_ACCEPT_RATIO),
                     explore: true,
                 }
             } else {

@@ -20,7 +20,12 @@ pub const MAX_N_PREDICTIONS: usize = 100_000;
 /// Parameters of the Sequential Monte Carlo tracker.
 ///
 /// Defaults follow §5.B: `N = 1000` predictions, `M = 10` kept samples,
-/// maximum speed 5 per detection interval.
+/// maximum speed 5 per detection interval. The tracker's other tuning
+/// values are constants: [`ACTIVITY_THRESHOLD`](crate::ACTIVITY_THRESHOLD),
+/// [`ACTIVITY_MIN_GAIN`](crate::ACTIVITY_MIN_GAIN),
+/// [`EXPLORE_FRACTION`](crate::EXPLORE_FRACTION),
+/// [`EXPLORE_ACCEPT_RATIO`](crate::EXPLORE_ACCEPT_RATIO) and
+/// [`WARM_SHRINK`](crate::WARM_SHRINK).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SmcConfig {
     /// `N`: candidate positions predicted per user per round, at most
@@ -33,26 +38,6 @@ pub struct SmcConfig {
     pub keep_m: usize,
     /// Maximum user speed `v_max` (field units per time unit).
     pub vmax: f64,
-    /// Best-fit stretch below which a user is deemed inactive this window
-    /// (`s_j/r → 0`, §4.E).
-    pub activity_threshold: f64,
-    /// Exclusion-test margin for the activity gate: a user counts as
-    /// active only when refitting *without* it raises the residual by at
-    /// least this factor. Residual model error routinely fits a small
-    /// positive `q` onto idle users, but dropping an idle user barely
-    /// changes the fit, while dropping a genuinely collecting user leaves
-    /// its whole flux pattern unexplained.
-    pub activity_min_gain: f64,
-    /// Fraction of each round's predictions drawn uniformly over the field
-    /// instead of from the motion prior — recovery candidates for a user
-    /// whose samples locked onto the wrong source early (the motion prior
-    /// alone can never escape a bad initialization).
-    pub explore_fraction: f64,
-    /// A user's recovery candidates are accepted only when their best
-    /// conditional residual beats its motion-prior candidates' by this
-    /// factor; otherwise they are discarded, so an already-tracked user
-    /// cannot "steal" another user's flux peak.
-    pub explore_accept_ratio: f64,
     /// Use the recursive importance weights of Formula 4.3 (`w_t ∝
     /// w_{t-1} / ‖F̂ − F′‖`). Disabled, the filter degenerates to the
     /// plain top-M selection of §4.C — kept as an ablation of the §4.D
@@ -72,10 +57,6 @@ impl Default for SmcConfig {
             n_predictions: 1000,
             keep_m: 10,
             vmax: 5.0,
-            activity_threshold: 0.05,
-            activity_min_gain: 1.15,
-            explore_fraction: 0.1,
-            explore_accept_ratio: 0.5,
             use_importance_weights: true,
             heading_bias: 0.0,
         }
@@ -99,26 +80,6 @@ impl SmcConfig {
         }
         if !(self.vmax.is_finite() && self.vmax > 0.0) {
             return Err(SmcError::BadConfig { field: "vmax" });
-        }
-        if !(self.activity_threshold.is_finite() && self.activity_threshold >= 0.0) {
-            return Err(SmcError::BadConfig {
-                field: "activity_threshold",
-            });
-        }
-        if !(self.activity_min_gain.is_finite() && self.activity_min_gain >= 1.0) {
-            return Err(SmcError::BadConfig {
-                field: "activity_min_gain",
-            });
-        }
-        if !(0.0..1.0).contains(&self.explore_fraction) {
-            return Err(SmcError::BadConfig {
-                field: "explore_fraction",
-            });
-        }
-        if !(self.explore_accept_ratio > 0.0 && self.explore_accept_ratio <= 1.0) {
-            return Err(SmcError::BadConfig {
-                field: "explore_accept_ratio",
-            });
         }
         if !(0.0..1.0).contains(&self.heading_bias) {
             return Err(SmcError::BadConfig {
@@ -184,34 +145,6 @@ mod tests {
                 "keep_m",
             ),
             (SmcConfig { vmax: 0.0, ..base }, "vmax"),
-            (
-                SmcConfig {
-                    activity_threshold: -1.0,
-                    ..base
-                },
-                "activity_threshold",
-            ),
-            (
-                SmcConfig {
-                    activity_min_gain: 0.5,
-                    ..base
-                },
-                "activity_min_gain",
-            ),
-            (
-                SmcConfig {
-                    explore_fraction: 1.0,
-                    ..base
-                },
-                "explore_fraction",
-            ),
-            (
-                SmcConfig {
-                    explore_accept_ratio: 0.0,
-                    ..base
-                },
-                "explore_accept_ratio",
-            ),
             (
                 SmcConfig {
                     heading_bias: 1.0,

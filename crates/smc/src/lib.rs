@@ -64,4 +64,7 @@ pub use config::{SmcConfig, MAX_N_PREDICTIONS};
 pub use error::SmcError;
 pub use estimate::{effective_sample_size, weighted_mean, WeightedSample};
 pub use state::{CompactTrackerState, CompactUserTrackState, TrackerState, UserTrackState};
-pub use tracker::{StepOutcome, Tracker, WARM_SHRINK};
+pub use tracker::{
+    StepOutcome, Tracker, ACTIVITY_MIN_GAIN, ACTIVITY_THRESHOLD, EXPLORE_ACCEPT_RATIO,
+    EXPLORE_FRACTION, WARM_SHRINK,
+};

@@ -22,6 +22,30 @@ use crate::{
 /// never fewer than its kept samples.
 pub const WARM_SHRINK: usize = 4;
 
+/// Best-fit stretch at or below which a user is deemed inactive this
+/// window (`s_j/r → 0`, §4.E).
+pub const ACTIVITY_THRESHOLD: f64 = 0.05;
+
+/// Gain test of forward selection: a new source is accepted only when
+/// it cuts the residual by at least this factor. Residual model error
+/// routinely fits a small positive `q` onto idle users, but an idle
+/// user barely changes the fit, while a genuinely collecting user
+/// explains its whole flux pattern.
+pub const ACTIVITY_MIN_GAIN: f64 = 1.15;
+
+/// Fraction of each round's predictions drawn uniformly over the field
+/// instead of from the motion prior: recovery candidates for a user
+/// whose samples locked onto the wrong source early (the motion prior
+/// alone can never escape a bad initialization).
+pub const EXPLORE_FRACTION: f64 = 0.1;
+
+/// A user's recovery candidates win its bid only when their best
+/// conditional residual beats its motion-prior candidates' by this
+/// factor, and the winning bid then competes at `1 / EXPLORE_ACCEPT_RATIO`
+/// times its residual, so an already-tracked user cannot "steal" another
+/// user's flux peak.
+pub const EXPLORE_ACCEPT_RATIO: f64 = 0.5;
+
 /// Per-round tracker output.
 #[derive(Debug, Clone)]
 pub struct StepOutcome {
@@ -353,7 +377,7 @@ impl Tracker {
         // can still reach a distant flux peak. `explore_from[c]` marks the
         // index where user c's exploration candidates begin (== n when the
         // user is uninitialized and every candidate is already uniform).
-        let n_explore = ((n as f64 * self.config.explore_fraction).round() as usize).min(n - 1);
+        let n_explore = ((n as f64 * EXPLORE_FRACTION).round() as usize).min(n - 1);
         let mut candidates: Vec<Vec<Point2>> = Vec::with_capacity(part.len());
         let mut parent_weights: Vec<Vec<f64>> = Vec::with_capacity(part.len());
         let mut explore_from: Vec<usize> = Vec::with_capacity(part.len());
@@ -504,7 +528,7 @@ impl Tracker {
             }
         }
         for (ci, &ui) in part.iter().enumerate() {
-            if stretches[ui] <= self.config.activity_threshold {
+            if stretches[ui] <= ACTIVITY_THRESHOLD {
                 continue; // Null update: samples and t_last untouched.
             }
             let Some(res) = assoc.per_candidate_residual[ci].as_ref() else {

@@ -9,49 +9,38 @@ use fluxprint_telemetry::{self as telemetry, names};
 
 use crate::SolverError;
 
-/// Configuration for [`nelder_mead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NelderMeadConfig {
-    /// Maximum objective evaluations.
-    pub max_evals: usize,
-    /// Terminate when the simplex's objective spread falls below this
-    /// *and* its coordinate spread falls below `x_tol` (checking only the
-    /// objective spread stalls on plateaus and ties).
-    pub f_tol: f64,
-    /// Coordinate-spread part of the termination test.
-    pub x_tol: f64,
-    /// Initial simplex edge length per coordinate.
-    pub initial_step: f64,
-}
+// Standard coefficients.
+const ALPHA: f64 = 1.0; // reflection
+const GAMMA: f64 = 2.0; // expansion
+const RHO: f64 = 0.5; // contraction
+const SIGMA: f64 = 0.5; // shrink
 
-impl Default for NelderMeadConfig {
-    fn default() -> Self {
-        NelderMeadConfig {
-            max_evals: 400,
-            f_tol: 1e-9,
-            x_tol: 1e-6,
-            initial_step: 1.0,
-        }
-    }
-}
+// Termination: the simplex's objective spread falls below F_TOL *and*
+// its coordinate spread below X_TOL (checking only the objective spread
+// stalls on plateaus and ties).
+const F_TOL: f64 = 1e-9;
+const X_TOL: f64 = 1e-6;
+
+const INITIAL_STEP: f64 = 1.0; // simplex edge length per coordinate
 
 /// Minimizes `f` from `x0` with the Nelder–Mead simplex; returns the best
-/// point found and its objective value.
+/// point found and its objective value. The search stops once it has
+/// spent `max_evals` objective evaluations, checked once per iteration,
+/// so a final shrink may overrun the budget by up to `x0.len() + 1`.
 ///
 /// # Errors
 ///
-/// Returns [`SolverError::BadParameter`] for an empty start point or
-/// non-positive configuration values.
+/// Returns [`SolverError::BadParameter`] for an empty start point or a
+/// zero budget.
 ///
 /// # Example
 ///
 /// ```
-/// use fluxprint_solver::{nelder_mead, NelderMeadConfig};
+/// use fluxprint_solver::nelder_mead;
 ///
 /// // Rosenbrock's banana, the classic smoke test.
 /// let f = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-/// let cfg = NelderMeadConfig { max_evals: 4000, ..Default::default() };
-/// let (x, fx) = nelder_mead(f, &[-1.2, 1.0], &cfg)?;
+/// let (x, fx) = nelder_mead(f, &[-1.2, 1.0], 4000)?;
 /// assert!(fx < 1e-6);
 /// assert!((x[0] - 1.0).abs() < 1e-2 && (x[1] - 1.0).abs() < 1e-2);
 /// # Ok::<(), fluxprint_solver::SolverError>(())
@@ -59,7 +48,7 @@ impl Default for NelderMeadConfig {
 pub fn nelder_mead<F>(
     mut f: F,
     x0: &[f64],
-    config: &NelderMeadConfig,
+    max_evals: usize,
 ) -> Result<(Vec<f64>, f64), SolverError>
 where
     F: FnMut(&[f64]) -> f64,
@@ -71,26 +60,14 @@ where
             value: 0.0,
         });
     }
-    if config.max_evals == 0 {
+    if max_evals == 0 {
         return Err(SolverError::BadParameter {
             name: "max_evals",
             value: 0.0,
         });
     }
-    if !(config.initial_step > 0.0 && config.initial_step.is_finite()) {
-        return Err(SolverError::BadParameter {
-            name: "initial_step",
-            value: config.initial_step,
-        });
-    }
 
     let _span = telemetry::span(names::SPAN_NELDER_MEAD);
-
-    // Standard coefficients.
-    const ALPHA: f64 = 1.0; // reflection
-    const GAMMA: f64 = 2.0; // expansion
-    const RHO: f64 = 0.5; // contraction
-    const SIGMA: f64 = 0.5; // shrink
 
     let mut evals = 0usize;
     let mut eval = |x: &[f64], evals: &mut usize| {
@@ -109,13 +86,13 @@ where
     simplex.push((x0.to_vec(), f0));
     for i in 0..n {
         let mut x = x0.to_vec();
-        x[i] += config.initial_step;
+        x[i] += INITIAL_STEP;
         let fx = eval(&x, &mut evals);
         simplex.push((x, fx));
     }
 
     let mut converged = false;
-    while evals < config.max_evals {
+    while evals < max_evals {
         simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
         let f_spread = simplex[n].1 - simplex[0].1;
         let x_spread = (0..n)
@@ -128,7 +105,7 @@ where
                 hi - lo
             })
             .fold(0.0f64, f64::max);
-        if f_spread.abs() < config.f_tol && x_spread < config.x_tol {
+        if f_spread.abs() < F_TOL && x_spread < X_TOL {
             converged = true;
             break;
         }
@@ -206,7 +183,7 @@ mod tests {
     #[test]
     fn minimizes_quadratic_bowl() {
         let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2) + 7.0;
-        let (x, fx) = nelder_mead(f, &[0.0, 0.0], &NelderMeadConfig::default()).unwrap();
+        let (x, fx) = nelder_mead(f, &[0.0, 0.0], 400).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-3);
         assert!((x[1] + 1.0).abs() < 1e-3);
         assert!((fx - 7.0).abs() < 1e-6);
@@ -217,11 +194,7 @@ mod tests {
         // |x| + |y| has a kink at the optimum — the rectangular-boundary
         // situation in miniature.
         let f = |x: &[f64]| x[0].abs() + x[1].abs();
-        let cfg = NelderMeadConfig {
-            max_evals: 2000,
-            ..Default::default()
-        };
-        let (x, fx) = nelder_mead(f, &[5.0, -3.0], &cfg).unwrap();
+        let (x, fx) = nelder_mead(f, &[5.0, -3.0], 2000).unwrap();
         assert!(fx < 1e-3, "objective {fx}");
         assert!(x[0].abs() < 1e-3 && x[1].abs() < 1e-3);
     }
@@ -229,7 +202,7 @@ mod tests {
     #[test]
     fn one_dimensional_problem() {
         let f = |x: &[f64]| (x[0] - 2.5).powi(2);
-        let (x, _) = nelder_mead(f, &[10.0], &NelderMeadConfig::default()).unwrap();
+        let (x, _) = nelder_mead(f, &[10.0], 400).unwrap();
         assert!((x[0] - 2.5).abs() < 1e-3);
     }
 
@@ -237,11 +210,7 @@ mod tests {
     fn respects_eval_budget() {
         let mut count = 0usize;
         let f = |_: &[f64]| {
-            0.0 // constant: converges by f_tol immediately after setup
-        };
-        let cfg = NelderMeadConfig {
-            max_evals: 10,
-            ..Default::default()
+            0.0 // constant: converges by F_TOL immediately after setup
         };
         let _ = nelder_mead(
             |x| {
@@ -249,7 +218,7 @@ mod tests {
                 f(x)
             },
             &[0.0, 0.0, 0.0],
-            &cfg,
+            10,
         )
         .unwrap();
         // Budget is checked per iteration; one shrink iteration may add up
@@ -267,22 +236,13 @@ mod tests {
                 (x[0] - 1.0).powi(2)
             }
         };
-        let (x, _) = nelder_mead(f, &[3.0], &NelderMeadConfig::default()).unwrap();
+        let (x, _) = nelder_mead(f, &[3.0], 400).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn config_validation() {
-        assert!(nelder_mead(|_| 0.0, &[], &NelderMeadConfig::default()).is_err());
-        let bad = NelderMeadConfig {
-            max_evals: 0,
-            ..Default::default()
-        };
-        assert!(nelder_mead(|_| 0.0, &[1.0], &bad).is_err());
-        let bad = NelderMeadConfig {
-            initial_step: 0.0,
-            ..Default::default()
-        };
-        assert!(nelder_mead(|_| 0.0, &[1.0], &bad).is_err());
+        assert!(nelder_mead(|_| 0.0, &[], 400).is_err());
+        assert!(nelder_mead(|_| 0.0, &[1.0], 0).is_err());
     }
 }

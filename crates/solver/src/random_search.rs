@@ -8,7 +8,10 @@ use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::{deployment, Point2};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::{nelder_mead, FluxObjective, NelderMeadConfig, SinkFit, SolverError};
+use crate::{nelder_mead, FluxObjective, SinkFit, SolverError};
+
+/// Nelder–Mead evaluation budget for refining each kept fit.
+const REFINE_EVALS: usize = 200;
 
 /// Configuration for [`random_search`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,17 +20,6 @@ pub struct RandomSearchConfig {
     pub samples: usize,
     /// Number of best fits kept (paper: 10).
     pub top_m: usize,
-    /// Refine the best fits with Nelder–Mead after the sweep.
-    pub refine: bool,
-    /// Evaluation budget for each refinement.
-    pub refine_evals: usize,
-    /// For `K > 1`, also seed the candidate pool with one greedy
-    /// *sequential* fit (place sinks one at a time, each conditioned on
-    /// those already placed — the sparse-sampling analogue of the §3.C
-    /// briefing). Joint K-tuple sampling covers all sinks simultaneously
-    /// only with probability ∝ (hit-area / field-area)^K, so this seed
-    /// removes the rare gross outliers at K = 3–4.
-    pub sequential_seed: bool,
 }
 
 impl Default for RandomSearchConfig {
@@ -35,17 +27,22 @@ impl Default for RandomSearchConfig {
         RandomSearchConfig {
             samples: 10_000,
             top_m: 10,
-            refine: true,
-            refine_evals: 200,
-            sequential_seed: true,
         }
     }
 }
 
 /// Draws `config.samples` random joint hypotheses of `k` sink positions,
 /// NNLS-fits each, and returns the `top_m` fits sorted by residual
-/// (best first). With `config.refine`, each kept fit is polished by
-/// Nelder–Mead before the final ranking.
+/// (best first).
+///
+/// For `k > 1` the candidate pool also gets one greedy *sequential* fit:
+/// sinks placed one at a time, each conditioned on those already placed
+/// (the sparse-sampling analogue of the §3.C briefing). Joint K-tuple
+/// sampling covers all sinks at once only with probability ∝
+/// (hit-area / field-area)^K, so this seed removes the rare gross
+/// outliers at K = 3–4. Each kept fit is then polished by
+/// [`refine_fit`] on a 200-evaluation Nelder–Mead budget before the
+/// final ranking.
 ///
 /// # Errors
 ///
@@ -113,38 +110,35 @@ pub fn random_search_with<R: Rng + ?Sized>(
     for fit in fits {
         insert_bounded(&mut best, fit?, config.top_m);
     }
-    if k > 1 && config.sequential_seed {
+    if k > 1 {
         let per_stage = (config.samples / (2 * k)).max(200);
         let fit = sequential_greedy(objective, k, per_stage, rng, pool)?;
         insert_bounded(&mut best, fit, config.top_m);
     }
 
-    if config.refine {
-        let nm = NelderMeadConfig {
-            max_evals: config.refine_evals,
-            initial_step: 1.0,
-            ..Default::default()
-        };
-        // Each kept fit refines independently of the others.
-        let refined = pool.map_indexed(best.len(), |i| refine_fit(objective, &best[i], &nm));
-        for (slot, fit) in best.iter_mut().zip(refined) {
-            *slot = fit?;
-        }
-        best.sort_by(|a, b| a.residual.total_cmp(&b.residual));
+    // Each kept fit refines independently of the others.
+    let refined = pool.map_indexed(best.len(), |i| {
+        refine_fit(objective, &best[i], REFINE_EVALS)
+    });
+    for (slot, fit) in best.iter_mut().zip(refined) {
+        *slot = fit?;
     }
+    best.sort_by(|a, b| a.residual.total_cmp(&b.residual));
     Ok(best)
 }
 
 /// Locally refines a fit's positions with Nelder–Mead (clamped to the
-/// field) and re-fits the stretches at the refined positions.
+/// field, on a `max_evals` budget) and re-fits the stretches at the
+/// refined positions.
 ///
 /// # Errors
 ///
-/// Propagates objective-evaluation errors.
+/// Propagates objective-evaluation errors and [`nelder_mead`]'s
+/// parameter errors.
 pub fn refine_fit(
     objective: &FluxObjective,
     fit: &SinkFit,
-    config: &NelderMeadConfig,
+    max_evals: usize,
 ) -> Result<SinkFit, SolverError> {
     let k = fit.positions.len();
     let x0: Vec<f64> = fit.positions.iter().flat_map(|p| [p.x, p.y]).collect();
@@ -163,7 +157,7 @@ pub fn refine_fit(
                 .unwrap_or(f64::INFINITY)
         },
         &x0,
-        config,
+        max_evals,
     )?;
     let sinks: Vec<Point2> = (0..k)
         .map(|j| {
@@ -271,7 +265,6 @@ mod tests {
         let cfg = RandomSearchConfig {
             samples: 2000,
             top_m: 5,
-            ..Default::default()
         };
         let fits = random_search(&obj, 1, &cfg, &mut rng).unwrap();
         assert_eq!(fits.len(), 5);
@@ -290,7 +283,6 @@ mod tests {
         let cfg = RandomSearchConfig {
             samples: 4000,
             top_m: 3,
-            ..Default::default()
         };
         let fits = random_search(&obj, 2, &cfg, &mut rng).unwrap();
         let best = &fits[0];
@@ -313,16 +305,10 @@ mod tests {
         let truth = [(Point2::new(15.0, 10.0), 1.0)];
         let obj = objective_for(&truth);
         let mut rng = StdRng::seed_from_u64(3);
-        let raw_cfg = RandomSearchConfig {
-            samples: 300,
-            top_m: 5,
-            refine: false,
-            refine_evals: 0,
-            ..Default::default()
-        };
-        let raw = random_search(&obj, 1, &raw_cfg, &mut rng).unwrap();
-        for fit in &raw {
-            let refined = refine_fit(&obj, fit, &NelderMeadConfig::default()).unwrap();
+        for _ in 0..5 {
+            let start = deployment::random_point(obj.boundary(), &mut rng);
+            let fit = obj.evaluate(&[start]).unwrap();
+            let refined = refine_fit(&obj, &fit, 400).unwrap();
             assert!(refined.residual <= fit.residual + 1e-9);
         }
     }
@@ -334,7 +320,6 @@ mod tests {
         let cfg = RandomSearchConfig {
             samples: 600,
             top_m: 4,
-            ..Default::default()
         };
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(7);

@@ -6,8 +6,7 @@ use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::{Point2, Rect};
 use fluxprint_linalg::Matrix;
 use fluxprint_solver::{
-    min_cost_assignment, nelder_mead, random_search, refine_fit, FluxObjective, NelderMeadConfig,
-    RandomSearchConfig,
+    min_cost_assignment, nelder_mead, random_search, refine_fit, FluxObjective, RandomSearchConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -66,7 +65,7 @@ proptest! {
     fn refinement_monotone(truth in point_in_field(), start in point_in_field(), q in 0.5..3.0) {
         let obj = objective_for(&[(truth, q)]);
         let fit = obj.evaluate(&[start]).unwrap();
-        let refined = refine_fit(&obj, &fit, &NelderMeadConfig::default()).unwrap();
+        let refined = refine_fit(&obj, &fit, 400).unwrap();
         prop_assert!(refined.residual <= fit.residual + 1e-9);
         // Refined positions stay on the field.
         for p in &refined.positions {
@@ -79,7 +78,7 @@ proptest! {
     fn search_results_sorted(truth in point_in_field(), seed in 0u64..1000, q in 0.5..3.0) {
         let obj = objective_for(&[(truth, q)]);
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = RandomSearchConfig { samples: 200, top_m: 7, refine: false, refine_evals: 0, ..Default::default() };
+        let cfg = RandomSearchConfig { samples: 200, top_m: 7 };
         let fits = random_search(&obj, 1, &cfg, &mut rng).unwrap();
         prop_assert_eq!(fits.len(), 7);
         for w in fits.windows(2) {
@@ -91,8 +90,7 @@ proptest! {
     #[test]
     fn nelder_mead_quadratic(cx in -5.0..5.0f64, cy in -5.0..5.0f64) {
         let f = |x: &[f64]| (x[0] - cx).powi(2) + 2.0 * (x[1] - cy).powi(2);
-        let cfg = NelderMeadConfig { max_evals: 800, ..Default::default() };
-        let (x, fx) = nelder_mead(f, &[0.0, 0.0], &cfg).unwrap();
+        let (x, fx) = nelder_mead(f, &[0.0, 0.0], 800).unwrap();
         prop_assert!(fx < 1e-4, "objective {fx}");
         prop_assert!((x[0] - cx).abs() < 0.05 && (x[1] - cy).abs() < 0.05);
     }

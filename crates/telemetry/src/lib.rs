@@ -6,11 +6,11 @@
 //! 1. **Never perturb the experiment.** The hot-path calls ([`counter`],
 //!    [`record`], [`span`]) touch only thread-local state and never
 //!    panic; simulation results are identical with telemetry on or off.
-//! 2. **Deterministic under test.** All timing flows through the
-//!    injectable [`Clock`] trait; tests install a [`ManualClock`] and get
-//!    bit-for-bit reproducible span durations. The one real wall-clock
-//!    read in the workspace's library crates lives in
-//!    [`MonotonicClock::new`], behind a fluxlint waiver.
+//! 2. **One clock.** Spans and [`clock_ns`] read monotonic nanoseconds
+//!    from one process-wide origin, the workspace's single sanctioned
+//!    wall-clock read in library crates, behind a fluxlint waiver. A
+//!    [`Recorder`] takes explicit timestamps, so its tests pin exact
+//!    span durations without any clock.
 //! 3. **One schema for every run.** [`snapshot()`] pads its output with
 //!    zero-valued entries for the whole metric catalog ([`names`]), so
 //!    NDJSON exports from different figure targets diff record-for-record.
@@ -28,15 +28,13 @@
 //! assert!(snap.to_ndjson().lines().count() > 0);
 //! ```
 
-pub mod clock;
 pub mod histogram;
 pub mod names;
 pub mod recorder;
 mod registry;
 pub mod snapshot;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::{Histogram, BUCKET_BOUNDS};
 pub use recorder::{OpenSpan, Recorder, SpanStat};
-pub use registry::{clock_ns, counter, flush, record, reset, set_clock, snapshot, span, SpanGuard};
+pub use registry::{clock_ns, counter, flush, record, reset, snapshot, span, SpanGuard};
 pub use snapshot::{json_number, json_string, Snapshot};

@@ -1,8 +1,8 @@
 //! The per-thread recorder: counters, histograms and a span stack.
 //!
 //! A [`Recorder`] is plain mutable state with *explicit* time arguments —
-//! no global clock, no locking — which makes it directly testable under a
-//! [`ManualClock`](crate::ManualClock). The process-wide convenience API
+//! no global clock, no locking — so tests hand it exact timestamps and
+//! pin span durations to the nanosecond. The process-wide convenience API
 //! in the crate's `registry` module keeps one `Recorder` per thread and merges it
 //! into the global registry when the thread exits (merge-on-drop), so hot
 //! paths only ever touch thread-local memory.
@@ -274,7 +274,6 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Clock, ManualClock};
 
     #[test]
     fn counters_accumulate() {
@@ -369,21 +368,17 @@ mod tests {
 
     #[test]
     fn span_nesting_builds_hierarchical_paths() {
-        let clock = ManualClock::new();
         let mut r = Recorder::new();
 
-        let outer = r.begin_span("solver", clock.now_ns());
+        let outer = r.begin_span("solver", 0);
         assert_eq!(outer.path(), "solver");
-        clock.advance(100);
 
-        let inner = r.begin_span("nnls", clock.now_ns());
+        let inner = r.begin_span("nnls", 100);
         assert_eq!(inner.path(), "solver/nnls");
         assert_eq!(r.span_depth(), 2);
-        clock.advance(40);
-        r.end_span(inner, clock.now_ns());
+        r.end_span(inner, 140);
 
-        clock.advance(10);
-        r.end_span(outer, clock.now_ns());
+        r.end_span(outer, 150);
         assert_eq!(r.span_depth(), 0);
 
         let inner = r.span_stat("solver/nnls").unwrap();
@@ -394,14 +389,14 @@ mod tests {
     }
 
     #[test]
-    fn span_timing_is_deterministic_under_manual_clock() {
+    fn span_timing_is_deterministic_under_explicit_timestamps() {
         let run = || {
-            let clock = ManualClock::new();
             let mut r = Recorder::new();
+            let mut now = 0;
             for step in 0..5u64 {
-                let span = r.begin_span("step", clock.now_ns());
-                clock.advance(10 + step);
-                r.end_span(span, clock.now_ns());
+                let span = r.begin_span("step", now);
+                now += 10 + step;
+                r.end_span(span, now);
             }
             let s = *r.span_stat("step").unwrap();
             (s.count, s.total_ns, s.min_ns, s.max_ns)

@@ -16,9 +16,9 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
-use crate::clock::{Clock, MonotonicClock};
 use crate::histogram::Histogram;
 use crate::recorder::{OpenSpan, Recorder, SpanStat};
 use crate::snapshot::Snapshot;
@@ -36,36 +36,19 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-fn clock_slot() -> &'static RwLock<Arc<dyn Clock>> {
-    static CLOCK: OnceLock<RwLock<Arc<dyn Clock>>> = OnceLock::new();
-    CLOCK.get_or_init(|| RwLock::new(Arc::new(MonotonicClock::new())))
-}
-
-fn now_ns() -> u64 {
-    match clock_slot().read() {
-        Ok(clock) => clock.now_ns(),
-        Err(poisoned) => poisoned.into_inner().now_ns(),
-    }
-}
-
-/// Reads the registry's clock — the same injectable [`Clock`] that spans
-/// time themselves against. This is the sanctioned way for workspace
-/// crates to take a timestamp (e.g. `fluxd`'s frame-latency histogram):
-/// production runs see the monotonic clock, deterministic tests see
-/// whatever [`set_clock`] installed, and the wall-clock read stays
-/// confined to this crate's one waivered site.
+/// Monotonic nanoseconds since the process-wide origin, the instant of
+/// the first read. Spans time themselves against it, and it is the
+/// sanctioned way for workspace crates to take a timestamp (e.g. `fluxd`'s
+/// frame-latency histogram): every thread reads the same origin, so a
+/// stamp taken on one thread can be subtracted from one taken on another,
+/// and the wall-clock read stays confined to this one waivered site.
 pub fn clock_ns() -> u64 {
-    now_ns()
-}
-
-/// Replaces the global clock (e.g. with a [`ManualClock`](crate::ManualClock)
-/// for deterministic integration tests). Spans opened under the previous
-/// clock will close against the new one; swap clocks only between runs.
-pub fn set_clock(clock: Arc<dyn Clock>) {
-    match clock_slot().write() {
-        Ok(mut slot) => *slot = clock,
-        Err(poisoned) => *poisoned.into_inner() = clock,
-    }
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    // fluxlint: allow(determinism) — the telemetry clock is the workspace's single sanctioned monotonic-time origin; simulations never read it
+    let origin = ORIGIN.get_or_init(Instant::now);
+    // `as_nanos` is u128; saturate far beyond any realistic process
+    // lifetime (~584 years) instead of truncating.
+    u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The thread-local recorder, merged into the registry on thread exit.
@@ -134,7 +117,7 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(open) = self.open.take() {
-            let end = now_ns();
+            let end = clock_ns();
             with_local(|r| r.end_span(open, end));
         }
     }
@@ -145,7 +128,7 @@ impl Drop for SpanGuard {
 /// at open time) extend the path with `/`.
 #[must_use = "a span measures the scope of its guard; dropping it immediately records nothing useful"]
 pub fn span(name: &'static str) -> SpanGuard {
-    let start = now_ns();
+    let start = clock_ns();
     SpanGuard {
         open: with_local(|r| r.begin_span(name, start)),
     }
@@ -261,6 +244,31 @@ mod tests {
         let snap = snapshot();
         assert!(snap.spans["test.registry.outer"].count >= 1);
         assert!(snap.spans["test.registry.outer/test.registry.inner"].count >= 1);
+    }
+
+    /// fluxd's reader thread stamps each frame with `clock_ns()` before
+    /// handing it over a channel, and the core thread subtracts that
+    /// stamp from its own read after receiving it. That holds only if
+    /// every thread reads one origin: the sender here reads the clock,
+    /// waits, then stamps, so a receiver that measured from its own
+    /// first read would see a smaller time than the stamp it received.
+    #[test]
+    fn stamps_order_across_threads() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let first = clock_ns();
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                let stamp = clock_ns();
+                assert!(stamp >= first + 5_000_000);
+                tx.send(stamp).unwrap();
+            });
+            scope.spawn(move || {
+                let stamp: u64 = rx.recv().unwrap();
+                let now = clock_ns();
+                assert!(stamp <= now, "stamp {stamp} ns after receipt {now} ns");
+            });
+        });
     }
 
     #[test]

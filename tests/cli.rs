@@ -111,6 +111,51 @@ fn localize_finds_the_user() {
     assert!(err < 5.0, "CLI localization error {err}");
 }
 
+/// The attack spec's `assumed_k` reaches the search, and a conservative
+/// overestimate reports only the sinks fitted above
+/// `smc::ACTIVITY_THRESHOLD` (§4.A, §4.E): the surplus sink at q ≈ 0 is
+/// dropped.
+#[test]
+fn localize_reports_only_active_sinks_of_an_overestimated_k() {
+    let spec = write_small_spec();
+    let attack =
+        tempdir::write_temp(r#"{"samples": 1500, "sniffer_percentage": 20.0, "assumed_k": 3}"#);
+    let output = fluxprint()
+        .args([
+            "localize",
+            spec.as_str(),
+            "--attack",
+            attack.as_str(),
+            "--seed",
+            "7",
+            "--json",
+        ])
+        .output()
+        .expect("runs");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report: fluxprint::InstantReport =
+        serde_json::from_slice(&output.stdout).expect("an instant report");
+    let best = &report.top_fits[0];
+    assert_eq!(
+        best.positions.len(),
+        3,
+        "assumed_k did not reach the search"
+    );
+    let active: Vec<_> = best
+        .active_sinks(fluxprint::smc::ACTIVITY_THRESHOLD)
+        .into_iter()
+        .map(|i| best.positions[i])
+        .collect();
+    assert!(!active.is_empty(), "the user went undetected");
+    assert!(active.len() < 3, "no surplus sink fell to q ≈ 0");
+    assert_eq!(report.estimates, active);
+    assert!(report.mean_error < 5.0, "error {}", report.mean_error);
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let output = fluxprint().arg("frobnicate").output().expect("runs");

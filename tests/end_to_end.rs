@@ -275,35 +275,6 @@ fn reports_serialize() {
     assert!(json.contains("rounds"));
 }
 
-/// Averaging several observation windows of the same collections
-/// suppresses tree randomness and does not hurt accuracy.
-#[test]
-fn window_averaging_does_not_hurt() {
-    let mut rng = StdRng::seed_from_u64(40);
-    let scenario = ScenarioBuilder::new()
-        .user(static_user(Point2::new(9.0, 21.0), 2.0, 5))
-        .build(&mut rng)
-        .unwrap();
-    let run = |windows: usize, rng: &mut StdRng| -> f64 {
-        let mut config = AttackConfig::default();
-        config.search.samples = 3000;
-        config.average_windows = windows;
-        let mut total = 0.0;
-        for _ in 0..3 {
-            total += run_instant_localization(&scenario, 0.0, &config, rng)
-                .unwrap()
-                .mean_error;
-        }
-        total / 3.0
-    };
-    let single = run(1, &mut rng);
-    let averaged = run(4, &mut rng);
-    assert!(
-        averaged <= single + 0.75,
-        "window averaging hurt: {averaged:.2} vs {single:.2}"
-    );
-}
-
 /// §4.A's smooth-boundary contrast: on a *circular* field the objective is
 /// differentiable and a single-start Levenberg–Marquardt run from a decent
 /// initialization converges — unlike the rectangular case (see

@@ -44,7 +44,6 @@ pub fn run_ablation_filter(spec: RunSpec) -> serde_json::Value {
         .map(|i| Point2::new(2.0 + (i % 7) as f64 * 4.3, 2.0 + (i / 7) as f64 * 4.3))
         .collect();
     let config = SmcConfig::default();
-    let pool = fluxprint_fluxpar::Pool::with_threads(1);
     let mut scratch = CacheScratch::new();
     let mut record = vec![
         ("ablation".to_string(), json!("filter")),
@@ -91,15 +90,8 @@ pub fn run_ablation_filter(spec: RunSpec) -> serde_json::Value {
             let (best, exact) = exact_joint_fit(&objective, &candidates);
             exact_time += t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
-            let assoc = associate(
-                &objective,
-                &candidates,
-                &vec![n; k],
-                &config,
-                &pool,
-                &mut scratch,
-            )
-            .expect("association runs");
+            let assoc = associate(&objective, &candidates, &vec![n; k], &config, &mut scratch)
+                .expect("association runs");
             assoc_time += t0.elapsed().as_secs_f64();
 
             let residual = assoc

@@ -63,12 +63,9 @@ pub fn run_fig7(spec: RunSpec) -> serde_json::Value {
 
     let mut out = Vec::new();
     for kind in ["1", "2", "3", "crossing"] {
-        let mut firsts = Vec::new();
-        let mut mids = Vec::new();
-        let mut finals = Vec::new();
-        let mut converged = Vec::new();
-        let mut swaps = Vec::new();
-        for trial in 0..trials {
+        // Trials are independent and seed their own RNGs; run them on the
+        // shared worker pool, which returns them in trial order.
+        let per_trial = fluxprint_fluxpar::pool().map_indexed(trials, |trial| {
             let (scenario, _k) = tracking_scenario(kind, spec.rng_seed(8000 + trial as u64));
             let mut rng = StdRng::seed_from_u64(spec.rng_seed(9000 + trial as u64));
             let mut config = AttackConfig::default();
@@ -76,12 +73,16 @@ pub fn run_fig7(spec: RunSpec) -> serde_json::Value {
                 config.smc.n_predictions = 400;
             }
             let tracked = run_tracking(&scenario, &config, &mut rng).expect("tracking runs");
-            firsts.push(tracked.rounds[0].mean_error);
-            mids.push(tracked.rounds[tracked.rounds.len() / 2].mean_error);
-            finals.push(tracked.final_mean_error().expect("rounds exist"));
-            converged.push(tracked.converged_mean_error().expect("rounds exist"));
-            swaps.push(tracked.identity_swaps() as f64);
-        }
+            [
+                tracked.rounds[0].mean_error,
+                tracked.rounds[tracked.rounds.len() / 2].mean_error,
+                tracked.final_mean_error().expect("rounds exist"),
+                tracked.converged_mean_error().expect("rounds exist"),
+                tracked.identity_swaps() as f64,
+            ]
+        });
+        let column = |i: usize| per_trial.iter().map(|t| t[i]).collect::<Vec<f64>>();
+        let [firsts, mids, finals, converged, swaps] = [0, 1, 2, 3, 4].map(column);
         report.row(&[
             kind.to_string(),
             f(mean(&firsts)),

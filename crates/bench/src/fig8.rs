@@ -61,17 +61,16 @@ pub fn run_fig8a(spec: RunSpec) -> serde_json::Value {
         let mut row = vec![k.to_string()];
         let mut values = Vec::new();
         for (pi, &pct) in percentages.iter().enumerate() {
-            let errs: Vec<f64> = (0..trials)
-                .map(|t| {
-                    tracking_error(
-                        k,
-                        ScenarioBuilder::new(),
-                        SnifferSpec::Percentage(pct),
-                        n_pred,
-                        spec.rng_seed((10_000 + k * 1000 + pi * 100 + t) as u64),
-                    )
-                })
-                .collect();
+            // Trials are independent; run them on the shared worker pool.
+            let errs: Vec<f64> = fluxprint_fluxpar::pool().map_indexed(trials, |t| {
+                tracking_error(
+                    k,
+                    ScenarioBuilder::new(),
+                    SnifferSpec::Percentage(pct),
+                    n_pred,
+                    spec.rng_seed((10_000 + k * 1000 + pi * 100 + t) as u64),
+                )
+            });
             let m = mean(&errs);
             row.push(f(m));
             values.push(m);
@@ -99,17 +98,16 @@ pub fn run_fig8b(spec: RunSpec) -> serde_json::Value {
         let mut values = Vec::new();
         for (ni, &n) in node_counts.iter().enumerate() {
             let side = (n as f64).sqrt().round() as usize;
-            let errs: Vec<f64> = (0..trials)
-                .map(|t| {
-                    tracking_error(
-                        k,
-                        ScenarioBuilder::new().grid_nodes(side, side),
-                        SnifferSpec::Count(90),
-                        n_pred,
-                        spec.rng_seed((11_000 + k * 1000 + ni * 100 + t) as u64),
-                    )
-                })
-                .collect();
+            // Trials are independent; run them on the shared worker pool.
+            let errs: Vec<f64> = fluxprint_fluxpar::pool().map_indexed(trials, |t| {
+                tracking_error(
+                    k,
+                    ScenarioBuilder::new().grid_nodes(side, side),
+                    SnifferSpec::Count(90),
+                    n_pred,
+                    spec.rng_seed((11_000 + k * 1000 + ni * 100 + t) as u64),
+                )
+            });
             let m = mean(&errs);
             row.push(f(m));
             values.push(m);

@@ -6,7 +6,7 @@
 //! trajectory:
 //!
 //! 1. **Plans** ([`plan`]) — declarative ablation plans: a JSON file
-//!    naming a factor grid (threads / shards / sessions / N / K / noise),
+//!    naming a factor grid (shards / sessions / N / K / noise),
 //!    fixed parameters, the seeds to run, and per-KPI tolerance gates.
 //!    Each plan has a stable [`plan hash`](plan::Plan::hash) — FNV-1a
 //!    over the *canonical* (key-sorted) JSON with the gates stripped —

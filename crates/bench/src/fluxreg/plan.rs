@@ -26,8 +26,11 @@ use serde_json::Value;
 /// Parameter names the runner understands, with their defaults.
 ///
 /// * `sessions` — concurrent tracking sessions (grid sinks).
-/// * `threads` — worker-thread budget for the grid.
-/// * `shards` — grid shard count.
+/// * `threads` — recorded in each row but inert: a round runs on the
+///   drain worker that claims its session, so `shards` alone sets a
+///   job's parallelism. Existing plans and their baselines name it.
+/// * `shards` — grid shard count: a drain runs `min(shards, sessions)`
+///   workers.
 /// * `rounds` — observation rounds per session.
 /// * `users` — tracked users per session (the paper's K).
 /// * `n_predictions` — SMC candidate predictions per user (the paper's N).
@@ -473,6 +476,15 @@ mod tests {
             Plan::from_json("{\"name\":\"x\",\"fixed\":{\"threads\":1.5}}").is_err(),
             "fractional count"
         );
+    }
+
+    #[test]
+    fn seeds_span_the_whole_u64_range() {
+        let plan =
+            Plan::from_json(r#"{ "name": "x", "seeds": [0, 18446744073709551615] }"#).unwrap();
+        assert_eq!(plan.seeds, vec![0, u64::MAX]);
+        assert!(Plan::from_json(r#"{ "name": "x", "seeds": [-1] }"#).is_err());
+        assert!(Plan::from_json(r#"{ "name": "x", "seeds": [18446744073709551616] }"#).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! perturbed-grid network, a sniffer set, and `rounds` observation
 //! windows of `users` mobile users under the requested noise — then
 //! drives `sessions` tracking sessions through a [`Grid`] with the
-//! requested shard/thread budget. KPIs split into two classes:
+//! requested shard count. KPIs split into two classes:
 //!
 //! * **Deterministic** (gateable with tight tolerances): `mean_error`
 //!   (identity-free accuracy vs. ground truth, via `core::metrics`),
@@ -13,7 +13,7 @@
 //!   round), `rounds`, and the residency pair `checkpoint_bytes` /
 //!   `resident_sessions` (end-of-run grid footprint under the job's
 //!   `hibernate_after` / `active_pct` duty cycle). These are bit-stable
-//!   for a fixed seed at any thread count (DESIGN.md §9/§11/§15).
+//!   for a fixed seed at any shard count (DESIGN.md §9/§11/§15).
 //! * **Wall-clock** (`wall_ms`, `rounds_per_s`): recorded for the
 //!   trajectory; gate them only with generous relative tolerances.
 //!
@@ -183,8 +183,8 @@ fn grid_config_for(job: &Job, trace: &[ObservationRound]) -> GridConfig {
     GridConfig {
         shards: job.count("shards"),
         queue_capacity: trace.len().max(1),
-        threads: job.count("threads"),
         hibernate_after: job.count("hibernate_after") as u64,
+        ..GridConfig::default()
     }
 }
 
@@ -441,7 +441,9 @@ fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> 
 
     let mut run_meta = trace::run_meta(&format!("plan:{}", plan.name), "plan", job.seed, commit);
     if let Value::Object(fields) = &mut run_meta {
-        let oversubscribed = job.count("threads") > trace::available_parallelism();
+        // A drain runs one worker per shard that has a session to serve.
+        let workers = job.count("shards").min(job.count("sessions"));
+        let oversubscribed = workers > trace::available_parallelism();
         fields.push(("oversubscribed".to_string(), Value::Bool(oversubscribed)));
     }
     let telemetry: Value = serde_json::from_str(&fluxprint_telemetry::snapshot().to_inline_json())

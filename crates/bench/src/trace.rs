@@ -69,9 +69,8 @@ pub fn available_parallelism() -> usize {
 /// `--json` results file, and rides in every fluxreg row: target name,
 /// effort, run seed, the git version (`null` when unavailable), the
 /// worker-thread provenance and the host's core count — enough to make
-/// any downstream row self-describing. A seed above `i64::MAX` is written
-/// as a float, as the workspace's JSON stand-in writes every such
-/// integer.
+/// any downstream row self-describing. Every `u64` seed is written as
+/// the exact integer it is.
 pub fn run_meta(target: &str, effort: &str, seed: u64, git: Option<&str>) -> Value {
     let prov = thread_provenance();
     json!({
@@ -132,6 +131,14 @@ mod tests {
             "applied" | "ignored" => assert!(value["threads_env"].as_str().is_some()),
             other => panic!("unexpected threads_env_status {other:?}"),
         }
+    }
+
+    #[test]
+    fn run_meta_writes_the_largest_seed_exactly() {
+        let line = run_meta("fig4", "quick", u64::MAX, None).to_string();
+        assert!(line.contains(r#""seed":18446744073709551615,"#), "{line}");
+        let value: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
+        assert_eq!(value["seed"].as_u64(), Some(u64::MAX));
     }
 
     #[test]

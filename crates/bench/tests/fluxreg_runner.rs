@@ -51,14 +51,14 @@ fn tiny_plan_produces_a_complete_deterministic_row() {
     assert!(row.kpis["evals_per_round"] > 0.0);
     // The folded telemetry snapshot rode along.
     assert!(row.telemetry["counters"]["engine.rounds"].as_u64().unwrap() >= 4);
-    // So did the host's core count, and whether the job's one thread
-    // outnumbers it.
+    // So did the host's core count, and whether the job's drain workers
+    // (one shard, so one) outnumber it.
     let cores = fluxprint_bench::trace::available_parallelism();
     assert_eq!(
         row.run_meta["available_parallelism"].as_u64(),
         Some(cores as u64)
     );
-    assert_eq!(row.run_meta["oversubscribed"].as_bool(), Some(1 > cores));
+    assert_eq!(row.run_meta["oversubscribed"].as_bool(), Some(false));
 
     // Deterministic KPIs reproduce exactly on a re-run.
     let again = run_plan(&plan, Some("test-commit")).unwrap();
@@ -77,6 +77,27 @@ fn tiny_plan_produces_a_complete_deterministic_row() {
             "KPI {kpi} is not deterministic"
         );
     }
+}
+
+/// A drain runs `min(shards, sessions)` workers, so a job oversubscribes
+/// the host only when both exceed its cores; `threads` plays no part.
+#[test]
+fn oversubscribed_counts_drain_workers() {
+    let _registry = registry_lock();
+    let many = fluxprint_bench::trace::available_parallelism() + 1;
+    let oversubscribed = |sessions: usize, threads: usize| {
+        let plan = Plan::from_json(&format!(
+            r#"{{ "name": "runner-oversubscribed",
+                  "fixed": {{ "sessions": {sessions}, "rounds": 1, "n_predictions": 8,
+                             "keep_m": 2, "sniffers": 16, "threads": {threads},
+                             "shards": {many} }},
+                  "seeds": [0] }}"#
+        ))
+        .unwrap();
+        run_plan(&plan, None).unwrap()[0].run_meta["oversubscribed"].as_bool()
+    };
+    assert_eq!(oversubscribed(many, 1), Some(true));
+    assert_eq!(oversubscribed(1, many), Some(false));
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use fluxprint_bench::{fig4, trace, Effort, RunSpec};
 use fluxprint_telemetry::names;
+use rand::SeedableRng;
 
 #[test]
 fn quick_fig4_emits_schema_valid_telemetry() {
@@ -102,16 +103,15 @@ fn quick_fig4_emits_schema_valid_telemetry() {
 
     // Drive the Gram-cached filter once (in the same test: the registry
     // is process-global, so a second `#[test]` would race the block
-    // above). All four new counters must move.
+    // above). All three scoring counters must move.
+    let objective = two_source_objective();
     let before = fluxprint_telemetry::snapshot();
-    drive_cached_filter();
+    drive_cached_filter(&objective);
     let after = fluxprint_telemetry::snapshot();
     for name in [
         names::SOLVER_GRAM_BUILD,
         names::SOLVER_GRAM_COMBO_EVALS,
         names::SOLVER_RESIDUAL_EXACT,
-        names::FLUXPAR_TASKS,
-        names::FLUXPAR_THREADS,
     ] {
         assert!(
             after.counter(name) > before.counter(name),
@@ -121,6 +121,30 @@ fn quick_fig4_emits_schema_valid_telemetry() {
     // Screening runs the exact residual for at most every probe.
     let delta = |name| after.counter(name) - before.counter(name);
     assert!(delta(names::SOLVER_RESIDUAL_EXACT) <= delta(names::SOLVER_GRAM_COMBO_EVALS));
+
+    // A random search on an explicit 2-thread pool (the solver's one
+    // pool dispatch), so the dispatch counters move even when
+    // `FLUXPRINT_THREADS=1` pins the process-wide pool.
+    let before = after;
+    let config = fluxprint_solver::RandomSearchConfig {
+        samples: 64,
+        top_m: 2,
+    };
+    fluxprint_solver::random_search_with(
+        &objective,
+        2,
+        &config,
+        &mut rand::rngs::StdRng::seed_from_u64(9),
+        &fluxprint_fluxpar::Pool::with_threads(2),
+    )
+    .expect("random search runs");
+    let after = fluxprint_telemetry::snapshot();
+    for name in [names::FLUXPAR_TASKS, names::FLUXPAR_THREADS] {
+        assert!(
+            after.counter(name) > before.counter(name),
+            "counter {name} did not move across a pooled random search"
+        );
+    }
 
     // Drive a streaming-engine session through a checkpoint/restore cycle
     // (same test, same reason) and check every engine counter moves.
@@ -257,8 +281,8 @@ fn drive_loopback_fluxd() {
             grid: GridConfig {
                 shards: 1,
                 queue_capacity: 4,
-                threads: 1,
                 hibernate_after: 0,
+                ..GridConfig::default()
             },
             credits: 0,
             drain_threshold: 0,
@@ -332,8 +356,8 @@ fn drive_hibernating_grid() {
     let grid_config = GridConfig {
         shards: 1,
         queue_capacity: 4,
-        threads: 1,
         hibernate_after: 1,
+        ..GridConfig::default()
     };
     let mut grid = Grid::open(engine, &grid_config).expect("grid opens");
     let busy = grid.open_session(&config, 11).expect("session opens");
@@ -350,10 +374,8 @@ fn drive_hibernating_grid() {
     grid.join().expect("join");
 }
 
-/// One small association on an explicit 2-thread pool, so the
-/// parallel-dispatch counter (`fluxpar.threads`) is exercised even when
-/// `FLUXPRINT_THREADS=1` pins the process-wide pool.
-fn drive_cached_filter() {
+/// Flux from two sources on a 6×6 sniffer grid.
+fn two_source_objective() -> fluxprint_solver::FluxObjective {
     use fluxprint_fluxmodel::FluxModel;
     use fluxprint_geometry::{Point2, Rect};
     use std::sync::Arc;
@@ -368,12 +390,16 @@ fn drive_cached_filter() {
         .iter()
         .map(|&p| model.predict_superposed(&truth, p, &field))
         .collect();
-    let objective =
-        fluxprint_solver::FluxObjective::new(Arc::new(field), model, sniffers, measured)
-            .expect("valid objective");
+    fluxprint_solver::FluxObjective::new(Arc::new(field), model, sniffers, measured)
+        .expect("valid objective")
+}
+
+/// One small association over `objective`.
+fn drive_cached_filter(objective: &fluxprint_solver::FluxObjective) {
+    use fluxprint_geometry::Point2;
+
     // Three hand-placed candidates per user, then 17 more on a ring, so
-    // that each scan's first pass spans two 16-probe chunks and fans out
-    // on the two-thread pool.
+    // that each scan's first pass spans two 16-probe chunks.
     let ring = |i: usize| {
         let a = i as f64 * 0.37;
         Point2::new(15.0 + 12.0 * a.cos(), 15.0 + 12.0 * a.sin())
@@ -393,13 +419,11 @@ fn drive_cached_filter() {
     for (u, set) in candidates.iter_mut().enumerate() {
         set.extend((0..17).map(|i| ring(u * 17 + i)));
     }
-    let pool = fluxprint_fluxpar::Pool::with_threads(2);
     fluxprint_smc::associate(
-        &objective,
+        objective,
         &candidates,
         &[20, 20],
         &fluxprint_smc::SmcConfig::default(),
-        &pool,
         &mut fluxprint_solver::CacheScratch::new(),
     )
     .expect("association runs");

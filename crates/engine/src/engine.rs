@@ -51,11 +51,9 @@ impl Default for SessionConfig {
 ///
 /// The engine itself holds no mutable state; sessions own theirs, which
 /// is what makes them individually checkpointable. Opening a session
-/// starts no threads: its solver work runs on whichever pool its ingest
-/// entry point uses (see [`Session`]) — the process-wide `fluxpar` pool
-/// for [`Session::ingest`], a shard's slice of the thread budget inside a
-/// [`Grid`](crate::Grid), or the pool a caller passes to
-/// [`Session::ingest_in`].
+/// starts no threads: each round's solver work runs on the thread that
+/// ingests it (see [`Session`]), inside a [`Grid`](crate::Grid) on the
+/// drain worker that claims the session.
 #[derive(Debug, Clone)]
 pub struct Engine {
     boundary: Arc<dyn Boundary>,

@@ -1,12 +1,12 @@
 //! fluxgrid: the multi-session scheduler.
 //!
-//! A [`Grid`] owns N shards — drain workers, each holding a dedicated
-//! [`Pool`] slice (see [`Pool::split`]) and a reusable solver scratch —
-//! and one table of resident sessions indexed by id. Rounds are
-//! [`submit`](Grid::submit)ted into bounded per-session queues — a full
-//! queue hands the round straight back as [`Submit::Backpressure`]
-//! instead of blocking — and a [`drain`](Grid::drain) barrier ingests
-//! every queued round, each session's queue as one contiguous batch
+//! A [`Grid`] owns N shards — drain workers, each holding a reusable
+//! solver scratch — and one table of resident sessions indexed by id.
+//! Rounds are [`submit`](Grid::submit)ted into bounded per-session
+//! queues — a full queue hands the round straight back as
+//! [`Submit::Backpressure`] instead of blocking — and a
+//! [`drain`](Grid::drain) barrier ingests every queued round, each
+//! session's queue as one contiguous batch
 //! ([`Session::ingest_batch_into`]).
 //!
 //! # Scheduling
@@ -17,18 +17,16 @@
 //! empty, so no worker idles while another still has a backlog, however
 //! the active sessions' ids happen to be distributed. The calling thread
 //! serves as the first worker; the others are plain
-//! [`std::thread::scope`] threads, *not* pool workers, so each can still
-//! dispatch on its own pool slice. With one-thread slices (the default
-//! when `shards == threads`) every solver dispatch takes the sequential
-//! fast path and the workers themselves are the parallelism.
+//! [`std::thread::scope`] threads. Each round runs on the worker that
+//! claimed its session, so the workers themselves are the only
+//! parallelism: a drain runs `min(shards, residents with work)` threads.
 //!
 //! # Determinism
 //!
 //! Each session's rounds are processed in submission order by exactly
-//! one worker, and every solver construct underneath is bit-identical at
-//! any thread count, so grid results are **bit-identical to driving each
-//! session alone** with [`Session::ingest`] — for any shard count, any
-//! thread budget, and any interleaving of submissions across sessions.
+//! one worker, so grid results are **bit-identical to driving each
+//! session alone** with [`Session::ingest`] — for any shard count and
+//! any interleaving of submissions across sessions.
 //! Which worker serves a session affects only scheduling, never results.
 //!
 //! # Checkpointing
@@ -59,7 +57,6 @@ use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
-use fluxprint_fluxpar::Pool;
 use fluxprint_netsim::ObservationRound;
 use fluxprint_smc::StepOutcome;
 use fluxprint_solver::CacheScratch;
@@ -85,8 +82,9 @@ pub struct GridConfig {
     /// Bounded ingest-queue capacity per session; a submit beyond it
     /// reports [`Submit::Backpressure`].
     pub queue_capacity: usize,
-    /// Worker-thread budget split across the shards ([`Pool::split`]);
-    /// `0` means the process-wide pool's width.
+    /// Ignored: every round runs on the drain worker that claims its
+    /// session, so [`shards`](GridConfig::shards) alone sets a drain's
+    /// parallelism. Kept only because fluxbench still sets it.
     pub threads: usize,
     /// Hibernation threshold: a resident idle for this many consecutive
     /// drains (no rounds ingested) is evicted to its compact form; `0`
@@ -209,14 +207,6 @@ impl Residency {
     }
 }
 
-/// One shard: a drain worker's dedicated pool slice and reusable solver
-/// scratch.
-#[derive(Debug)]
-struct Shard {
-    pool: Pool,
-    scratch: CacheScratch,
-}
-
 /// The multi-session scheduler. See the [module docs](self).
 ///
 /// There is no async runtime and no background thread — worker threads
@@ -225,7 +215,8 @@ struct Shard {
 #[derive(Debug)]
 pub struct Grid {
     engine: Engine,
-    shards: Vec<Shard>,
+    /// One reusable solver scratch per shard (drain worker).
+    shards: Vec<CacheScratch>,
     /// Every resident, indexed by session id.
     residents: Vec<Resident>,
     queue_capacity: usize,
@@ -235,8 +226,7 @@ pub struct Grid {
 
 impl Grid {
     /// Opens an empty grid over `engine`'s scenario knowledge: `shards`
-    /// pool slices carved out of the configured thread budget, no
-    /// resident sessions yet.
+    /// drain workers' scratch, no resident sessions yet.
     ///
     /// # Errors
     ///
@@ -244,22 +234,9 @@ impl Grid {
     /// queue capacity.
     pub fn open(engine: Engine, config: &GridConfig) -> Result<Grid, EngineError> {
         config.validate()?;
-        let budget = if config.threads == 0 {
-            fluxprint_fluxpar::pool().threads()
-        } else {
-            config.threads
-        };
-        let shards = Pool::with_threads(budget)
-            .split(config.shards)
-            .into_iter()
-            .map(|pool| Shard {
-                pool,
-                scratch: CacheScratch::new(),
-            })
-            .collect();
         Ok(Grid {
             engine,
-            shards,
+            shards: (0..config.shards).map(|_| CacheScratch::new()).collect(),
             residents: Vec::new(),
             queue_capacity: config.queue_capacity,
             hibernate_after: config.hibernate_after,
@@ -331,8 +308,8 @@ impl Grid {
     }
 
     /// The drain barrier: ingests every queued round, each session's
-    /// queue as one contiguous batch over a shard's pool slice and
-    /// reused scratch, and applies the hibernation policy. Residents
+    /// queue as one contiguous batch on a shard's worker and reused
+    /// scratch, and applies the hibernation policy. Residents
     /// that ingest nothing extend their idle streak and are evicted once
     /// it reaches [`GridConfig::hibernate_after`]; cold residents with
     /// queued rounds are revived first. The work is spread over the
@@ -346,7 +323,7 @@ impl Grid {
     /// failing round is consumed and its un-attempted rounds stay queued,
     /// so a caller that can make progress simply drains again. Of all
     /// failures, the one with the lowest session id is returned — the
-    /// same error at any shard or thread count.
+    /// same error at any shard count.
     ///
     /// # Errors
     ///
@@ -381,13 +358,12 @@ impl Grid {
         let results: Vec<WorkerResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = helpers
                 .iter_mut()
-                .map(|shard| {
+                .map(|scratch| {
                     // fluxlint: allow(thread-confinement) — joined in shard order
                     scope.spawn(move || {
-                        let r = drain_worker(queue, engine, shard);
+                        let r = drain_worker(queue, engine, scratch);
                         // Scope exit does not wait for TLS destructors;
-                        // merge this worker's telemetry first, exactly as
-                        // fluxpar workers do.
+                        // merge this worker's telemetry first.
                         telemetry::flush();
                         r
                     })
@@ -605,9 +581,9 @@ impl Grid {
     /// hibernated entries are validated and adopted *cold* — straight
     /// back into the hibernarium without ever building a live session,
     /// so a restored fleet's memory stays bounded from the first
-    /// instant. The config is free: the shard count, thread budget,
-    /// queue capacity, and hibernation threshold may all differ from
-    /// the checkpointed grid's — none affects results.
+    /// instant. The config is free: the shard count, queue capacity,
+    /// and hibernation threshold may all differ from the checkpointed
+    /// grid's — none affects results.
     ///
     /// # Errors
     ///
@@ -670,9 +646,13 @@ struct WorkerResult {
 }
 
 /// One drain worker: claims residents from the shared work list until
-/// it is empty and serves each on this shard's pool slice and scratch.
-/// Every claimed resident is served even after a failure.
-fn drain_worker<'a, I>(queue: &Mutex<I>, engine: &Engine, shard: &mut Shard) -> WorkerResult
+/// it is empty and serves each with this shard's scratch. Every claimed
+/// resident is served even after a failure.
+fn drain_worker<'a, I>(
+    queue: &Mutex<I>,
+    engine: &Engine,
+    scratch: &mut CacheScratch,
+) -> WorkerResult
 where
     I: Iterator<Item = &'a mut Resident>,
 {
@@ -688,7 +668,7 @@ where
         let Some(resident) = next else {
             return result;
         };
-        if let Err(e) = serve(resident, engine, shard, &mut result.ingested) {
+        if let Err(e) = serve(resident, engine, scratch, &mut result.ingested) {
             // Claims run in id order, so the first failure is this
             // worker's lowest.
             if result.failure.is_none() {
@@ -705,7 +685,7 @@ where
 fn serve(
     resident: &mut Resident,
     engine: &Engine,
-    shard: &mut Shard,
+    scratch: &mut CacheScratch,
     ingested: &mut u64,
 ) -> Result<(), EngineError> {
     if resident.pending.is_empty() {
@@ -718,12 +698,7 @@ fn serve(
     let batch = std::mem::take(&mut resident.pending);
     telemetry::counter(names::GRID_BATCHES, 1);
     let before = resident.outcomes.len();
-    let result = session.ingest_batch_into(
-        &batch,
-        &shard.pool,
-        &mut shard.scratch,
-        &mut resident.outcomes,
-    );
+    let result = session.ingest_batch_into(&batch, scratch, &mut resident.outcomes);
     let done = resident.outcomes.len() - before;
     *ingested += done as u64;
     telemetry::counter(names::GRID_ROUNDS_INGESTED, done as u64);

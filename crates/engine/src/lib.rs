@@ -24,16 +24,15 @@
 //! 4. **Grid layer** ([`grid`]) — a sharded multi-session scheduler:
 //!    rounds queue into bounded per-session buffers with explicit
 //!    backpressure, and a drain barrier batch-ingests every queue on up
-//!    to one worker per shard, each with its own `fluxpar` pool slice,
+//!    to one worker per shard, each with its own solver scratch,
 //!    claiming sessions from one shared list — bit-identical to driving
 //!    each session alone.
 //! 5. **Driver layer** (`core::attack`) — the legacy batch pipeline is a
 //!    thin adapter over this engine.
 //!
-//! [`Session::ingest`] runs on the process-wide `fluxpar` worker pool;
-//! grid-resident sessions run on the pool slice of whichever drain
-//! worker claims them, so thousands of sessions never serialize on
-//! shared state.
+//! A round runs on the thread that ingests it: [`Session::ingest`] on
+//! its caller's, a grid-resident session's on whichever drain worker
+//! claims it, so thousands of sessions never serialize on shared state.
 //!
 //! # Quickstart
 //!

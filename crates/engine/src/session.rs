@@ -74,14 +74,10 @@ pub enum UserState {
 ///
 /// Sessions are opened (or restored) by an [`Engine`](crate::Engine) and
 /// driven one [`ObservationRound`] at a time via [`ingest`](Session::ingest).
-/// Which worker pool a step's solver work runs on depends on the entry
-/// point: [`ingest`](Session::ingest) and
-/// [`ingest_with`](Session::ingest_with) use the process-wide `fluxpar`
-/// pool; [`ingest_in`](Session::ingest_in) and the batch entry points use
-/// the caller's. A [`Grid`](crate::Grid) drain worker passes its shard's
-/// slice of the grid's thread budget, and a caller driving many sessions
-/// itself (fluxbench does) can pass one-thread pools. Results are
-/// bit-identical on any pool.
+/// Every entry point runs the round on the calling thread; parallelism
+/// comes from running many sessions at once, as a
+/// [`Grid`](crate::Grid)'s drain workers do. The `_in` and batch entry
+/// points reuse a caller-owned [`CacheScratch`] across rounds.
 #[derive(Debug, Clone)]
 pub struct Session {
     pub(crate) boundary: Arc<dyn Boundary>,
@@ -114,16 +110,14 @@ impl Session {
     /// [`EngineError::UnknownNode`] when the round references a node the
     /// engine was not built over, and propagates solver/tracker errors.
     pub fn ingest(&mut self, round: &ObservationRound) -> Result<StepOutcome, EngineError> {
-        let mut scratch = CacheScratch::new();
-        self.ingest_in(round, fluxprint_fluxpar::pool(), &mut scratch)
+        self.ingest_own(round, &mut CacheScratch::new())
     }
 
-    /// [`ingest`](Session::ingest) on an explicit pool, reusing a
-    /// caller-owned [`CacheScratch`] across sequential solver dispatches.
-    /// Shard workers use this (and the batch entry points below) to drive
-    /// many sessions on dedicated one-thread pool slices without touching
-    /// the process-wide pool or the allocator in the hot loop. Results
-    /// are bit-identical to [`ingest`](Session::ingest).
+    /// [`ingest`](Session::ingest), reusing a caller-owned
+    /// [`CacheScratch`] across rounds so that a loop driving many
+    /// sessions stays off the allocator. Results are bit-identical to
+    /// [`ingest`](Session::ingest). `_pool` is ignored, as the round runs
+    /// on the calling thread; it stays only because fluxbench passes it.
     ///
     /// # Errors
     ///
@@ -131,14 +125,23 @@ impl Session {
     pub fn ingest_in(
         &mut self,
         round: &ObservationRound,
-        pool: &Pool,
+        _pool: &Pool,
+        scratch: &mut CacheScratch,
+    ) -> Result<StepOutcome, EngineError> {
+        self.ingest_own(round, scratch)
+    }
+
+    /// One round on the session's own RNG stream.
+    fn ingest_own(
+        &mut self,
+        round: &ObservationRound,
         scratch: &mut CacheScratch,
     ) -> Result<StepOutcome, EngineError> {
         // The tracker borrows `self` mutably while drawing from the RNG,
         // so the stream is copied out and back by value; the xoshiro
         // state is 4 words, making this free in practice.
         let mut rng = StdRng::from_state(self.rng.state());
-        let out = self.ingest_round(round, &mut rng, pool, scratch);
+        let out = self.ingest_round(round, &mut rng, scratch);
         self.rng = StdRng::from_state(rng.state());
         out
     }
@@ -158,12 +161,11 @@ impl Session {
         round: &ObservationRound,
         rng: &mut R,
     ) -> Result<StepOutcome, EngineError> {
-        let mut scratch = CacheScratch::new();
-        self.ingest_round(round, rng, fluxprint_fluxpar::pool(), &mut scratch)
+        self.ingest_round(round, rng, &mut CacheScratch::new())
     }
 
-    /// Ingests a contiguous run of rounds in order on an explicit pool and
-    /// caller-owned scratch, equivalent to calling
+    /// Ingests a contiguous run of rounds in order on a caller-owned
+    /// scratch, equivalent to calling
     /// [`ingest`](Session::ingest) once per round — bit-identically so —
     /// but sharing one objective template and one [`CacheScratch`] across
     /// the whole batch when the sniffer set is unchanged, so the
@@ -175,15 +177,16 @@ impl Session {
     /// before it are fully applied (their outcomes are lost — use
     /// [`ingest_batch_into`](Session::ingest_batch_into) to keep them)
     /// and the session RNG has advanced past them, so the session remains
-    /// consistent and resumable.
+    /// consistent and resumable. `_pool` is ignored, as the rounds run on
+    /// the calling thread; it stays only because fluxbench passes it.
     pub fn ingest_batch_in(
         &mut self,
         rounds: &[ObservationRound],
-        pool: &Pool,
+        _pool: &Pool,
         scratch: &mut CacheScratch,
     ) -> Result<Vec<StepOutcome>, EngineError> {
         let mut out = Vec::with_capacity(rounds.len());
-        self.ingest_batch_into(rounds, pool, scratch, &mut out)?;
+        self.ingest_batch_into(rounds, scratch, &mut out)?;
         Ok(out)
     }
 
@@ -200,14 +203,13 @@ impl Session {
     pub fn ingest_batch_into(
         &mut self,
         rounds: &[ObservationRound],
-        pool: &Pool,
         scratch: &mut CacheScratch,
         out: &mut Vec<StepOutcome>,
     ) -> Result<(), EngineError> {
         let mut rng = StdRng::from_state(self.rng.state());
         let mut result = Ok(());
         for round in rounds {
-            match self.ingest_round(round, &mut rng, pool, scratch) {
+            match self.ingest_round(round, &mut rng, scratch) {
                 Ok(outcome) => out.push(outcome),
                 Err(e) => {
                     result = Err(e);
@@ -221,14 +223,13 @@ impl Session {
         result
     }
 
-    /// One round against an explicit RNG, pool, and scratch: validate,
+    /// One round against an explicit RNG and scratch: validate,
     /// refresh the objective template, step the tracker with suspended
     /// and departed users gated out.
     fn ingest_round<R: Rng + ?Sized>(
         &mut self,
         round: &ObservationRound,
         rng: &mut R,
-        pool: &Pool,
         scratch: &mut CacheScratch,
     ) -> Result<StepOutcome, EngineError> {
         round.validate()?;
@@ -268,7 +269,7 @@ impl Session {
         }
         let out = self
             .tracker
-            .step_gated_in(round.time, objective, &mask, hot, rng, pool, scratch)?;
+            .step_gated_in(round.time, objective, &mask, hot, rng, scratch)?;
         if let Some(warm) = &mut self.warm {
             warm.rounds_since_escape = if escape {
                 0

@@ -50,8 +50,8 @@ fn grid_config() -> GridConfig {
     GridConfig {
         shards: 1,
         queue_capacity: 8,
-        threads: 1,
         hibernate_after: 1,
+        ..GridConfig::default()
     }
 }
 

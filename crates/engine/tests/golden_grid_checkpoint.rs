@@ -38,8 +38,8 @@ fn grid_config() -> GridConfig {
     GridConfig {
         shards: 2,
         queue_capacity: 8,
-        threads: 2,
         hibernate_after: 1,
+        ..GridConfig::default()
     }
 }
 

@@ -17,6 +17,7 @@ use fluxprint_netsim::{
 };
 use fluxprint_smc::StepOutcome;
 use fluxprint_solver::CacheScratch;
+use fluxprint_telemetry::names;
 
 fn network(seed: u64) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -82,8 +83,7 @@ fn solo_outcomes(
         .collect()
 }
 
-/// The grid determinism contract: for any shard count and thread budget,
-/// grid outcomes are bit-identical to driving each session alone —
+/// The grid determinism contract: for any shard count, grid outcomes are bit-identical to driving each session alone —
 /// including with submissions interleaved round-major across sessions
 /// and drains interleaved mid-stream.
 #[test]
@@ -96,14 +96,12 @@ fn grid_matches_solo_sessions_at_every_shard_count() {
     const SESSIONS: usize = 6;
     let reference = solo_outcomes(&engine, SESSIONS, &trace);
 
-    // threads: 0 inherits the process-wide pool width, which CI pins via
-    // FLUXPRINT_THREADS — so this covers (threads, shards) combinations.
     for shards in [1usize, 4] {
         let grid_config = GridConfig {
             shards,
             queue_capacity: 8,
-            threads: 0,
             hibernate_after: 0,
+            ..GridConfig::default()
         };
         let mut grid = Grid::open(engine.clone(), &grid_config).unwrap();
         let ids: Vec<SessionId> = (0..SESSIONS)
@@ -137,6 +135,40 @@ fn grid_matches_solo_sessions_at_every_shard_count() {
     }
 }
 
+/// A round runs on the drain worker that claims its session: a drain on
+/// one shard dispatches nothing on a worker pool, however large the
+/// session's candidate sets are or what `threads` says.
+#[test]
+fn a_drain_round_never_dispatches_on_a_pool() {
+    let net = network(3);
+    let mut srng = StdRng::seed_from_u64(4);
+    let sniffer = Sniffer::random_count(&net, 24, &mut srng).unwrap();
+    let trace = rounds(&net, &sniffer, 2, 5);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let grid_config = GridConfig {
+        shards: 1,
+        queue_capacity: 8,
+        threads: 4,
+        hibernate_after: 0,
+    };
+    let mut grid = Grid::open(engine, &grid_config).unwrap();
+    let id = grid.open_session(&config(1), 7).unwrap();
+    for round in &trace {
+        grid.submit(id, round.clone()).unwrap();
+    }
+    let before = fluxprint_telemetry::snapshot();
+    assert_eq!(grid.drain().unwrap(), trace.len() as u64);
+    let after = fluxprint_telemetry::snapshot();
+    for name in [names::FLUXPAR_TASKS, names::FLUXPAR_THREADS] {
+        assert_eq!(after.counter(name), before.counter(name), "{name} moved");
+    }
+    assert!(
+        after.counter(names::SOLVER_OBJECTIVE_EVALS)
+            > before.counter(names::SOLVER_OBJECTIVE_EVALS),
+        "the drain scored no candidates"
+    );
+}
+
 #[test]
 fn batch_ingestion_matches_per_round_ingestion() {
     let net = network(4);
@@ -151,10 +183,10 @@ fn batch_ingestion_matches_per_round_ingestion() {
         .map(|r| one_by_one.ingest(r).unwrap())
         .collect();
 
-    // Whole-trace batch on the default pool.
+    // Whole-trace batch.
     let mut batched = engine.open_session(&config(1), 9).unwrap();
     let got = batched
-        .ingest_batch_in(&trace, fluxprint_fluxpar::pool(), &mut CacheScratch::new())
+        .ingest_batch_in(&trace, &Pool::with_threads(1), &mut CacheScratch::new())
         .unwrap();
     assert_eq!(got.len(), reference.len());
     for (g, w) in got.iter().zip(&reference) {
@@ -166,19 +198,17 @@ fn batch_ingestion_matches_per_round_ingestion() {
         "batch and per-round sessions must end in identical states"
     );
 
-    // Split batches on an explicit one-thread pool with a reused scratch
-    // (the shard-worker configuration).
+    // Split batches with a reused scratch (the drain-worker
+    // configuration).
     let mut split = engine.open_session(&config(1), 9).unwrap();
-    let pool = Pool::with_threads(1);
     let mut scratch = CacheScratch::new();
-    let mut got = split
-        .ingest_batch_in(&trace[..2], &pool, &mut scratch)
+    let mut got = Vec::new();
+    split
+        .ingest_batch_into(&trace[..2], &mut scratch, &mut got)
         .unwrap();
-    got.extend(
-        split
-            .ingest_batch_in(&trace[2..], &pool, &mut scratch)
-            .unwrap(),
-    );
+    split
+        .ingest_batch_into(&trace[2..], &mut scratch, &mut got)
+        .unwrap();
     for (g, w) in got.iter().zip(&reference) {
         assert_outcomes_bit_identical(g, w);
     }
@@ -213,11 +243,10 @@ fn batch_error_keeps_prefix_and_stays_resumable() {
     batch.extend_from_slice(&trace[2..]);
 
     let mut session = engine.open_session(&config(1), 21).unwrap();
-    let pool = Pool::with_threads(1);
     let mut scratch = CacheScratch::new();
     let mut out = Vec::new();
     let err = session
-        .ingest_batch_into(&batch, &pool, &mut scratch, &mut out)
+        .ingest_batch_into(&batch, &mut scratch, &mut out)
         .unwrap_err();
     assert!(matches!(
         err,
@@ -228,7 +257,7 @@ fn batch_error_keeps_prefix_and_stays_resumable() {
     assert_eq!(session.rounds_ingested(), 2);
     // Skipping the bad round, the session resumes bit-identically.
     session
-        .ingest_batch_into(&trace[2..], &pool, &mut scratch, &mut out)
+        .ingest_batch_into(&trace[2..], &mut scratch, &mut out)
         .unwrap();
     assert_eq!(out.len(), want.len());
     for (g, w) in out.iter().zip(&want) {
@@ -249,8 +278,8 @@ fn backpressure_hands_the_round_back() {
         &GridConfig {
             shards: 2,
             queue_capacity: 2,
-            threads: 1,
             hibernate_after: 0,
+            ..GridConfig::default()
         },
     )
     .unwrap();
@@ -300,8 +329,8 @@ fn drain_reports_session_failure_and_recovers() {
         &GridConfig {
             shards: 2,
             queue_capacity: 8,
-            threads: 2,
             hibernate_after: 0,
+            ..GridConfig::default()
         },
     )
     .unwrap();
@@ -339,7 +368,7 @@ fn drain_reports_session_failure_and_recovers() {
 /// still ingested and every idle streak still advances, even when the
 /// failures sit among healthy sessions whose ids share a residue mod the
 /// shard count. The error is the lowest failing id's, the same at any
-/// thread budget.
+/// shard count.
 #[test]
 fn drain_serves_every_session_past_failures() {
     let net = network(40);
@@ -359,14 +388,14 @@ fn drain_serves_every_session_past_failures() {
     };
 
     let mut errors = Vec::new();
-    for threads in [1usize, 4] {
+    for shards in [1usize, 4] {
         let mut grid = Grid::open(
             engine.clone(),
             &GridConfig {
-                shards: 2,
+                shards,
                 queue_capacity: 8,
-                threads,
                 hibernate_after: 1,
+                ..GridConfig::default()
             },
         )
         .unwrap();
@@ -394,7 +423,7 @@ fn drain_serves_every_session_past_failures() {
                     ..
                 }
             ),
-            "threads={threads}: {err:?}"
+            "shards={shards}: {err:?}"
         );
         errors.push(format!("{err:?}"));
         for (s, &id) in ids.iter().enumerate() {
@@ -405,10 +434,10 @@ fn drain_serves_every_session_past_failures() {
             } else if failing(s) {
                 // The prefix before the bad round landed; the round after
                 // it waits for the next drain.
-                assert_eq!(got.len(), 1, "threads={threads} session={s}");
+                assert_eq!(got.len(), 1, "shards={shards} session={s}");
                 assert_eq!(grid.queued(id).unwrap(), 1);
             } else {
-                assert_eq!(got.len(), trace.len(), "threads={threads} session={s}");
+                assert_eq!(got.len(), trace.len(), "shards={shards} session={s}");
                 for (g, w) in got.iter().zip(&reference[s]) {
                     assert_outcomes_bit_identical(g, w);
                 }
@@ -420,7 +449,7 @@ fn drain_serves_every_session_past_failures() {
     }
     assert_eq!(
         errors[0], errors[1],
-        "the reported failure depends on threads"
+        "the reported failure depends on shards"
     );
 }
 
@@ -440,8 +469,8 @@ fn all_suspended_round_is_a_null_update() {
         &GridConfig {
             shards: 2,
             queue_capacity: 4,
-            threads: 1,
             hibernate_after: 0,
+            ..GridConfig::default()
         },
     )
     .unwrap();
@@ -531,8 +560,8 @@ fn checkpoint_with_pending_rounds_restores_bit_identically() {
     let grid_config = GridConfig {
         shards: 2,
         queue_capacity: 8,
-        threads: 2,
         hibernate_after: 0,
+        ..GridConfig::default()
     };
 
     let mut grid = Grid::open(engine.clone(), &grid_config).unwrap();
@@ -572,14 +601,14 @@ fn checkpoint_with_pending_rounds_restores_bit_identically() {
         .collect();
 
     // Restored continuations: at the checkpointed shard count under a
-    // different thread budget, and at fewer and more shards. Results
+    // different queue capacity, and at fewer and more shards. Results
     // depend on neither, so each drains bit-identically.
     for shards in [2, 1, 3] {
         let restored_config = GridConfig {
             shards,
             queue_capacity: 16,
-            threads: 1,
             hibernate_after: 0,
+            ..GridConfig::default()
         };
         let mut revived = Grid::restore_json(engine.clone(), &restored_config, &json).unwrap();
         assert_eq!(revived.shard_count(), shards);
@@ -616,8 +645,8 @@ fn grid_config_validation() {
             &GridConfig {
                 shards: 0,
                 queue_capacity: 4,
-                threads: 0,
-                hibernate_after: 0
+                hibernate_after: 0,
+                ..GridConfig::default()
             }
         ),
         Err(EngineError::BadConfig { field: "shards" })
@@ -628,8 +657,8 @@ fn grid_config_validation() {
             &GridConfig {
                 shards: 1,
                 queue_capacity: 0,
-                threads: 0,
-                hibernate_after: 0
+                hibernate_after: 0,
+                ..GridConfig::default()
             }
         ),
         Err(EngineError::BadConfig {

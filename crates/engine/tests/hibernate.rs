@@ -2,7 +2,7 @@
 //! compact serialized form and revive transparently, with the grid's
 //! determinism contract intact — outcomes and final session states are
 //! bit-identical to an always-resident fleet at any idle threshold and
-//! any thread budget, through arbitrary evict/revive cycles, and across
+//! any shard count, through arbitrary evict/revive cycles, and across
 //! a checkpoint/restore that never wakes the cold residents.
 
 use rand::rngs::StdRng;
@@ -72,11 +72,8 @@ fn grid_config(hibernate_after: u64) -> GridConfig {
     GridConfig {
         shards: 2,
         queue_capacity: 16,
-        // 0 inherits the process-wide pool width, which CI pins via
-        // FLUXPRINT_THREADS=1 and =4 — the determinism contract must
-        // hold at both.
-        threads: 0,
         hibernate_after,
+        ..GridConfig::default()
     }
 }
 
@@ -195,12 +192,10 @@ fn evict_revive_cycles_are_bit_transparent() {
     );
 }
 
-/// Activity that correlates with `id % shards`: on a 2-shard grid only
-/// even ids ever get rounds (each on alternate drains, so they also
-/// evict and revive) while odd ids sit idle. Outcomes and final states
-/// stay bit-identical to solo sessions at every thread budget — `0`
-/// inherits the process-wide width, which CI pins via
-/// `FLUXPRINT_THREADS=1` and `=4`.
+/// Activity skewed by id: only even ids ever get rounds (each on
+/// alternate drains, so they also evict and revive) while odd ids sit
+/// idle. Outcomes and final states stay bit-identical to solo sessions
+/// at every shard count.
 #[test]
 fn skewed_activity_matches_solo_sessions_bitwise() {
     let net = network(89);
@@ -209,11 +204,11 @@ fn skewed_activity_matches_solo_sessions_bitwise() {
     const SESSIONS: usize = 8;
     let active = |s: usize, i: usize| s.is_multiple_of(2) && (s / 2 + i).is_multiple_of(2);
 
-    for threads in [0usize, 1, 4] {
+    for shards in [1usize, 2, 4] {
         let mut grid = Grid::open(
             engine.clone(),
             &GridConfig {
-                threads,
+                shards,
                 ..grid_config(1)
             },
         )
@@ -238,14 +233,14 @@ fn skewed_activity_matches_solo_sessions_bitwise() {
                 .map(|(_, r)| solo.ingest(r).unwrap())
                 .collect();
             let got = grid.take_outcomes(id).unwrap();
-            assert_eq!(got.len(), want.len(), "threads={threads} session={s}");
+            assert_eq!(got.len(), want.len(), "shards={shards} session={s}");
             for (g, w) in got.iter().zip(&want) {
                 assert_outcomes_bit_identical(g, w);
             }
             assert_eq!(
                 grid.session_mut(id).unwrap().checkpoint_compact(2),
                 solo.checkpoint_compact(2),
-                "threads={threads} session={s}"
+                "shards={shards} session={s}"
             );
         }
     }

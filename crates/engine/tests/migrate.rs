@@ -85,9 +85,9 @@ fn older_checkpoints_are_refused() {
 
     let grid_config = GridConfig {
         shards: 1,
-        threads: 1,
         queue_capacity: 8,
         hibernate_after: 1,
+        ..GridConfig::default()
     };
     let mut grid = Grid::open(engine.clone(), &grid_config).unwrap();
     let id = grid.open_session(&config(1, false), 96).unwrap();
@@ -138,9 +138,9 @@ fn v3_documents_are_refused_by_version() {
     );
     let grid_config = GridConfig {
         shards: 2,
-        threads: 1,
         queue_capacity: 8,
         hibernate_after: 1,
+        ..GridConfig::default()
     };
     let grid = fixture("grid_checkpoint_v3.json");
     let revived = Grid::restore_json(engine, &grid_config, &grid);

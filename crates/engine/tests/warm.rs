@@ -141,7 +141,7 @@ fn warm_restore_then_ingest_matches_uninterrupted_run() {
     assert_eq!(revived.warm(), uninterrupted.warm());
 }
 
-/// A warm fleet produces bit-identical outcomes at every thread budget:
+/// A warm fleet produces bit-identical outcomes at every shard count:
 /// the grid's determinism guarantee (results never depend on scheduling)
 /// extends to the warm path.
 #[test]
@@ -152,12 +152,12 @@ fn warm_grid_is_bit_identical_across_thread_budgets() {
     let config = config(1, true);
     let sessions = 6usize;
 
-    let run = |threads: usize| -> Vec<Vec<StepOutcome>> {
+    let run = |shards: usize| -> Vec<Vec<StepOutcome>> {
         let grid_config = GridConfig {
-            shards: threads,
+            shards,
             queue_capacity: trace.len(),
-            threads,
             hibernate_after: 0,
+            ..GridConfig::default()
         };
         let mut grid = Grid::open(engine.clone(), &grid_config).unwrap();
         let ids: Vec<_> = (0..sessions)
@@ -178,8 +178,8 @@ fn warm_grid_is_bit_identical_across_thread_budgets() {
     };
 
     let t1 = run(1);
-    for threads in [4usize, 8] {
-        let tn = run(threads);
+    for shards in [4usize, 8] {
+        let tn = run(shards);
         assert_eq!(t1.len(), tn.len());
         for (a, b) in t1.iter().zip(&tn) {
             assert_eq!(a.len(), b.len());

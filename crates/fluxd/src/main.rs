@@ -20,7 +20,6 @@ use fluxprint_netsim::NetworkBuilder;
 struct Args {
     addr: String,
     shards: usize,
-    threads: usize,
     queue_capacity: usize,
     credits: u32,
     hibernate_after: u64,
@@ -32,7 +31,6 @@ impl Default for Args {
         Args {
             addr: "127.0.0.1:7700".to_string(),
             shards: 4,
-            threads: 0,
             queue_capacity: 64,
             credits: 0,
             hibernate_after: 0,
@@ -41,8 +39,8 @@ impl Default for Args {
     }
 }
 
-const USAGE: &str = "usage: fluxd [--addr HOST:PORT] [--shards N] [--threads N] \
-[--queue-capacity N] [--credits N] [--hibernate-after N] [--seed N]";
+const USAGE: &str = "usage: fluxd [--addr HOST:PORT] [--shards N] [--queue-capacity N] \
+[--credits N] [--hibernate-after N] [--seed N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -52,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--shards" => args.shards = parse(&value("--shards")?, "--shards")?,
-            "--threads" => args.threads = parse(&value("--threads")?, "--threads")?,
             "--queue-capacity" => {
                 args.queue_capacity = parse(&value("--queue-capacity")?, "--queue-capacity")?;
             }
@@ -88,8 +85,8 @@ fn run(args: &Args) -> Result<(), String> {
         grid: GridConfig {
             shards: args.shards,
             queue_capacity: args.queue_capacity,
-            threads: args.threads,
             hibernate_after: args.hibernate_after,
+            ..GridConfig::default()
         },
         credits: args.credits,
         drain_threshold: 0,

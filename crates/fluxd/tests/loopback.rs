@@ -63,13 +63,15 @@ fn spec() -> SessionSpec {
     }
 }
 
-/// The grid worker count under test; mirrors the engine's env knob so
-/// CI exercises both single-threaded and parallel serving.
-fn threads_from_env() -> usize {
+/// The grid's shard (drain worker) count under test: read from
+/// `FLUXPRINT_THREADS`, so CI's runs at 1 and 4 exercise both
+/// single-threaded and parallel serving; 2 when unset.
+fn shards_from_env() -> usize {
     std::env::var("FLUXPRINT_THREADS")
         .ok()
         .and_then(|raw| raw.parse().ok())
-        .unwrap_or(0)
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or(2)
 }
 
 /// In-process reference: the same per-connection workload ingested
@@ -130,10 +132,10 @@ fn spawn_server(net: &Network, queue_capacity: usize) -> fluxprint_fluxd::Server
         &ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             grid: GridConfig {
-                shards: 2,
+                shards: shards_from_env(),
                 queue_capacity,
-                threads: threads_from_env(),
                 hibernate_after: 0,
+                ..GridConfig::default()
             },
             credits: 0,
             drain_threshold: 0,

@@ -36,8 +36,8 @@ fn spawn_server() -> ServerHandle {
             grid: GridConfig {
                 shards: 2,
                 queue_capacity: 8,
-                threads: 1,
                 hibernate_after: 0,
+                ..GridConfig::default()
             },
             credits: 0,
             drain_threshold: 0,

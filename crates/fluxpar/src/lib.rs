@@ -9,16 +9,12 @@
 //! - each worker evaluates its chunk with a caller-supplied closure
 //!   (optionally over per-worker scratch state);
 //! - results are returned **by slot** — `out[i]` is `f(i)` regardless of
-//!   which worker computed it or when it finished — or, with
-//!   [`Pool::fill_chunks`], written in place into caller-owned buffers,
-//!   each chunk handed exactly its items' share of them.
+//!   which worker computed it or when it finished.
 //!
 //! As long as `f(i)` depends only on `i` (scratch state may be *reused*
 //! across calls but must not change results), the output vector is
 //! byte-for-byte independent of the partition, so callers can fold it
-//! sequentially and deterministically. [`Pool::fill_chunks`] hands its
-//! closure whole chunks of a size the caller picks, so the partition it
-//! sees is a function of `len` alone, never of the thread count.
+//! sequentially and deterministically.
 //!
 //! The pool is *scoped*: threads are spawned per dispatch with
 //! [`std::thread::scope`] and joined before the call returns, so closures
@@ -37,18 +33,11 @@
 //! Nested dispatches (a worker closure calling back into a pool) run
 //! sequentially on the worker thread — parallelism does not multiply.
 //!
-//! # Shard workers and nested dispatch
-//!
-//! The nested-dispatch guard is keyed on a thread-local set only inside
-//! `map_*`/`fill_chunks` worker closures. Threads spawned *directly* with
-//! [`std::thread::scope`] — e.g. the per-shard drain workers of
-//! `fluxprint-engine`'s grid — are **not** pool workers, so a dispatch
-//! they make on their own [`Pool`] slice still fans out. The intended
-//! sharding pattern is therefore: split the budget with [`Pool::split`],
-//! hand each shard thread its own slice, and let slices of one thread
-//! take the sequential fast path (no spawns at all) while the shard
-//! threads themselves provide the parallelism. Shard threads must call
-//! [`telemetry::flush`] before exiting, exactly as pool workers do.
+//! A tracking round never dispatches here: it runs on the thread that
+//! ingests it, and the grid's and fluxd's drain workers run many rounds
+//! side by side. The pool serves coarse work whose items are whole dense
+//! evaluations or whole trials: `random_search`'s sample batches and the
+//! figure harness's trial loops.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -93,8 +82,8 @@ impl Pool {
     /// to the platform default and bumps the
     /// `fluxpar.threads_env_ignored` counter so the silent fallback is
     /// observable. The bump is latched process-wide: re-deriving pools
-    /// (grid shards, [`Pool::default`]) re-checks the env but cannot
-    /// inflate the count. See [`threads_env_warning_once`] for the
+    /// ([`Pool::default`]) re-checks the env but cannot inflate the
+    /// count. See [`threads_env_warning_once`] for the
     /// binary-facing diagnostic.
     pub fn from_env() -> Self {
         let configured = std::env::var(THREADS_ENV).ok();
@@ -110,26 +99,6 @@ impl Pool {
                 .unwrap_or(1)
         });
         Self::with_threads(threads)
-    }
-
-    /// Splits this pool's thread budget into `parts` independent slices,
-    /// one per shard. Slice sizes differ by at most one (earlier slices
-    /// take the remainder) and every slice gets at least one thread, so
-    /// `parts > threads` oversubscribes rather than starving a shard.
-    ///
-    /// Slices are plain [`Pool`]s: they share no state with `self` or each
-    /// other, so shard threads dispatching on their own slice never
-    /// contend on the process-wide [`pool()`]. A slice of one thread takes
-    /// the sequential fast path on every dispatch — no spawns at all —
-    /// which is the intended configuration when the shard threads
-    /// themselves are the parallelism.
-    pub fn split(&self, parts: usize) -> Vec<Pool> {
-        let parts = parts.max(1);
-        let base = self.threads / parts;
-        let rem = self.threads % parts;
-        (0..parts)
-            .map(|p| Pool::with_threads((base + usize::from(p < rem)).max(1)))
-            .collect()
     }
 
     /// The configured worker count.
@@ -205,51 +174,6 @@ impl Pool {
         out
     }
 
-    /// Fills caller-owned buffers in place. `out` holds `len` items (see
-    /// [`Items`]) and is cut into chunks of `chunk_size` items (the last
-    /// may be short); `f(range, part)` writes chunk `range`, where `part`
-    /// is exactly that chunk's share of every buffer.
-    ///
-    /// The partition is a function of `len` and `chunk_size` only — never
-    /// of the thread count — so `f` sees the same chunks at any thread
-    /// count, and workers take contiguous runs of them. The sequential
-    /// path allocates nothing.
-    pub fn fill_chunks<P, F>(&self, len: usize, chunk_size: usize, out: P, f: F)
-    where
-        P: Items,
-        F: Fn(Range<usize>, P) + Sync,
-    {
-        telemetry::counter(names::FLUXPAR_TASKS, len as u64);
-        let size = chunk_size.max(1);
-        let chunks = len.div_ceil(size);
-        let workers = self.effective_workers(chunks);
-        if workers <= 1 {
-            fill_run(0..chunks, size, len, out, &f);
-            return;
-        }
-        telemetry::counter(names::FLUXPAR_THREADS, workers as u64);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rest = out;
-            for run in chunk_ranges(chunks, workers) {
-                let start = run.start * size;
-                let (mine, tail) = rest.split_items(len.min(run.end * size) - start, len - start);
-                rest = tail;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    fill_run(run, size, len, mine, f);
-                    telemetry::flush();
-                }));
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-    }
-
     /// Worker count for a dispatch of `len` items: 1 inside a nested
     /// dispatch or when there is nothing to split, else at most one
     /// worker per item.
@@ -283,9 +207,8 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
 
 /// Process-wide latch: the `fluxpar.threads_env_ignored` counter fires
 /// at most once per process, however many [`Pool::from_env`] /
-/// [`Pool::default`] calls re-derive pools (grid shard setup, repeated
-/// sub-pool construction). The env var cannot change meaningfully
-/// mid-process, so repeat bumps were pure noise.
+/// [`Pool::default`] calls re-derive pools. The env var cannot change
+/// meaningfully mid-process, so repeat bumps were pure noise.
 static ENV_IGNORED_COUNTED: AtomicBool = AtomicBool::new(false);
 
 /// Matching latch for the binary-facing stderr warning
@@ -322,59 +245,6 @@ pub fn threads_env_warning() -> Option<String> {
 pub fn threads_env_warning_once() -> Option<String> {
     let warning = threads_env_warning()?;
     (!ENV_WARNING_EMITTED.swap(true, Ordering::Relaxed)).then_some(warning)
-}
-
-/// Caller-owned output buffers that [`Pool::fill_chunks`] hands out in
-/// disjoint pieces. Each buffer holds the dispatch's items back to back,
-/// all of one width: `len` items in a slice of `width · len` elements.
-/// A slice splits at an item boundary; a pair or a triple splits its
-/// members alike.
-pub trait Items: Send + Sized {
-    /// Splits the first `head` of the `len` items this value holds from
-    /// the rest.
-    fn split_items(self, head: usize, len: usize) -> (Self, Self);
-}
-
-impl<T: Send> Items for &mut [T] {
-    fn split_items(self, head: usize, len: usize) -> (Self, Self) {
-        let width = self.len().checked_div(len).unwrap_or(0);
-        self.split_at_mut(head * width)
-    }
-}
-
-impl<A: Items, B: Items> Items for (A, B) {
-    fn split_items(self, head: usize, len: usize) -> (Self, Self) {
-        let (a, a_rest) = self.0.split_items(head, len);
-        let (b, b_rest) = self.1.split_items(head, len);
-        ((a, b), (a_rest, b_rest))
-    }
-}
-
-impl<A: Items, B: Items, C: Items> Items for (A, B, C) {
-    fn split_items(self, head: usize, len: usize) -> (Self, Self) {
-        let (a, a_rest) = self.0.split_items(head, len);
-        let (b, b_rest) = self.1.split_items(head, len);
-        let (c, c_rest) = self.2.split_items(head, len);
-        ((a, b, c), (a_rest, b_rest, c_rest))
-    }
-}
-
-/// Runs `f` on chunks `run` (of `size` items out of `len`), peeling each
-/// chunk's share off `part`, which holds exactly the run's items.
-fn fill_run<P: Items, F: Fn(Range<usize>, P)>(
-    run: Range<usize>,
-    size: usize,
-    len: usize,
-    mut part: P,
-    f: &F,
-) {
-    let end = len.min(run.end * size);
-    for c in run {
-        let range = c * size..len.min((c + 1) * size);
-        let (head, tail) = part.split_items(range.len(), end - range.start);
-        part = tail;
-        f(range, head);
-    }
 }
 
 /// Splits `0..len` into `parts` contiguous ranges whose lengths differ by
@@ -417,28 +287,6 @@ mod tests {
             for (g, r) in got.iter().zip(&reference) {
                 assert_eq!(g.to_bits(), r.to_bits(), "threads={threads}");
             }
-            // The in-place fill writes the same bits by slot into buffers
-            // of two widths, and every chunk starts where `len` alone puts
-            // it (a misplaced split would show in either).
-            let (mut filled, mut wide, mut starts) = (vec![0.0; 257], vec![0.0; 514], vec![0; 257]);
-            let out = (&mut filled[..], &mut wide[..], &mut starts[..]);
-            Pool::with_threads(threads).fill_chunks(
-                257,
-                16,
-                out,
-                |range, (filled, wide, starts)| {
-                    for (k, i) in range.clone().enumerate() {
-                        filled[k] = noisy(i);
-                        wide[2 * k..2 * k + 2].fill(noisy(i));
-                        starts[k] = range.start;
-                    }
-                },
-            );
-            for (i, r) in reference.iter().enumerate() {
-                assert_eq!(filled[i].to_bits(), r.to_bits(), "threads={threads}");
-                assert_eq!(wide[2 * i + 1].to_bits(), r.to_bits(), "threads={threads}");
-                assert_eq!(starts[i], i / 16 * 16, "threads={threads}");
-            }
         }
     }
 
@@ -463,8 +311,6 @@ mod tests {
         let pool = Pool::with_threads(8);
         assert!(pool.map_indexed(0, noisy).is_empty());
         assert_eq!(pool.map_indexed(1, |i| i + 7), vec![7]);
-        let mut none: [f64; 0] = [];
-        pool.fill_chunks(0, 10, &mut none[..], |_, _| panic!("no chunk to fill"));
     }
 
     #[test]
@@ -495,25 +341,6 @@ mod tests {
         assert_eq!(parse_threads(Some(" 12 ")), Some(12));
         assert!(Pool::from_env().threads() >= 1);
         assert!(pool().threads() >= 1);
-    }
-
-    #[test]
-    fn split_divides_the_budget_without_starving_any_slice() {
-        let sizes = |total: usize, parts: usize| -> Vec<usize> {
-            Pool::with_threads(total)
-                .split(parts)
-                .iter()
-                .map(Pool::threads)
-                .collect()
-        };
-        assert_eq!(sizes(8, 4), vec![2, 2, 2, 2]);
-        assert_eq!(sizes(7, 4), vec![2, 2, 2, 1]);
-        assert_eq!(sizes(4, 4), vec![1, 1, 1, 1]);
-        // Oversubscription: more shards than threads still yields one
-        // thread per shard, never zero.
-        assert_eq!(sizes(2, 5), vec![1, 1, 1, 1, 1]);
-        assert_eq!(sizes(3, 1), vec![3]);
-        assert_eq!(Pool::with_threads(6).split(0).len(), 1);
     }
 
     #[test]

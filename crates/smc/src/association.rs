@@ -32,15 +32,12 @@
 //! (`screened_scans_rank_like_exhaustive_ones` below). The joint fit of
 //! the selected sources comes from the same cache as one exact
 //! evaluation ([`ScoringCache::joint_fit`]), bit-identical to the dense
-//! [`FluxObjective::evaluate`] on their positions. Selection order,
-//! tie-breaks and every returned float are identical at any thread count
-//! (`association_is_identical_across_thread_counts` below). [`associate`]
-//! is the one entry point, and every exact evaluation it runs is the cold
-//! NNLS solve, in warm rounds too.
+//! [`FluxObjective::evaluate`] on their positions. [`associate`] is the
+//! one entry point; it runs on the caller's thread, and every exact
+//! evaluation it runs is the cold NNLS solve, in warm rounds too.
 
 use std::ops::Range;
 
-use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
 use fluxprint_solver::{CacheScratch, Conditioner, FluxObjective, ScoringCache, SinkFit, Slot};
 
@@ -80,11 +77,10 @@ struct Bid {
 /// Detects active sources and associates them to users.
 ///
 /// `candidates[i]` are user `i`'s predictions; `candidates[i][explore_from[i]..]`
-/// are its exploration (uniform) candidates. Scans fan out on `pool`;
-/// sequential dispatches reuse the caller's `scratch` (the scratch
-/// contract guarantees reuse never changes results), so a shard worker
-/// on a one-thread pool slice keeps its hot loop allocation-free, and
-/// parallel dispatches use per-worker scratch.
+/// are its exploration (uniform) candidates. Every scan reuses the
+/// caller's `scratch` (the scratch contract guarantees reuse never
+/// changes results), so a drain worker keeps its hot loop
+/// allocation-free.
 ///
 /// The scoring cache is built into `scratch`'s recycled buffers and
 /// handed back to it before returning, so a worker associating round
@@ -100,7 +96,6 @@ pub fn associate(
     candidates: &[Vec<Point2>],
     explore_from: &[usize],
     config: &SmcConfig,
-    pool: &Pool,
     scratch: &mut CacheScratch,
 ) -> Result<Association, SmcError> {
     if candidates.is_empty() || candidates.iter().any(Vec::is_empty) {
@@ -114,7 +109,7 @@ pub fn associate(
     }
 
     // Basis columns, projections, and norms once per candidate.
-    let cache = objective.scoring_cache(candidates, pool, scratch);
+    let cache = objective.scoring_cache(candidates, scratch);
 
     let mut selected: Vec<usize> = Vec::new();
     let mut chosen: Vec<Option<usize>> = vec![None; k];
@@ -133,7 +128,7 @@ pub fn associate(
             if chosen[i].is_some() {
                 continue;
             }
-            let bid = best_bid(&cache, &cond, i, explore_from[i], pool, scratch)?;
+            let bid = best_bid(&cache, &cond, i, explore_from[i], scratch)?;
             if best
                 .as_ref()
                 .is_none_or(|(_, b)| bid.effective < b.effective)
@@ -179,7 +174,7 @@ pub fn associate(
             .filter(|&(j, _)| j != i)
             .collect();
         let cond = cache.conditioner(&others);
-        let scanned = cache.scan_conditioned(&cond, i, 0..limit, config.keep_m, pool, scratch)?;
+        let scanned = cache.scan_conditioned(&cond, i, 0..limit, config.keep_m, scratch)?;
         let mut residuals = vec![f64::INFINITY; candidates[i].len()];
         residuals[..limit].copy_from_slice(scanned);
         // Refresh the chosen candidate from the final scan.
@@ -215,19 +210,18 @@ fn selected_slots(selected: &[usize], chosen: &[Option<usize>]) -> Vec<Slot> {
         .collect()
 }
 
-/// Scans user `i`'s candidates conditioned on the selected sources (in
-/// parallel) and returns its admissible bid.
+/// Scans user `i`'s candidates conditioned on the selected sources and
+/// returns its admissible bid.
 fn best_bid(
     cache: &ScoringCache,
     cond: &Conditioner,
     i: usize,
     explore_from: usize,
-    pool: &Pool,
     scratch: &mut CacheScratch,
 ) -> Result<Bid, SmcError> {
     // Each class's argmin, first minimum on ties: a scan cut at 1.
     let mut class_best = |range: Range<usize>| -> Result<Option<(usize, f64)>, SmcError> {
-        let scanned = cache.scan_conditioned(cond, i, range.clone(), 1, pool, scratch)?;
+        let scanned = cache.scan_conditioned(cond, i, range.clone(), 1, scratch)?;
         let mut best: Option<(usize, f64)> = None;
         for (c, &r) in range.zip(scanned) {
             if best.is_none_or(|(_, br)| r < br) {
@@ -288,36 +282,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
-    /// An association on `pool` with the default configuration.
-    fn associate_on(
-        pool: &Pool,
+    /// An association with the default configuration and a fresh
+    /// scratch.
+    fn cold(
         objective: &FluxObjective,
         candidates: &[Vec<Point2>],
         explore_from: &[usize],
     ) -> Result<Association, SmcError> {
         let config = SmcConfig::default();
         let mut scratch = CacheScratch::new();
-        associate(
-            objective,
-            candidates,
-            explore_from,
-            &config,
-            pool,
-            &mut scratch,
-        )
-    }
-
-    fn cold(
-        objective: &FluxObjective,
-        candidates: &[Vec<Point2>],
-        explore_from: &[usize],
-    ) -> Result<Association, SmcError> {
-        associate_on(
-            fluxprint_fluxpar::pool(),
-            objective,
-            candidates,
-            explore_from,
-        )
+        associate(objective, candidates, explore_from, &config, &mut scratch)
     }
 
     fn objective_for(truth: &[(Point2, f64)]) -> FluxObjective {
@@ -431,8 +405,8 @@ mod tests {
     }
 
     /// Three users with 200 candidates each (the last 20 exploration),
-    /// each led by its true source: enough candidates for the chunked
-    /// cache build to split at 2 and 8 threads.
+    /// each led by its true source: enough candidates for the cache build
+    /// to take several chunks.
     fn large_instance() -> (FluxObjective, Vec<Vec<Point2>>, Vec<usize>) {
         let truth = [
             (Point2::new(8.0, 8.0), 2.0),
@@ -521,8 +495,7 @@ mod tests {
         /// `evaluate_conditioned`: the same argmin per bid class, the
         /// same first `keep` candidates in the tracker's order with the
         /// same bits, `+∞` only where the exhaustive scan would not
-        /// rank, and the same bits at 1, 2 and 8 threads, with exact ties
-        /// from duplicate candidates.
+        /// rank, with exact ties from duplicate candidates.
         #[test]
         fn screened_scans_rank_like_exhaustive_ones(
             seed in 0u64..u64::MAX,
@@ -532,7 +505,7 @@ mod tests {
         ) {
             let (obj, cands) = screening_instance(seed, users, [0.0, 0.05][noise]);
             let mut build = CacheScratch::new();
-            let cache = obj.scoring_cache(&cands, &Pool::with_threads(1), &mut build);
+            let cache = obj.scoring_cache(&cands, &mut build);
             let mut scratch = CacheScratch::new();
             let size = cands[0].len();
             let split = size - 8;
@@ -547,29 +520,23 @@ mod tests {
                         .map(|c| cache.evaluate_conditioned(&cond, (user, c), &mut scratch).unwrap())
                         .collect();
                     let ranked = tracker_order(&exhaustive, keep);
-                    let mut reference: Option<Vec<u64>> = None;
-                    for threads in [1, 2, 8] {
-                        let pool = Pool::with_threads(threads);
-                        let label = format!("user={user} kb={kb} keep={keep} threads={threads}");
-                        let screened = cache
-                            .scan_conditioned(&cond, user, 0..size, keep, &pool, &mut scratch)
-                            .unwrap()
-                            .to_vec();
-                        prop_assert_eq!(tracker_order(&screened, keep), ranked.clone(), "{}", label);
-                        for (c, (s, e)) in screened.iter().zip(&exhaustive).enumerate() {
-                            if s.to_bits() != e.to_bits() {
-                                prop_assert!(*s == f64::INFINITY && !ranked.contains(&c), "{} c={}", label, c);
-                                spared += 1;
-                            }
+                    let label = format!("user={user} kb={kb} keep={keep}");
+                    let screened = cache
+                        .scan_conditioned(&cond, user, 0..size, keep, &mut scratch)
+                        .unwrap()
+                        .to_vec();
+                    prop_assert_eq!(tracker_order(&screened, keep), ranked.clone(), "{}", label);
+                    for (c, (s, e)) in screened.iter().zip(&exhaustive).enumerate() {
+                        if s.to_bits() != e.to_bits() {
+                            prop_assert!(*s == f64::INFINITY && !ranked.contains(&c), "{} c={}", label, c);
+                            spared += 1;
                         }
-                        let bits: Vec<u64> = screened.iter().map(|r| r.to_bits()).collect();
-                        prop_assert_eq!(reference.get_or_insert(bits.clone()), &bits, "{}", label);
-                        for range in [0..split, split..size] {
-                            let class = cache
-                                .scan_conditioned(&cond, user, range.clone(), 1, &pool, &mut scratch)
-                                .unwrap();
-                            prop_assert_eq!(first_min(class), first_min(&exhaustive[range]), "{}", label);
-                        }
+                    }
+                    for range in [0..split, split..size] {
+                        let class = cache
+                            .scan_conditioned(&cond, user, range.clone(), 1, &mut scratch)
+                            .unwrap();
+                        prop_assert_eq!(first_min(class), first_min(&exhaustive[range]), "{}", label);
                     }
                 }
             }
@@ -583,7 +550,7 @@ mod tests {
     #[test]
     fn joint_fit_is_the_dense_evaluation_of_the_selection() {
         let (obj, candidates, explore_from) = large_instance();
-        let a = associate_on(&Pool::with_threads(2), &obj, &candidates, &explore_from).unwrap();
+        let a = cold(&obj, &candidates, &explore_from).unwrap();
         assert_eq!(a.selected.len(), 3);
         let positions: Vec<Point2> = a
             .selected
@@ -596,56 +563,5 @@ mod tests {
         assert_eq!(fit.residual.to_bits(), want.residual.to_bits());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fit.stretches), bits(&want.stretches));
-    }
-
-    #[test]
-    fn association_is_identical_across_thread_counts() {
-        let small = (
-            objective_for(&[(Point2::new(8.0, 8.0), 2.0), (Point2::new(22.0, 21.0), 2.5)]),
-            vec![
-                vec![
-                    Point2::new(8.0, 8.0),
-                    Point2::new(12.0, 12.0),
-                    Point2::new(6.0, 10.0),
-                    Point2::new(14.0, 4.0), // exploration
-                ],
-                vec![
-                    Point2::new(22.0, 21.0),
-                    Point2::new(18.0, 18.0),
-                    Point2::new(25.0, 17.0),
-                    Point2::new(4.0, 26.0), // exploration
-                ],
-            ],
-            vec![3, 3],
-        );
-        for (obj, candidates, explore_from) in [small, large_instance()] {
-            let reference =
-                associate_on(&Pool::with_threads(1), &obj, &candidates, &explore_from).unwrap();
-            for threads in [2usize, 8] {
-                let pool = Pool::with_threads(threads);
-                let got = associate_on(&pool, &obj, &candidates, &explore_from).unwrap();
-                assert_eq!(got.selected, reference.selected, "threads={threads}");
-                assert_eq!(got.chosen, reference.chosen);
-                assert_eq!(got.used_explore, reference.used_explore);
-                for (a, b) in got
-                    .per_candidate_residual
-                    .iter()
-                    .zip(&reference.per_candidate_residual)
-                {
-                    match (a, b) {
-                        (Some(ra), Some(rb)) => {
-                            for (x, y) in ra.iter().zip(rb) {
-                                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
-                            }
-                        }
-                        (None, None) => {}
-                        _ => panic!("per-candidate shape diverged at {threads} threads"),
-                    }
-                }
-                let (fa, fb) = (got.fit.unwrap(), reference.fit.clone().unwrap());
-                assert_eq!(fa.residual.to_bits(), fb.residual.to_bits());
-                assert_eq!(fa.stretches, fb.stretches);
-            }
-        }
     }
 }

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use rand::Rng;
 
 use fluxprint_fluxmodel::FluxModel;
-use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::{deployment, Boundary, Point2};
 use fluxprint_solver::{CacheScratch, FluxObjective};
 use fluxprint_stats::WeightedAlias;
@@ -256,8 +255,8 @@ impl Tracker {
 
     /// Runs one observation round at time `t` against the sniffed flux in
     /// `objective`: prediction → filtering → importance update →
-    /// asynchronous gate. Every user participates, scoring runs cold on
-    /// the process-wide worker pool (`FLUXPRINT_THREADS`).
+    /// asynchronous gate. Every user participates and scoring runs cold,
+    /// on the calling thread.
     ///
     /// # Errors
     ///
@@ -270,19 +269,11 @@ impl Tracker {
         rng: &mut R,
     ) -> Result<StepOutcome, SmcError> {
         let everyone = vec![true; self.users.len()];
-        self.step_gated_in(
-            t,
-            objective,
-            &everyone,
-            None,
-            rng,
-            fluxprint_fluxpar::pool(),
-            &mut CacheScratch::new(),
-        )
+        self.step_gated_in(t, objective, &everyone, None, rng, &mut CacheScratch::new())
     }
 
     /// [`step`](Tracker::step) with a participation mask, optional warm
-    /// hot flags, an explicit pool, and a caller-owned [`CacheScratch`].
+    /// hot flags, and a caller-owned [`CacheScratch`].
     ///
     /// Only users with `participating[i] == true` predict, bid, and
     /// update; the rest get the paper's Null update unconditionally
@@ -303,17 +294,14 @@ impl Tracker {
     /// the engine passes `None` on escape rounds and whenever no user is
     /// hot.
     ///
-    /// The scratch is reused across sequential dispatches, so a grid
-    /// shard worker stepping many rounds on a one-thread pool slice
-    /// touches no allocator in the hot loop; results are bit-identical
-    /// at any thread count.
+    /// The scratch is reused across rounds, so a drain worker stepping
+    /// many rounds touches no allocator in the hot loop.
     ///
     /// # Errors
     ///
     /// As [`step`](Tracker::step); additionally [`SmcError::BadConfig`]
     /// when the mask or the `hot` flags differ in length from the user
     /// count.
-    #[allow(clippy::too_many_arguments)]
     pub fn step_gated_in<R: Rng + ?Sized>(
         &mut self,
         t: f64,
@@ -321,7 +309,6 @@ impl Tracker {
         participating: &[bool],
         hot: Option<&[bool]>,
         rng: &mut R,
-        pool: &Pool,
         scratch: &mut CacheScratch,
     ) -> Result<StepOutcome, SmcError> {
         if participating.len() != self.users.len() {
@@ -509,14 +496,7 @@ impl Tracker {
         // Detection + association: forward selection of active sources
         // with motion-consistency preference (see the `association`
         // module). Unselected users receive the paper's Null update.
-        let assoc = associate(
-            objective,
-            &candidates,
-            &explore_from,
-            &self.config,
-            pool,
-            scratch,
-        )?;
+        let assoc = associate(objective, &candidates, &explore_from, &self.config, scratch)?;
 
         let mut active = vec![false; k];
         let mut stretches = vec![0.0; k];
@@ -637,7 +617,7 @@ mod tests {
         FluxObjective::new(field(), model, sniffers, measured).unwrap()
     }
 
-    /// A cold gated step on the process-wide pool with a fresh scratch.
+    /// A cold gated step with a fresh scratch.
     fn step_gated(
         tracker: &mut Tracker,
         t: f64,
@@ -645,9 +625,8 @@ mod tests {
         participating: &[bool],
         rng: &mut StdRng,
     ) -> Result<StepOutcome, SmcError> {
-        let pool = fluxprint_fluxpar::pool();
         let mut scratch = CacheScratch::new();
-        tracker.step_gated_in(t, objective, participating, None, rng, pool, &mut scratch)
+        tracker.step_gated_in(t, objective, participating, None, rng, &mut scratch)
     }
 
     fn small_config() -> SmcConfig {
@@ -797,8 +776,8 @@ mod tests {
 
     #[test]
     fn step_gated_with_full_mask_matches_step() {
-        // The gated side also runs on an explicit two-thread pool with one
-        // scratch reused across rounds: neither may change a bit.
+        // The gated side reuses one scratch across rounds, which may not
+        // change a bit.
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
         let mut plain = Tracker::new(
@@ -819,7 +798,6 @@ mod tests {
             &mut rng_b,
         )
         .unwrap();
-        let pool = fluxprint_fluxpar::Pool::with_threads(2);
         let mut scratch = CacheScratch::new();
         for round in 1..=4 {
             let obs = observation(&[
@@ -834,7 +812,6 @@ mod tests {
                     &[true, true],
                     None,
                     &mut rng_b,
-                    &pool,
                     &mut scratch,
                 )
                 .unwrap();

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use fluxprint_fluxmodel::FluxModel;
-use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::{Point2, Rect};
 use fluxprint_smc::{SmcConfig, SmcError, Tracker, WARM_SHRINK};
 use fluxprint_solver::{CacheScratch, FluxObjective};
@@ -44,20 +43,11 @@ fn warm_round_bounds_search_and_keeps_tracking() {
     let mut tracker = Tracker::new(1, field, FluxModel::default(), config, 0.0, &mut rng).unwrap();
     let truth = Point2::new(12.0, 17.0);
     let obs = observation(&[(truth, 2.0)]);
-    let pool = Pool::with_threads(1);
     let mut scratch = CacheScratch::new();
     // Two cold rounds to initialize the posterior.
     for round in 1..=2 {
         tracker
-            .step_gated_in(
-                round as f64,
-                &obs,
-                &[true],
-                None,
-                &mut rng,
-                &pool,
-                &mut scratch,
-            )
+            .step_gated_in(round as f64, &obs, &[true], None, &mut rng, &mut scratch)
             .unwrap();
     }
     // Warm rounds: candidate budget shrinks to n / WARM_SHRINK and the
@@ -71,7 +61,6 @@ fn warm_round_bounds_search_and_keeps_tracking() {
             &[true],
             Some(&[true]),
             &mut rng,
-            &pool,
             &mut scratch,
         );
         out = Some(step.unwrap());
@@ -94,7 +83,6 @@ fn warm_round_bounds_search_and_keeps_tracking() {
             &[true],
             Some(&[true, false]),
             &mut rng,
-            &pool,
             &mut scratch
         ),
         Err(SmcError::BadConfig { field: "warm" })

@@ -81,7 +81,6 @@
 
 use std::ops::{Range, RangeInclusive};
 
-use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::Point2;
 use fluxprint_linalg::{nnls_gram_into, Matrix, NnlsScratch};
 use fluxprint_telemetry::{self as telemetry, names};
@@ -115,8 +114,7 @@ const UNDERFLOW: f64 = 1e-150;
 /// [`FluxObjective::scoring_cache`], then score one user's candidates
 /// against a fixed base with
 /// [`scan_conditioned`](ScoringCache::scan_conditioned), the
-/// forward-selection shape. All evaluation is `&self`, so one cache
-/// serves any number of worker threads.
+/// forward-selection shape. All evaluation is `&self`.
 #[derive(Debug)]
 pub struct ScoringCache<'a> {
     objective: &'a FluxObjective,
@@ -147,7 +145,8 @@ struct CacheBuffers {
     diag: Vec<f64>,
 }
 
-/// Candidates per chunk of the parallel cache build.
+/// Candidates per chunk of the cache build: each chunk's columns are
+/// projected while they are still in cache.
 const BUILD_CHUNK: usize = 64;
 
 /// Probes per chunk of a scan's pass 1. Each chunk runs every step of the
@@ -311,13 +310,12 @@ fn clamp_box(x: f64, cap: f64) -> f64 {
 impl FluxObjective {
     /// Precomputes the scoring cache for one observation window:
     /// `candidates[i]` are user `i`'s positions. Basis columns,
-    /// projections, and norms are written in place, in parallel chunks on
-    /// `pool`, into buffers taken from `scratch`; hand them back with
+    /// projections, and norms are written in place, chunk by chunk, into
+    /// buffers taken from `scratch`; hand them back with
     /// [`ScoringCache::recycle`].
     pub fn scoring_cache<'a>(
         &'a self,
         candidates: &[Vec<Point2>],
-        pool: &Pool,
         scratch: &mut CacheScratch,
     ) -> ScoringCache<'a> {
         telemetry::counter(names::SOLVER_GRAM_BUILD, 1);
@@ -335,26 +333,19 @@ impl FluxObjective {
         buf.xs.extend(self.positions().iter().map(|p| p.x));
         buf.ys.clear();
         buf.ys.extend(self.positions().iter().map(|p| p.y));
-        // Every element below is overwritten by the fill, so resizing
+        // Every element below is overwritten chunk by chunk, so resizing
         // never needs to clear.
         buf.cols.resize(total * n, 0.0);
         buf.proj.resize(total, 0.0);
         buf.diag.resize(total, 0.0);
         let (model, boundary, measurements) = (self.model(), self.boundary(), self.measurements());
-        let CacheBuffers {
-            positions,
-            xs,
-            ys,
-            cols,
-            proj,
-            diag,
-            ..
-        } = &mut buf;
-        let out = (&mut cols[..], &mut proj[..], &mut diag[..]);
-        pool.fill_chunks(total, BUILD_CHUNK, out, |range, (cols, proj, diag)| {
-            model.basis_columns(&positions[range], xs, ys, boundary, cols);
+        for start in (0..total).step_by(BUILD_CHUNK) {
+            let end = total.min(start + BUILD_CHUNK);
+            let cols = &mut buf.cols[start * n..end * n];
+            model.basis_columns(&buf.positions[start..end], &buf.xs, &buf.ys, boundary, cols);
+            let (proj, diag) = (&mut buf.proj[start..end], &mut buf.diag[start..end]);
             project(cols, measurements, proj, diag);
-        });
+        }
         let flux_sq: f64 = measurements.iter().map(|m| m * m).sum();
         ScoringCache {
             objective: self,
@@ -549,18 +540,14 @@ impl<'a> ScoringCache<'a> {
     /// bits as it would over an exhaustive scan. The stretches left in
     /// `scratch` are those of the last exact evaluation.
     ///
-    /// - Pass 1, on `pool`, bounds every probe from below (DESIGN §9,
-    ///   "Certified screening"), in chunks of 16 probes whose every step
-    ///   is one loop across the chunk; each probe counts one objective
+    /// - Pass 1 bounds every probe from below (DESIGN §9, "Certified
+    ///   screening"), in chunks of 16 probes whose every step is one
+    ///   loop across the chunk; each probe counts one objective
     ///   evaluation and one Gram combination evaluation.
-    /// - Pass 2, on the caller's thread, evaluates exactly the `keep`
-    ///   probes with the smallest bounds (ties by index), then every
-    ///   other probe whose bound is not above τ, the largest of their
-    ///   residuals. A NaN among those residuals evaluates every probe.
-    ///
-    /// Each probe's bound depends only on the probe, and pass 2's set
-    /// only on bounds and exact residuals, so the result is identical at
-    /// any pool width.
+    /// - Pass 2 evaluates exactly the `keep` probes with the smallest
+    ///   bounds (ties by index), then every other probe whose bound is
+    ///   not above τ, the largest of their residuals. A NaN among those
+    ///   residuals evaluates every probe.
     ///
     /// # Errors
     ///
@@ -571,7 +558,6 @@ impl<'a> ScoringCache<'a> {
         user: usize,
         range: Range<usize>,
         keep: usize,
-        pool: &Pool,
         scratch: &'s mut CacheScratch,
     ) -> Result<&'s [f64], SolverError> {
         let (start, len) = (range.start, range.len());
@@ -584,13 +570,17 @@ impl<'a> ScoringCache<'a> {
         let mut order = std::mem::take(&mut scratch.order);
         let mut out = std::mem::take(&mut scratch.scan);
         // Every element is overwritten by pass 1.
+        let width = 2 * cond.base.len();
         bounds.resize(len, 0.0);
-        work.resize(len * 2 * cond.base.len(), 0.0);
+        work.resize(len * width, 0.0);
         let first = self.global((user, start));
-        let lanes = (&mut bounds[..], &mut work[..]);
-        pool.fill_chunks(len, PROBE_CHUNK, lanes, |chunk, (bounds, work)| {
-            self.bound_chunk(cond, first + chunk.start, bounds, work);
-        });
+        // The workspace is sliced by index: with an empty base its width
+        // is 0, and every chunk still needs its bounds.
+        for c in (0..len).step_by(PROBE_CHUNK) {
+            let end = len.min(c + PROBE_CHUNK);
+            let work = &mut work[c * width..end * width];
+            self.bound_chunk(cond, first + c, &mut bounds[c..end], work);
+        }
 
         // Pass 2.
         let mut evaluate_cut = |scratch: &mut CacheScratch| -> Result<(), SolverError> {
@@ -1136,7 +1126,6 @@ mod tests {
         ];
         let obj = objective_for(&truth);
         let cands = demo_candidates();
-        let pool = Pool::with_threads(2);
         // Probe shapes k = 1, 2 and 3, built the way `associate` builds
         // them: the probed user is never in the base.
         let shapes: [(usize, &[Slot]); 9] = [
@@ -1151,7 +1140,7 @@ mod tests {
             (1, &[(2, 0), (0, 2)]),
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let cache = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+        let cache = obj.scoring_cache(&cands, &mut CacheScratch::new());
         let mut scratch = CacheScratch::new();
         for &(user, base) in &shapes {
             let cond = cache.conditioner(base);
@@ -1175,20 +1164,18 @@ mod tests {
         ];
         let obj = objective_for(&truth);
         let cands = demo_candidates();
-        let pool = Pool::with_threads(1);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let fresh = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+        let fresh = obj.scoring_cache(&cands, &mut CacheScratch::new());
         // The scratch first holds a larger build, then a smaller one, so
         // the recycled buffers both shrink and grow into this build.
         let mut scratch = CacheScratch::new();
         let mut larger = cands.clone();
         larger.push(vec![Point2::new(1.0, 2.0); 9]);
         for set in [larger, vec![vec![Point2::new(4.0, 4.0)]], cands.clone()] {
-            obj.scoring_cache(&set, &pool, &mut scratch)
-                .recycle(&mut scratch);
+            obj.scoring_cache(&set, &mut scratch).recycle(&mut scratch);
         }
         let cols = scratch.buffers.cols.as_ptr();
-        let recycled = obj.scoring_cache(&cands, &pool, &mut scratch);
+        let recycled = obj.scoring_cache(&cands, &mut scratch);
         assert_eq!(recycled.buf.cols.as_ptr(), cols, "capacity reused");
         assert_eq!(fresh.buf.offsets, recycled.buf.offsets);
         assert_eq!(fresh.buf.positions, recycled.buf.positions);
@@ -1290,9 +1277,8 @@ mod tests {
         ) {
             let (noise, scale) = ([0.0, 0.05][noise], [1e-120, 1.0, 1e120][scale]);
             let (obj, cands) = random_instance(seed, n, users, noise, scale, 0);
-            let pool = Pool::with_threads(1);
             let mut tight = 0;
-            let cache = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+            let cache = obj.scoring_cache(&cands, &mut CacheScratch::new());
             let mut scratch = CacheScratch::new();
             for user in 0..users {
                 for base in bases_for(user, users) {
@@ -1327,9 +1313,8 @@ mod tests {
         /// every probe of a scan: base sizes 0 to 4, 3 to 360 sniffers,
         /// flux scaled by 1e-120, 1 and 1e120, noise, duplicate and
         /// near-exact candidates, columns outside the screening range
-        /// (the −∞ paths, on the probe's side and the base's), scans that
-        /// start inside a chunk and end in a short one, and pool widths
-        /// 1, 2 and 8.
+        /// (the −∞ paths, on the probe's side and the base's), and scans
+        /// that start inside a chunk and end in a short one.
         #[test]
         fn batch_bounds_equal_the_scalar_bound(
             seed in 0u64..u64::MAX,
@@ -1343,9 +1328,8 @@ mod tests {
             let (noise, scale) = ([0.0, 0.05][noise], [1e-120, 1.0, 1e120][scale]);
             let (obj, cands) = random_instance(seed, n, users, noise, scale, extra);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-            let build = &Pool::with_threads(1);
             let (mut finite, mut floors) = (0, 0);
-            let mut cache = obj.scoring_cache(&cands, build, &mut CacheScratch::new());
+            let mut cache = obj.scoring_cache(&cands, &mut CacheScratch::new());
             // Norms outside the range: one probe of user 0 reads 0,
             // and a base may hold one of user 1's that reads 1e280.
             if out_of_range > 0 {
@@ -1374,22 +1358,19 @@ mod tests {
                         finite += usize::from(b.is_finite());
                         floors += usize::from(b == f64::NEG_INFINITY);
                     }
-                    for threads in [1, 2, 8] {
-                        let pool = Pool::with_threads(threads);
-                        // A scan leaves its bounds in the scratch, also
-                        // when an exact solve on a singular base fails.
-                        let _ = cache.scan_conditioned(
-                            &cond, user, range.clone(), range.len(), &pool, &mut scratch,
-                        );
-                        let got: Vec<u64> = scratch.bounds.iter().map(|b| b.to_bits()).collect();
-                        let diff = got.iter().zip(&want).position(|(a, b)| a != b);
-                        prop_assert!(
-                            got.len() == want.len() && diff.is_none(),
-                            "user={} base={:?} range={:?} threads={} at {:?}: {:?} vs {:?}",
-                            user, &base, &range, threads, diff,
-                            diff.map(|i| f64::from_bits(got[i])), diff.map(|i| f64::from_bits(want[i]))
-                        );
-                    }
+                    // A scan leaves its bounds in the scratch, also when
+                    // an exact solve on a singular base fails.
+                    let _ = cache.scan_conditioned(
+                        &cond, user, range.clone(), range.len(), &mut scratch,
+                    );
+                    let got: Vec<u64> = scratch.bounds.iter().map(|b| b.to_bits()).collect();
+                    let diff = got.iter().zip(&want).position(|(a, b)| a != b);
+                    prop_assert!(
+                        got.len() == want.len() && diff.is_none(),
+                        "user={} base={:?} range={:?} at {:?}: {:?} vs {:?}",
+                        user, &base, &range, diff,
+                        diff.map(|i| f64::from_bits(got[i])), diff.map(|i| f64::from_bits(want[i]))
+                    );
                 }
             }
             // Not vacuous: bounds were computed, and the −∞ paths taken
@@ -1413,7 +1394,7 @@ mod tests {
             let (obj, cands) = random_instance(seed, n, users, noise, scale, 0);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xF17);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let cache = obj.scoring_cache(&cands, &Pool::with_threads(2), &mut CacheScratch::new());
+            let cache = obj.scoring_cache(&cands, &mut CacheScratch::new());
             let mut scratch = CacheScratch::new();
             for _ in 0..8 {
                 let mut order: Vec<usize> = (0..users).collect();
@@ -1459,19 +1440,13 @@ mod tests {
                     )
                 })
                 .collect::<Vec<_>>()];
-            for threads in [1, 2, 8] {
-                let cache = obj.scoring_cache(
-                    &cands,
-                    &Pool::with_threads(threads),
-                    &mut CacheScratch::new(),
-                );
-                for g in 0..total {
-                    let col = cache.col(g);
-                    let proj: f64 = col.iter().zip(obj.measurements()).map(|(c, m)| c * m).sum();
-                    let diag: f64 = col.iter().map(|c| c * c).sum();
-                    assert_eq!(bits(cache.buf.proj[g]), bits(proj), "total={total} g={g}");
-                    assert_eq!(bits(cache.buf.diag[g]), bits(diag), "total={total} g={g}");
-                }
+            let cache = obj.scoring_cache(&cands, &mut CacheScratch::new());
+            for g in 0..total {
+                let col = cache.col(g);
+                let proj: f64 = col.iter().zip(obj.measurements()).map(|(c, m)| c * m).sum();
+                let diag: f64 = col.iter().map(|c| c * c).sum();
+                assert_eq!(bits(cache.buf.proj[g]), bits(proj), "total={total} g={g}");
+                assert_eq!(bits(cache.buf.diag[g]), bits(diag), "total={total} g={g}");
             }
         }
     }
@@ -1479,7 +1454,6 @@ mod tests {
     #[test]
     fn bound_falls_back_outside_its_range() {
         let cands = demo_candidates();
-        let pool = Pool::with_threads(1);
         let mut scratch = CacheScratch::new();
         // Silence: ‖F′‖² = 0 is below the range, so every bound is −∞
         // and every probe of a scan is evaluated exactly.
@@ -1492,14 +1466,14 @@ mod tests {
             vec![0.0; 2],
         )
         .unwrap();
-        let cache = silent.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+        let cache = silent.scoring_cache(&cands, &mut CacheScratch::new());
         let cond = cache.conditioner(&[(0, 0)]);
         for c in 0..cache.size(1) {
             assert_eq!(cache.bound(&cond, (1, c)), f64::NEG_INFINITY);
         }
         let before = fluxprint_telemetry::snapshot().counter(names::SOLVER_RESIDUAL_EXACT);
         let scanned = cache
-            .scan_conditioned(&cond, 1, 0..cache.size(1), 1, &pool, &mut scratch)
+            .scan_conditioned(&cond, 1, 0..cache.size(1), 1, &mut scratch)
             .unwrap();
         assert!(scanned.iter().all(|r| r.is_finite()));
         let after = fluxprint_telemetry::snapshot().counter(names::SOLVER_RESIDUAL_EXACT);
@@ -1526,8 +1500,7 @@ mod tests {
     fn cache_layout_accessors() {
         let obj = objective_for(&[(Point2::new(8.0, 8.0), 1.0)]);
         let cands = demo_candidates();
-        let pool = Pool::with_threads(1);
-        let cache = obj.scoring_cache(&cands, &pool, &mut CacheScratch::new());
+        let cache = obj.scoring_cache(&cands, &mut CacheScratch::new());
         assert_eq!(cache.size(0), 3);
         assert_eq!(cache.size(1), 4);
         assert_eq!(cache.size(2), 3);

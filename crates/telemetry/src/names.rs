@@ -62,7 +62,9 @@ pub const NETSIM_COLLECTION_TREES: &str = "netsim.collection.trees";
 /// Per-sniffer flux readings taken across all observation windows.
 pub const NETSIM_SNIFFER_OBSERVATIONS: &str = "netsim.sniffer.observations";
 
-/// Work items routed through the deterministic worker pool.
+/// Work items routed through the deterministic worker pool:
+/// random-search samples and figure trials. A tracking round routes
+/// none.
 pub const FLUXPAR_TASKS: &str = "fluxpar.tasks";
 /// Worker threads spawned by parallel pool dispatches.
 pub const FLUXPAR_THREADS: &str = "fluxpar.threads";

@@ -41,7 +41,7 @@ use serde_json::Value;
 /// * `warm` — nonzero enables warm-started solving (posterior-seeded
 ///   shrunk candidate search with periodic escape sweeps; 0 = cold).
 /// * `hibernate_after` — grid idle threshold in drains before a resident
-///   session is evicted to compact form (0 = hibernation off).
+///   session is hibernated (0 = hibernation off).
 /// * `active_pct` — percentage of rounds each session actually receives
 ///   (duty cycling; 100 = every session sees every round). Sessions
 ///   rotate through the duty cycle so idle streaks form and hibernation

@@ -203,7 +203,7 @@ fn quick_fig4_emits_schema_valid_telemetry() {
     let bytes = &after.histograms[names::HIST_GRID_HIBERNATE_BYTES];
     assert!(
         bytes.count() > 0,
-        "eviction must record the compact serialized size"
+        "eviction must record the cold session's size"
     );
 
     // Serving metrics are catalog-padded (fig4 never serves)…

@@ -7,8 +7,9 @@
 //! ingest counter and the warm-start state. Derived caches (the
 //! sniffer-set objective template) are deliberately excluded — they
 //! rebuild on the first round after restore with no effect on outputs.
-//! Sessions, grid entries, the hibernarium and fluxd's `Checkpoint`
-//! frame all carry this one form.
+//! It is the external form only: sessions, grid checkpoints and fluxd's
+//! `Checkpoint` frame carry it, while a grid's hibernated residents stay
+//! live [`Session`](crate::Session)s and are encoded on demand.
 //!
 //! The RNG state is four 64-bit words encoded as fixed-width hex strings
 //! rather than JSON numbers: the workspace's serde stand-in routes
@@ -20,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_smc::{CompactTrackerState, SmcConfig};
 
-use crate::{EngineError, UserState, WarmState, WARM_ESCAPE_EVERY};
+use crate::{EngineError, UserState, WarmState};
 
 /// The checkpoint format version this build writes, and the only one
 /// restore accepts — session and grid checkpoints alike. Older documents
@@ -93,40 +94,6 @@ pub struct CompactCheckpoint {
 }
 
 impl CompactCheckpoint {
-    /// Checks everything [`Engine::restore_compact`](crate::Engine::restore_compact)
-    /// checks, without building a session: the engine-level invariants
-    /// first, then the tracker snapshot (see [`CompactTrackerState::expand`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnsupportedVersion`],
-    /// [`EngineError::BadCheckpoint`], or a tracker validation error.
-    pub fn validate(&self) -> Result<(), EngineError> {
-        self.validate_envelope()?;
-        self.tracker.expand(self.config, self.model)?;
-        Ok(())
-    }
-
-    /// The engine-level checks of [`validate`](Self::validate), which
-    /// come first there: the current version, a well-formed RNG
-    /// encoding, lifecycle states parallel to the tracker's users, and a
-    /// warm state a live session can reach (hot flags parallel to the
-    /// users, an escape cadence below [`WARM_ESCAPE_EVERY`]). Returns
-    /// the decoded RNG stream position.
-    pub(crate) fn validate_envelope(&self) -> Result<[u64; 4], EngineError> {
-        check_version(self.version)?;
-        let rng = decode_rng_words(&self.rng)?;
-        if self.users.len() != self.tracker.users.len() {
-            return Err(EngineError::BadCheckpoint { field: "users" });
-        }
-        if let Some(warm) = &self.warm {
-            if warm.hot.len() != self.users.len() || warm.rounds_since_escape >= WARM_ESCAPE_EVERY {
-                return Err(EngineError::BadCheckpoint { field: "warm" });
-            }
-        }
-        Ok(rng)
-    }
-
     /// This checkpoint as a JSON document, the form
     /// [`Engine::restore_compact_json`](crate::Engine::restore_compact_json)
     /// reads.
@@ -137,42 +104,6 @@ impl CompactCheckpoint {
     pub fn to_json(&self) -> Result<String, EngineError> {
         serde_json::to_string(self).map_err(|e| EngineError::CheckpointCodec(e.to_string()))
     }
-
-    /// The bytes this value occupies in memory: its inline size plus the
-    /// length of every heap buffer it owns — the per-user entries with
-    /// their three base64 blobs and heading histories, the RNG words,
-    /// the lifecycle states and the warm flags. Spare capacity and
-    /// allocator overhead are not counted, so the figure depends only on
-    /// the value. This is what a hibernated grid resident costs (see
-    /// [`Grid::hibernated_bytes`](crate::Grid::hibernated_bytes)).
-    pub fn in_memory_bytes(&self) -> usize {
-        let users: usize = self
-            .tracker
-            .users
-            .iter()
-            .map(|u| {
-                std::mem::size_of_val(u)
-                    + u.pos_pool.len()
-                    + u.w_pool.len()
-                    + u.samples.len()
-                    + std::mem::size_of_val(u.history.as_slice())
-            })
-            .sum();
-        let rng: usize = self
-            .rng
-            .iter()
-            .map(|w| std::mem::size_of_val(w) + w.len())
-            .sum();
-        let warm = self
-            .warm
-            .as_ref()
-            .map_or(0, |w| std::mem::size_of_val(w.hot.as_slice()));
-        std::mem::size_of_val(self)
-            + users
-            + rng
-            + std::mem::size_of_val(self.users.as_slice())
-            + warm
-    }
 }
 
 /// Encodes an RNG stream position as fixed-width hex words.
@@ -181,7 +112,7 @@ pub(crate) fn encode_rng(words: [u64; 4]) -> Vec<String> {
 }
 
 /// Decodes a hex-encoded RNG stream position.
-fn decode_rng_words(rng: &[String]) -> Result<[u64; 4], EngineError> {
+pub(crate) fn decode_rng_words(rng: &[String]) -> Result<[u64; 4], EngineError> {
     if rng.len() != 4 {
         return Err(EngineError::BadCheckpoint { field: "rng" });
     }
@@ -223,73 +154,6 @@ mod tests {
             rounds_ingested: 3,
             warm: None,
         }
-    }
-
-    #[test]
-    fn validate_accepts_good_and_rejects_bad() {
-        checkpoint().validate().unwrap();
-
-        let mut cp = checkpoint();
-        cp.version = CHECKPOINT_VERSION + 1;
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::UnsupportedVersion {
-                found,
-                supported: CHECKPOINT_VERSION
-            }) if found == CHECKPOINT_VERSION + 1
-        ));
-
-        let mut cp = checkpoint();
-        cp.version = 0;
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::UnsupportedVersion { found: 0, .. })
-        ));
-
-        let mut cp = checkpoint();
-        cp.warm = Some(WarmState {
-            rounds_since_escape: 1,
-            hot: vec![true, false],
-        });
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::BadCheckpoint { field: "warm" })
-        ));
-
-        let mut cp = checkpoint();
-        cp.warm = Some(WarmState::cold(1));
-        cp.validate().unwrap();
-
-        let mut cp = checkpoint();
-        cp.rng.pop();
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::BadCheckpoint { field: "rng" })
-        ));
-
-        let mut cp = checkpoint();
-        cp.rng[0] = "not hex".into();
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::BadCheckpoint { field: "rng" })
-        ));
-
-        let mut cp = checkpoint();
-        cp.users.push(UserState::Suspended);
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::BadCheckpoint { field: "users" })
-        ));
-
-        // The tracker snapshot is validated against the carried config.
-        let mut cp = checkpoint();
-        cp.config.keep_m = 0;
-        assert!(matches!(
-            cp.validate(),
-            Err(EngineError::Smc(fluxprint_smc::SmcError::BadConfig {
-                field: "keep_m"
-            }))
-        ));
     }
 
     #[test]

@@ -11,7 +11,9 @@ use fluxprint_netsim::Network;
 use fluxprint_smc::{SmcConfig, Tracker};
 use fluxprint_telemetry::{self as telemetry, names};
 
-use crate::{checkpoint, CompactCheckpoint, EngineError, Session, UserState, WarmState};
+use crate::{
+    checkpoint, CompactCheckpoint, EngineError, Session, UserState, WarmState, WARM_ESCAPE_EVERY,
+};
 
 /// Parameters for one tracking session.
 #[derive(Debug, Clone)]
@@ -194,11 +196,31 @@ impl Engine {
     /// different model. The tracker is built straight from the compact
     /// blobs, each decoded once.
     ///
+    /// Restore is also the one place a checkpoint is validated. The
+    /// engine-level invariants come first: the current version, a
+    /// well-formed RNG encoding, lifecycle states parallel to the
+    /// tracker's users, and a warm state a live session can reach (hot
+    /// flags parallel to the users, an escape cadence below
+    /// [`WARM_ESCAPE_EVERY`]). The tracker snapshot follows (see
+    /// [`CompactTrackerState::expand`](fluxprint_smc::CompactTrackerState::expand)).
+    ///
     /// # Errors
     ///
-    /// As [`CompactCheckpoint::validate`].
+    /// Returns [`EngineError::UnsupportedVersion`],
+    /// [`EngineError::BadCheckpoint`], or a tracker validation error.
     pub fn restore_compact(&self, checkpoint: &CompactCheckpoint) -> Result<Session, EngineError> {
-        let rng = checkpoint.validate_envelope()?;
+        checkpoint::check_version(checkpoint.version)?;
+        let rng = checkpoint::decode_rng_words(&checkpoint.rng)?;
+        if checkpoint.users.len() != checkpoint.tracker.users.len() {
+            return Err(EngineError::BadCheckpoint { field: "users" });
+        }
+        if let Some(warm) = &checkpoint.warm {
+            if warm.hot.len() != checkpoint.users.len()
+                || warm.rounds_since_escape >= WARM_ESCAPE_EVERY
+            {
+                return Err(EngineError::BadCheckpoint { field: "warm" });
+            }
+        }
         let tracker = Tracker::from_compact(
             &checkpoint.tracker,
             checkpoint.config,
@@ -367,21 +389,32 @@ mod tests {
 
         let bad_config = |field| EngineError::Smc(SmcError::BadConfig { field });
         let mut cases: Vec<(CompactCheckpoint, EngineError)> = Vec::new();
-        let mut c = good.clone();
-        c.version = 99;
-        cases.push((
-            c,
-            EngineError::UnsupportedVersion {
-                found: 99,
-                supported: crate::CHECKPOINT_VERSION,
-            },
-        ));
+        for found in [0, crate::CHECKPOINT_VERSION + 1, 99] {
+            let mut c = good.clone();
+            c.version = found;
+            cases.push((
+                c,
+                EngineError::UnsupportedVersion {
+                    found,
+                    supported: crate::CHECKPOINT_VERSION,
+                },
+            ));
+        }
         let mut c = good.clone();
         c.rng.pop();
         cases.push((c, EngineError::BadCheckpoint { field: "rng" }));
         let mut c = good.clone();
+        c.rng[0] = "not hex".into();
+        cases.push((c, EngineError::BadCheckpoint { field: "rng" }));
+        let mut c = good.clone();
         c.users.pop();
         cases.push((c, EngineError::BadCheckpoint { field: "users" }));
+        let mut c = good.clone();
+        c.users.push(UserState::Suspended);
+        cases.push((c, EngineError::BadCheckpoint { field: "users" }));
+        let mut c = good.clone();
+        c.warm = Some(WarmState::cold(3));
+        cases.push((c, EngineError::BadCheckpoint { field: "warm" }));
         let mut c = good.clone();
         c.tracker.users.clear();
         c.users.clear();
@@ -404,7 +437,6 @@ mod tests {
         cases.push((c, bad_config("keep_m")));
         for (c, want) in &cases {
             assert_eq!(engine.restore_compact(c).unwrap_err(), *want);
-            assert_eq!(c.validate().unwrap_err(), *want);
         }
     }
 

@@ -11,15 +11,18 @@
 //!
 //! # Scheduling
 //!
-//! A drain first lists, in id order, the residents with work: queued
-//! rounds, or an idle streak that has reached the eviction threshold.
-//! The workers then claim entries from that one shared list until it is
-//! empty, so no worker idles while another still has a backlog, however
-//! the active sessions' ids happen to be distributed. The calling thread
-//! serves as the first worker; the others are plain
-//! [`std::thread::scope`] threads. Each round runs on the worker that
-//! claimed its session, so the workers themselves are the only
-//! parallelism: a drain runs `min(shards, residents with work)` threads.
+//! A drain first walks the residents in id order. An idle one extends
+//! its idle streak and, once the streak reaches the eviction threshold,
+//! is evicted on the spot, which costs no more than dropping its
+//! template (see [Hibernation](#hibernation)); the ones with queued
+//! rounds are listed. The workers then claim entries from that one
+//! shared list until it is empty, so no worker idles while another
+//! still has a backlog, however the active sessions' ids happen to be
+//! distributed. The calling thread serves as the first worker; the
+//! others are plain [`std::thread::scope`] threads. Each round runs on
+//! the worker that claimed its session, so the workers themselves are
+//! the only parallelism: a drain runs `min(shards, residents with
+//! rounds)` threads.
 //!
 //! # Determinism
 //!
@@ -34,24 +37,28 @@
 //! [`Grid::checkpoint`] snapshots every resident session *plus its
 //! pending (queued, not yet ingested) rounds*; restoring under any
 //! [`GridConfig`] and draining yields the same outcomes as never having
-//! stopped. Every resident is captured as the same [`CompactCheckpoint`]
-//! the hibernarium holds, and [`Grid::session_checkpoint`] returns one
-//! resident's.
+//! stopped. Every resident, hot or hibernated, is encoded on demand as
+//! its [`CompactCheckpoint`] at the lossless history cap, and
+//! [`Grid::session_checkpoint`] returns one resident's. The compact form
+//! is only the grid's external form; no resident is held encoded.
 //!
 //! # Hibernation
 //!
 //! With [`GridConfig::hibernate_after`] set, a resident that sits
 //! through that many consecutive drains without ingesting a round is
-//! evicted to its [`CompactCheckpoint`], held as a value in the grid's
-//! in-memory hibernarium; the live [`Session`] — samples, template,
-//! scratch references — is dropped. Submitting to a cold resident only
-//! queues the round: the drain worker that ingests it revives it first
-//! (as does [`session_mut`](Grid::session_mut)). Eviction and revival
-//! are bit-transparent: the compact form decodes exactly, so a fleet run
-//! with any eviction threshold is bit-identical to the always-resident
-//! run. [`Grid::checkpoint`] and [`Grid::session_checkpoint`] copy
-//! hibernated residents' stored values *without reviving them*, so
-//! checkpointing a 100k-session fleet touches only the hot few.
+//! evicted: its [`Session`] drops its sniffer-set template, the one
+//! piece of derived data it holds, and is marked cold. Nothing is
+//! encoded. As in the paper's asynchronous updating (§4.E), an idle
+//! track is frozen, so its samples, `Δt` origins and RNG stream position
+//! are its whole state and stay as they are. Submitting to a cold
+//! resident only queues the round: the drain worker that ingests it
+//! marks it hot again (as does [`session_mut`](Grid::session_mut)), and
+//! its first round rebuilds the template, as after any restore. Revival
+//! cannot fail, and eviction and revival are bit-transparent, so a fleet
+//! run with any eviction threshold is bit-identical to the
+//! always-resident run. [`Grid::checkpoint`] and
+//! [`Grid::session_checkpoint`] encode hibernated residents *without
+//! reviving them*, and [`Grid::restore`] adopts hibernated entries cold.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -67,10 +74,9 @@ use crate::{
     CompactCheckpoint, Engine, EngineError, Session, SessionConfig, CHECKPOINT_VERSION,
 };
 
-/// History cap of every snapshot the grid takes (evictions and
-/// checkpoints): the live tracker itself never keeps more than two
-/// heading-history entries, so this cap is lossless and eviction/revival
-/// stays bit-transparent.
+/// History cap of every checkpoint the grid takes: the live tracker
+/// itself never keeps more than two heading-history entries, so this cap
+/// is lossless and checkpoint/restore stays bit-transparent.
 const HISTORY_CAP: u32 = 2;
 
 /// Configuration for [`Grid::open`].
@@ -87,10 +93,10 @@ pub struct GridConfig {
     /// parallelism. Kept only because fluxbench still sets it.
     pub threads: usize,
     /// Hibernation threshold: a resident idle for this many consecutive
-    /// drains (no rounds ingested) is evicted to its compact form; `0`
-    /// (the default) keeps every session resident forever. Results
-    /// never depend on this — eviction/revival is bit-transparent —
-    /// only peak memory does.
+    /// drains (no rounds ingested) is evicted (see the
+    /// [module docs](self)); `0` (the default) keeps every session hot
+    /// forever. Results never depend on this — eviction/revival is
+    /// bit-transparent — only peak memory does.
     pub hibernate_after: u64,
 }
 
@@ -141,23 +147,17 @@ pub enum Submit {
     Backpressure(ObservationRound),
 }
 
-/// Where a resident's session state lives right now.
-#[derive(Debug)]
-enum Residency {
-    /// A live session, ready to ingest.
-    Hot(Box<Session>),
-    /// Evicted to the hibernarium: the session's compact checkpoint is
-    /// all that remains in memory.
-    Cold(Box<CompactCheckpoint>),
-}
-
-/// One resident session: its state (hot or hibernated), its queue of
-/// not-yet-ingested rounds, the outcome log its drains append to, and
-/// the idle streak the hibernation policy watches.
+/// One resident session: the session itself, whether it is
+/// hibernated, its queue of not-yet-ingested rounds, the outcome log its
+/// drains append to, and the idle streak the hibernation policy watches.
 #[derive(Debug)]
 struct Resident {
     id: usize,
-    residency: Residency,
+    session: Box<Session>,
+    /// Hibernated: evicted by the idle policy or restored cold, with the
+    /// session's template dropped. An explicit flag rather than a missing
+    /// template, since a session that never ingested has none either.
+    cold: bool,
     pending: Vec<ObservationRound>,
     outcomes: Vec<StepOutcome>,
     /// Consecutive drains in which this resident ingested nothing.
@@ -166,45 +166,36 @@ struct Resident {
     rounds_idle: u64,
 }
 
-impl Residency {
-    /// The live session, revived from the hibernarium first if needed.
-    /// `id` names the resident in errors.
-    fn revive(&mut self, engine: &Engine, id: usize) -> Result<&mut Session, EngineError> {
-        if let Residency::Cold(checkpoint) = self {
-            let session = engine.restore_compact(checkpoint)?;
-            telemetry::counter(names::GRID_HIBERNATE_REVIVALS, 1);
-            *self = Residency::Hot(Box::new(session));
-        }
-        match self {
-            Residency::Hot(session) => Ok(session),
-            Residency::Cold(_) => Err(EngineError::SessionHibernated { session: id }),
-        }
-    }
-
-    /// Evicts a hot session to its compact form; a no-op on an
-    /// already-cold one.
+impl Resident {
+    /// Evicts a hot session: drops its template, which its next round
+    /// rebuilds, and marks it cold. A no-op on a cold one.
     fn hibernate(&mut self) {
-        if let Residency::Hot(session) = self {
-            let checkpoint = session.checkpoint_compact(HISTORY_CAP);
+        if !self.cold {
+            self.session.template = None;
+            self.cold = true;
             telemetry::counter(names::GRID_HIBERNATE_EVICTIONS, 1);
-            telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
-            telemetry::record(
-                names::HIST_GRID_HIBERNATE_BYTES,
-                checkpoint.in_memory_bytes() as f64,
-            );
-            *self = Residency::Cold(Box::new(checkpoint));
+            record_cold(&self.session);
         }
     }
 
-    /// The resident's session checkpoint: a hot session's snapshot at the
-    /// lossless cap, or a cold one's stored value, copied without
-    /// reviving it. The two are equal for the same session state.
-    fn snapshot(&self) -> CompactCheckpoint {
-        match self {
-            Residency::Hot(session) => session.checkpoint_compact(HISTORY_CAP),
-            Residency::Cold(checkpoint) => CompactCheckpoint::clone(checkpoint),
+    /// The live session, marked hot again first if it was cold.
+    fn revive(&mut self) -> &mut Session {
+        if self.cold {
+            self.cold = false;
+            telemetry::counter(names::GRID_HIBERNATE_REVIVALS, 1);
         }
+        &mut self.session
     }
+}
+
+/// Counts a session turning cold (eviction or cold adoption) and records
+/// its footprint.
+fn record_cold(session: &Session) {
+    telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
+    telemetry::record(
+        names::HIST_GRID_HIBERNATE_BYTES,
+        session.cold_bytes() as f64,
+    );
 }
 
 /// The multi-session scheduler. See the [module docs](self).
@@ -256,23 +247,21 @@ impl Grid {
         seed: u64,
     ) -> Result<SessionId, EngineError> {
         let session = self.engine.open_session(config, seed)?;
-        Ok(self.adopt(Residency::Hot(Box::new(session)), Vec::new()))
+        Ok(self.adopt(session, false, Vec::new()))
     }
 
-    /// Inserts a resident (with any pending rounds) under the next id.
-    fn adopt(&mut self, residency: Residency, pending: Vec<ObservationRound>) -> SessionId {
+    /// Inserts a resident, hot or cold, with any pending rounds under the
+    /// next id.
+    fn adopt(&mut self, session: Session, cold: bool, pending: Vec<ObservationRound>) -> SessionId {
         telemetry::counter(names::GRID_SESSIONS_RESIDENT, 1);
-        if let Residency::Cold(checkpoint) = &residency {
-            telemetry::counter(names::GRID_SESSIONS_HIBERNATED, 1);
-            telemetry::record(
-                names::HIST_GRID_HIBERNATE_BYTES,
-                checkpoint.in_memory_bytes() as f64,
-            );
+        if cold {
+            record_cold(&session);
         }
         let id = self.residents.len();
         self.residents.push(Resident {
             id,
-            residency,
+            session: Box::new(session),
+            cold,
             pending,
             outcomes: Vec::new(),
             rounds_idle: 0,
@@ -309,10 +298,10 @@ impl Grid {
 
     /// The drain barrier: ingests every queued round, each session's
     /// queue as one contiguous batch on a shard's worker and reused
-    /// scratch, and applies the hibernation policy. Residents
-    /// that ingest nothing extend their idle streak and are evicted once
-    /// it reaches [`GridConfig::hibernate_after`]; cold residents with
-    /// queued rounds are revived first. The work is spread over the
+    /// scratch, and applies the hibernation policy. Residents that
+    /// ingest nothing extend their idle streak and are evicted once it
+    /// reaches [`GridConfig::hibernate_after`]; cold residents with
+    /// queued rounds are revived first. The batches are spread over the
     /// shards' workers through one shared list (see the
     /// [module docs](self)). Returns the number of rounds ingested by
     /// this call.
@@ -328,8 +317,7 @@ impl Grid {
     /// # Errors
     ///
     /// [`EngineError::SessionFailed`] wrapping the lowest-id session's
-    /// ingest error, or that session's revival error as is (its queue
-    /// then stays intact).
+    /// ingest error.
     pub fn drain(&mut self) -> Result<u64, EngineError> {
         let _span = telemetry::span(names::SPAN_GRID_DRAIN);
         let hibernate_after = self.hibernate_after;
@@ -338,19 +326,16 @@ impl Grid {
         for resident in &mut self.residents {
             if resident.pending.is_empty() {
                 resident.rounds_idle += 1;
-                let evict = hibernate_after > 0
-                    && resident.rounds_idle >= hibernate_after
-                    && matches!(resident.residency, Residency::Hot(_));
-                if !evict {
-                    continue;
+                if hibernate_after > 0 && resident.rounds_idle >= hibernate_after {
+                    resident.hibernate();
                 }
+            } else {
+                depth += resident.pending.len();
+                work.push(resident);
             }
-            depth += resident.pending.len();
-            work.push(resident);
         }
         telemetry::record(names::HIST_GRID_QUEUE_DEPTH, depth as f64);
 
-        let engine = &self.engine;
         let workers = self.shards.len().min(work.len()).max(1);
         let queue = &Mutex::new(work.into_iter());
         let (first, helpers) = self.shards[..workers].split_at_mut(1);
@@ -361,7 +346,7 @@ impl Grid {
                 .map(|scratch| {
                     // fluxlint: allow(thread-confinement) — joined in shard order
                     scope.spawn(move || {
-                        let r = drain_worker(queue, engine, scratch);
+                        let r = drain_worker(queue, scratch);
                         // Scope exit does not wait for TLS destructors;
                         // merge this worker's telemetry first.
                         telemetry::flush();
@@ -370,7 +355,7 @@ impl Grid {
                 })
                 .collect();
             // The calling thread is the first worker.
-            let mut results = vec![drain_worker(queue, engine, &mut first[0])];
+            let mut results = vec![drain_worker(queue, &mut first[0])];
             for handle in handles {
                 match handle.join() {
                     Ok(r) => results.push(r),
@@ -416,22 +401,18 @@ impl Grid {
 
     /// Number of sessions currently hibernated.
     pub fn hibernated_sessions(&self) -> usize {
-        self.residents
-            .iter()
-            .filter(|r| matches!(r.residency, Residency::Cold(_)))
-            .count()
+        self.residents.iter().filter(|r| r.cold).count()
     }
 
-    /// Total bytes the hibernarium holds: the sum of
-    /// [`CompactCheckpoint::in_memory_bytes`] over every hibernated
-    /// resident.
+    /// Total bytes the hibernated residents hold: for each, its
+    /// [`Session`]'s inline size plus the samples, heading histories,
+    /// lifecycle states and warm flags it owns, counted by length (no
+    /// spare capacity or allocator overhead). Hot residents count 0.
     pub fn hibernated_bytes(&self) -> usize {
         self.residents
             .iter()
-            .map(|r| match &r.residency {
-                Residency::Cold(checkpoint) => checkpoint.in_memory_bytes(),
-                Residency::Hot(_) => 0,
-            })
+            .filter(|r| r.cold)
+            .map(|r| r.session.cold_bytes())
             .sum()
     }
 
@@ -442,10 +423,7 @@ impl Grid {
     /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn is_hibernated(&self, id: SessionId) -> Result<bool, EngineError> {
         let index = self.locate(id)?;
-        Ok(matches!(
-            self.residents[index].residency,
-            Residency::Cold(_)
-        ))
+        Ok(self.residents[index].cold)
     }
 
     /// Number of shards.
@@ -488,26 +466,26 @@ impl Grid {
     /// reference cannot revive; use [`session_mut`](Grid::session_mut)
     /// or submit a round and drain).
     pub fn session(&self, id: SessionId) -> Result<&Session, EngineError> {
-        let index = self.locate(id)?;
-        match &self.residents[index].residency {
-            Residency::Hot(session) => Ok(session),
-            Residency::Cold(_) => Err(EngineError::SessionHibernated { session: id.0 }),
+        let resident = &self.residents[self.locate(id)?];
+        if resident.cold {
+            Err(EngineError::SessionHibernated { session: id.0 })
+        } else {
+            Ok(&resident.session)
         }
     }
 
-    /// Mutable access to a resident session, reviving it from the
-    /// hibernarium if needed — user lifecycle calls
+    /// Mutable access to a resident session, reviving it if it is
+    /// hibernated — user lifecycle calls
     /// ([`join`](Session::join), [`suspend`](Session::suspend), …) apply
     /// immediately, so callers interleaving them with queued rounds
     /// should [`drain`](Grid::drain) first to fix the ordering.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnknownSession`] for an unknown id and
-    /// propagates revival errors.
+    /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn session_mut(&mut self, id: SessionId) -> Result<&mut Session, EngineError> {
         let index = self.locate(id)?;
-        self.residents[index].residency.revive(&self.engine, id.0)
+        Ok(self.residents[index].revive())
     }
 
     /// Rounds currently queued (submitted, not yet drained) for a session.
@@ -531,16 +509,18 @@ impl Grid {
         Ok(std::mem::take(&mut self.residents[index].outcomes))
     }
 
-    /// One resident's session checkpoint — what [`checkpoint`](Grid::checkpoint)
-    /// records for it. A hibernated resident's stored value is copied
-    /// and the resident stays cold.
+    /// One resident's session checkpoint at the lossless history cap —
+    /// what [`checkpoint`](Grid::checkpoint) records for it. A hibernated
+    /// resident is encoded as it lies and stays cold.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn session_checkpoint(&self, id: SessionId) -> Result<CompactCheckpoint, EngineError> {
         let index = self.locate(id)?;
-        Ok(self.residents[index].residency.snapshot())
+        Ok(self.residents[index]
+            .session
+            .checkpoint_compact(HISTORY_CAP))
     }
 
     /// Snapshots every resident session — including rounds still queued —
@@ -553,8 +533,8 @@ impl Grid {
             .residents
             .iter()
             .map(|resident| GridSessionCheckpoint {
-                session: resident.residency.snapshot(),
-                hibernated: matches!(resident.residency, Residency::Cold(_)),
+                session: resident.session.checkpoint_compact(HISTORY_CAP),
+                hibernated: resident.cold,
                 pending: resident.pending.clone(),
             })
             .collect();
@@ -576,14 +556,13 @@ impl Grid {
 
     /// Revives a grid from a checkpoint: every session is restored under
     /// its original id with its pending rounds re-queued, so
-    /// restore-then-drain is bit-identical to never having stopped. Hot
-    /// entries are restored live (see [`Engine::restore_compact`]);
-    /// hibernated entries are validated and adopted *cold* — straight
-    /// back into the hibernarium without ever building a live session,
-    /// so a restored fleet's memory stays bounded from the first
-    /// instant. The config is free: the shard count, queue capacity,
-    /// and hibernation threshold may all differ from the checkpointed
-    /// grid's — none affects results.
+    /// restore-then-drain is bit-identical to never having stopped. Every
+    /// entry is restored through [`Engine::restore_compact`], which
+    /// validates it, and hibernated entries are adopted *cold*: without a
+    /// template, as evicted residents are, so a restored fleet's memory
+    /// stays bounded from the first instant. The config is free: the
+    /// shard count, queue capacity, and hibernation threshold may all
+    /// differ from the checkpointed grid's — none affects results.
     ///
     /// # Errors
     ///
@@ -598,13 +577,8 @@ impl Grid {
         check_version(checkpoint.version)?;
         let mut grid = Grid::open(engine, config)?;
         for entry in &checkpoint.sessions {
-            let residency = if entry.hibernated {
-                entry.session.validate()?;
-                Residency::Cold(Box::new(entry.session.clone()))
-            } else {
-                Residency::Hot(Box::new(grid.engine.restore_compact(&entry.session)?))
-            };
-            grid.adopt(residency, entry.pending.clone());
+            let session = grid.engine.restore_compact(&entry.session)?;
+            grid.adopt(session, entry.hibernated, entry.pending.clone());
         }
         Ok(grid)
     }
@@ -648,11 +622,7 @@ struct WorkerResult {
 /// One drain worker: claims residents from the shared work list until
 /// it is empty and serves each with this shard's scratch. Every claimed
 /// resident is served even after a failure.
-fn drain_worker<'a, I>(
-    queue: &Mutex<I>,
-    engine: &Engine,
-    scratch: &mut CacheScratch,
-) -> WorkerResult
+fn drain_worker<'a, I>(queue: &Mutex<I>, scratch: &mut CacheScratch) -> WorkerResult
 where
     I: Iterator<Item = &'a mut Resident>,
 {
@@ -668,7 +638,7 @@ where
         let Some(resident) = next else {
             return result;
         };
-        if let Err(e) = serve(resident, engine, scratch, &mut result.ingested) {
+        if let Err(e) = serve(resident, scratch, &mut result.ingested) {
             // Claims run in id order, so the first failure is this
             // worker's lowest.
             if result.failure.is_none() {
@@ -678,27 +648,22 @@ where
     }
 }
 
-/// Serves one work-list entry. An entry without queued rounds is an idle
-/// resident due for eviction. Otherwise the resident is revived if cold
-/// and its whole queue is ingested as one batch, adding the rounds
-/// ingested to `ingested`.
+/// Serves one work-list entry: revives the resident if cold and ingests
+/// its whole queue as one batch, adding the rounds ingested to
+/// `ingested`.
 fn serve(
     resident: &mut Resident,
-    engine: &Engine,
     scratch: &mut CacheScratch,
     ingested: &mut u64,
 ) -> Result<(), EngineError> {
-    if resident.pending.is_empty() {
-        resident.residency.hibernate();
-        return Ok(());
-    }
     resident.rounds_idle = 0;
-    // A revival failure leaves the queue intact.
-    let session = resident.residency.revive(engine, resident.id)?;
+    resident.revive();
     let batch = std::mem::take(&mut resident.pending);
     telemetry::counter(names::GRID_BATCHES, 1);
     let before = resident.outcomes.len();
-    let result = session.ingest_batch_into(&batch, scratch, &mut resident.outcomes);
+    let result = resident
+        .session
+        .ingest_batch_into(&batch, scratch, &mut resident.outcomes);
     let done = resident.outcomes.len() - before;
     *ingested += done as u64;
     telemetry::counter(names::GRID_ROUNDS_INGESTED, done as u64);

@@ -19,8 +19,9 @@
 //!    position, lifecycle and warm states) into one versioned, compact
 //!    [`CompactCheckpoint`]; [`Engine::restore_compact`] revives it with
 //!    a bit-identity guarantee: restore-then-ingest produces exactly the
-//!    outcomes an uninterrupted run would have. Grid checkpoints,
-//!    hibernation and fluxd's checkpoint frame carry the same form.
+//!    outcomes an uninterrupted run would have. Grid checkpoints and
+//!    fluxd's checkpoint frame carry the same form; a grid hibernates a
+//!    session without it (see [`grid`]).
 //! 4. **Grid layer** ([`grid`]) — a sharded multi-session scheduler:
 //!    rounds queue into bounded per-session buffers with explicit
 //!    backpressure, and a drain barrier batch-ingests every queue on up

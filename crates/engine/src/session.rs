@@ -88,8 +88,9 @@ pub struct Session {
     pub(crate) users: Vec<UserState>,
     pub(crate) rounds_ingested: u64,
     /// Cached objective for the last seen sniffer id set. Purely derived
-    /// data: it is rebuilt on demand and deliberately excluded from
-    /// checkpoints.
+    /// data: it is rebuilt on demand, deliberately excluded from
+    /// checkpoints, and dropped when a [`Grid`](crate::Grid) hibernates
+    /// the session.
     pub(crate) template: Option<(Vec<fluxprint_netsim::NodeId>, FluxObjective)>,
     /// Warm-start state — `Some` iff the session runs warm. Unlike the
     /// template this *is* checkpointed: hot flags and the escape cadence
@@ -440,6 +441,22 @@ impl Session {
             rounds_ingested: self.rounds_ingested,
             warm: self.warm.clone(),
         }
+    }
+
+    /// The bytes this session occupies without its template: its inline
+    /// size plus the samples, heading histories, lifecycle states and
+    /// warm flags it owns, counted by length (no spare capacity or
+    /// allocator overhead). This is what a hibernated grid resident costs
+    /// (see [`Grid::hibernated_bytes`](crate::Grid::hibernated_bytes)).
+    pub(crate) fn cold_bytes(&self) -> usize {
+        let warm = self
+            .warm
+            .as_ref()
+            .map_or(0, |w| std::mem::size_of_val(w.hot.as_slice()));
+        std::mem::size_of::<Session>()
+            + self.tracker.heap_bytes()
+            + std::mem::size_of_val(self.users.as_slice())
+            + warm
     }
 
     /// Number of users in the session (all lifecycle states).

@@ -1,9 +1,10 @@
-//! Session hibernation at the grid level: idle residents evict to the
-//! compact serialized form and revive transparently, with the grid's
-//! determinism contract intact — outcomes and final session states are
-//! bit-identical to an always-resident fleet at any idle threshold and
-//! any shard count, through arbitrary evict/revive cycles, and across
-//! a checkpoint/restore that never wakes the cold residents.
+//! Session hibernation at the grid level: idle residents drop their
+//! sniffer-set template and turn cold, and revive transparently, with
+//! the grid's determinism contract intact — outcomes and final session
+//! states are bit-identical to an always-resident fleet at any idle
+//! threshold and any shard count, through arbitrary evict/revive
+//! cycles, and across a checkpoint/restore that never wakes the cold
+//! residents.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -117,7 +118,7 @@ fn run_duty_cycled(
 
 /// The hibernation determinism contract: a duty-cycled fleet produces
 /// bit-identical outcomes and final session states whether idle
-/// sessions stay resident or evict to compact form at any threshold.
+/// sessions stay resident or hibernate at any threshold.
 /// The CI workflow runs this test under `FLUXPRINT_THREADS=1` and `=4`
 /// to pin the guarantee at both pool shapes.
 #[test]
@@ -246,8 +247,8 @@ fn skewed_activity_matches_solo_sessions_bitwise() {
     }
 }
 
-/// Grid checkpoint/restore round-trips hibernated residents in their
-/// compact form without reviving them, and the revived-on-demand
+/// Grid checkpoint/restore round-trips hibernated residents through
+/// their compact form without reviving them, and the revived-on-demand
 /// continuation is bit-identical to never having stopped.
 #[test]
 fn checkpoint_round_trips_cold_residents_without_revival() {
@@ -321,4 +322,38 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     for (g, w) in got.iter().zip(&want) {
         assert_outcomes_bit_identical(g, w);
     }
+}
+
+/// `hibernated_bytes` counts cold residents only: identical idle
+/// sessions each add the same figure when they go cold and take it back
+/// when they revive, whether by mutable access or by the drain that
+/// ingests their next round, so a grid with every resident hot reads 0.
+#[test]
+fn hibernated_bytes_count_cold_residents_only() {
+    let net = network(87);
+    let trace = rounds(&net, 1, 88);
+    let engine = Engine::for_network(&net, FluxModel::default()).unwrap();
+    let mut grid = Grid::open(engine, &grid_config(1)).unwrap();
+    let ids: Vec<SessionId> = (0..3)
+        .map(|s| grid.open_session(&config(2), 400 + s).unwrap())
+        .collect();
+    assert_eq!(grid.hibernated_bytes(), 0, "open sessions are hot");
+    grid.drain().unwrap();
+    assert_eq!(grid.hibernated_sessions(), 3);
+    let all = grid.hibernated_bytes();
+    assert!(
+        all > 0 && all.is_multiple_of(3),
+        "three equal cold sessions: {all}"
+    );
+
+    grid.session_mut(ids[0]).unwrap();
+    assert_eq!(grid.hibernated_bytes(), all / 3 * 2);
+    grid.submit(ids[1], trace[0].clone()).unwrap();
+    grid.submit(ids[2], trace[0].clone()).unwrap();
+    grid.drain().unwrap();
+    assert_eq!(grid.hot_sessions(), 2, "the idle one evicts again");
+    assert_eq!(grid.hibernated_bytes(), all / 3);
+    grid.session_mut(ids[0]).unwrap();
+    assert_eq!(grid.hibernated_sessions(), 0);
+    assert_eq!(grid.hibernated_bytes(), 0, "every resident is hot");
 }

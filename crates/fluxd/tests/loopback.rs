@@ -63,6 +63,20 @@ fn spec() -> SessionSpec {
     }
 }
 
+/// The in-process twin of [`spec`]: what the server builds from it.
+fn session_config() -> SessionConfig {
+    SessionConfig {
+        users: 1,
+        smc: fluxprint_smc::SmcConfig {
+            n_predictions: N_PREDICTIONS as usize,
+            keep_m: KEEP_M as usize,
+            ..Default::default()
+        },
+        start_time: 0.0,
+        warm: false,
+    }
+}
+
 /// The grid's shard (drain worker) count under test: read from
 /// `FLUXPRINT_THREADS`, so CI's runs at 1 and 4 exercise both
 /// single-threaded and parallel serving; 2 when unset.
@@ -85,18 +99,8 @@ fn reference_outcomes(
     let engine = Engine::for_network(net, FluxModel::default()).expect("valid engine");
     (0..connections)
         .map(|conn| {
-            let config = SessionConfig {
-                users: 1,
-                smc: fluxprint_smc::SmcConfig {
-                    n_predictions: N_PREDICTIONS as usize,
-                    keep_m: KEEP_M as usize,
-                    ..Default::default()
-                },
-                start_time: 0.0,
-                warm: false,
-            };
             let mut session = engine
-                .open_session(&config, session_seed(conn))
+                .open_session(&session_config(), session_seed(conn))
                 .expect("session opens");
             trace
                 .iter()
@@ -125,7 +129,11 @@ fn assert_bit_identical(conn: usize, served: &[WireOutcome], reference: &[StepOu
     }
 }
 
-fn spawn_server(net: &Network, queue_capacity: usize) -> fluxprint_fluxd::ServerHandle {
+fn spawn_server(
+    net: &Network,
+    queue_capacity: usize,
+    hibernate_after: u64,
+) -> fluxprint_fluxd::ServerHandle {
     let engine = Engine::for_network(net, FluxModel::default()).expect("valid engine");
     server::spawn(
         engine,
@@ -134,7 +142,7 @@ fn spawn_server(net: &Network, queue_capacity: usize) -> fluxprint_fluxd::Server
             grid: GridConfig {
                 shards: shards_from_env(),
                 queue_capacity,
-                hibernate_after: 0,
+                hibernate_after,
                 ..GridConfig::default()
             },
             credits: 0,
@@ -184,7 +192,7 @@ fn served_trajectories_are_bit_identical_to_in_process() {
     let trace = test_trace(&net);
     let reference = reference_outcomes(&net, &trace, CONNECTIONS);
 
-    let server = spawn_server(&net, 16);
+    let server = spawn_server(&net, 16, 0);
     let addr = server.addr();
 
     // Four concurrent connections; the server interleaves their rounds
@@ -221,7 +229,7 @@ fn credit_window_stalls_a_fast_client_without_corrupting_results() {
     // A tiny window (2 credits) forces every client to stall on its own
     // acks between batches; no served trajectory may be affected, and a
     // slow client must not corrupt anyone else's.
-    let server = spawn_server(&net, 2);
+    let server = spawn_server(&net, 2, 0);
     let addr = server.addr();
     let concurrent: Vec<(Vec<WireOutcome>, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..=SLOW)
@@ -286,18 +294,8 @@ fn served_checkpoint_matches_in_process_checkpoint() {
 
     // In-process reference checkpoint.
     let engine = Engine::for_network(&net, FluxModel::default()).expect("valid engine");
-    let config = SessionConfig {
-        users: 1,
-        smc: fluxprint_smc::SmcConfig {
-            n_predictions: N_PREDICTIONS as usize,
-            keep_m: KEEP_M as usize,
-            ..Default::default()
-        },
-        start_time: 0.0,
-        warm: false,
-    };
     let mut solo = engine
-        .open_session(&config, session_seed(0))
+        .open_session(&session_config(), session_seed(0))
         .expect("session opens");
     for round in head {
         solo.ingest(round).expect("round ingests");
@@ -307,7 +305,7 @@ fn served_checkpoint_matches_in_process_checkpoint() {
         .to_json()
         .expect("checkpoint serializes");
 
-    let server = spawn_server(&net, 16);
+    let server = spawn_server(&net, 16, 0);
     let mut client = Client::connect(server.addr()).expect("client connects");
     let session = client
         .open_session(&SessionSpec {
@@ -343,4 +341,105 @@ fn served_checkpoint_matches_in_process_checkpoint() {
 
     client.goodbye().expect("orderly goodbye");
     server.shutdown().expect("clean shutdown");
+}
+
+/// A daemon over a hibernating grid (`hibernate_after: 1`) serving two
+/// sessions fed on alternate drains: every drain revives the session it
+/// feeds and evicts the other. Served trajectories stay bit-identical
+/// to solo in-process sessions, and `Checkpoint`, `Query`, `Suspend`
+/// and `Resume` on a cold session answer as the solo session does,
+/// checkpoint JSON byte for byte.
+#[test]
+fn hibernating_server_matches_solo_sessions() {
+    let net = test_network();
+    let trace = test_trace(&net);
+    let (head, last) = trace.split_at(ROUNDS - 1);
+    let engine = Engine::for_network(&net, FluxModel::default()).expect("valid engine");
+    let mut solos: Vec<_> = (0..2)
+        .map(|conn| {
+            engine
+                .open_session(&session_config(), session_seed(conn))
+                .expect("session opens")
+        })
+        .collect();
+    let checkpoint_json = |solo: &fluxprint_engine::Session| {
+        solo.checkpoint_compact(2)
+            .to_json()
+            .expect("checkpoint serializes")
+    };
+
+    let evictions = || {
+        fluxprint_telemetry::snapshot()
+            .counter(fluxprint_telemetry::names::GRID_HIBERNATE_EVICTIONS)
+    };
+    let before = evictions();
+    let server = spawn_server(&net, 16, 1);
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let sessions: Vec<u32> = (0..2)
+        .map(|conn| {
+            client
+                .open_session(&SessionSpec {
+                    seed: session_seed(conn),
+                    ..spec()
+                })
+                .expect("session opens")
+        })
+        .collect();
+    // One submit per drain: the client waits for each ack, so session 0
+    // is fed on even drains and session 1 on odd ones.
+    let mut served = vec![Vec::new(); 2];
+    let mut reference = vec![Vec::new(); 2];
+    for round in head {
+        for (conn, &session) in sessions.iter().enumerate() {
+            client
+                .submit(session, std::slice::from_ref(round))
+                .expect("round submits");
+            client.wait_acks().expect("acks arrive");
+            served[conn].extend(client.take_outcomes(session));
+            reference[conn].push(solos[conn].ingest(round).expect("round ingests"));
+        }
+    }
+
+    // Session 0 sat out the last drain, so it is cold. Its checkpoint is
+    // encoded as it lies; the query then revives it.
+    assert_eq!(
+        client.checkpoint(sessions[0]).expect("checkpoint arrives"),
+        checkpoint_json(&solos[0]),
+        "cold checkpoint is byte-identical"
+    );
+    let (x, y) = client.query(sessions[0], 0).expect("query answers");
+    let want = solos[0].estimate(0).expect("user exists");
+    assert_eq!(
+        (x.to_bits(), y.to_bits()),
+        (want.x.to_bits(), want.y.to_bits())
+    );
+
+    // Feeding only session 0 now evicts session 1, whose lifecycle calls
+    // then revive it.
+    client.submit(sessions[0], last).expect("round submits");
+    client.wait_acks().expect("acks arrive");
+    served[0].extend(client.take_outcomes(sessions[0]));
+    reference[0].push(solos[0].ingest(&last[0]).expect("round ingests"));
+    assert_eq!(
+        client.checkpoint(sessions[1]).expect("checkpoint arrives"),
+        checkpoint_json(&solos[1])
+    );
+    client.suspend(sessions[1], 0).expect("suspend applies");
+    client.resume(sessions[1], 0).expect("resume applies");
+    solos[1].suspend(0).expect("suspend applies");
+    solos[1].resume(0).expect("resume applies");
+    for (conn, &session) in sessions.iter().enumerate() {
+        assert_bit_identical(conn, &served[conn], &reference[conn]);
+        assert_eq!(
+            client.checkpoint(session).expect("checkpoint arrives"),
+            checkpoint_json(&solos[conn]),
+            "conn {conn}: final checkpoint"
+        );
+    }
+
+    client.goodbye().expect("orderly goodbye");
+    server.shutdown().expect("clean shutdown");
+    // The core thread merges its telemetry as it exits. No other test in
+    // this binary hibernates, so any eviction counted here is this one's.
+    assert!(evictions() > before, "the server's grid must have evicted");
 }

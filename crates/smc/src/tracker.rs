@@ -172,6 +172,21 @@ impl Tracker {
         }
     }
 
+    /// Bytes of the buffers the tracker owns: the per-user entries with
+    /// their samples and heading histories, counted by length, so spare
+    /// capacity and allocator overhead are left out.
+    pub fn heap_bytes(&self) -> usize {
+        let tracks: usize = self
+            .users
+            .iter()
+            .map(|u| {
+                std::mem::size_of_val(u.samples.as_slice())
+                    + std::mem::size_of_val(u.history.as_slice())
+            })
+            .sum();
+        std::mem::size_of_val(self.users.as_slice()) + tracks
+    }
+
     /// Revives a tracker from a compact snapshot (see
     /// [`TrackerState::compact`]) under the caller's configuration and
     /// flux model, and the field boundary it tracked over. Each blob is

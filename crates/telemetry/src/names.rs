@@ -103,10 +103,11 @@ pub const GRID_ROUNDS_INGESTED: &str = "grid.rounds.ingested";
 pub const GRID_BACKPRESSURE_EVENTS: &str = "grid.backpressure.events";
 /// Contiguous batches handed to `Session::ingest_batch_into` by drains.
 pub const GRID_BATCHES: &str = "grid.batches";
-/// Sessions moved into the hibernarium (idle evictions plus cold
-/// adoptions at grid restore).
+/// Sessions hibernated (idle evictions plus cold adoptions at grid
+/// restore).
 pub const GRID_SESSIONS_HIBERNATED: &str = "grid.sessions.hibernated";
-/// Idle-policy evictions of live sessions to compact serialized form.
+/// Idle-policy evictions: a hot session drops its sniffer-set template
+/// and turns cold.
 pub const GRID_HIBERNATE_EVICTIONS: &str = "grid.hibernate.evictions";
 /// Hibernated sessions revived (by the drain that ingests their queued
 /// rounds, or by mutable access).
@@ -135,8 +136,10 @@ pub const HIST_SMC_ROUND_RESIDUAL: &str = "smc.round.residual";
 /// Rounds queued across the grid at the start of each drain (backlog
 /// distribution; the name predates the drain's shared work list).
 pub const HIST_GRID_QUEUE_DEPTH: &str = "grid.shard.queue_depth";
-/// In-memory bytes of each compact checkpoint entering the hibernarium
-/// (`CompactCheckpoint::in_memory_bytes` distribution).
+/// In-memory bytes of each session turning cold (eviction or cold
+/// adoption): its inline size plus the samples, heading histories,
+/// lifecycle states and warm flags it owns, by length (the figure
+/// `Grid::hibernated_bytes` sums).
 pub const HIST_GRID_HIBERNATE_BYTES: &str = "grid.hibernate.bytes";
 /// Frame service latency in milliseconds: request frame decoded →
 /// response frame handed to the connection's writer.

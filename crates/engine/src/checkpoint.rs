@@ -75,9 +75,8 @@ pub(crate) fn from_json<T: Deserialize>(json: &str) -> Result<T, EngineError> {
 pub struct CompactCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// The tracker configuration (kept out of [`CompactTrackerState`]
-    /// so fleet stores can share it; carried here so a single compact
-    /// checkpoint is still self-contained).
+    /// The tracker configuration ([`CompactTrackerState`] leaves it out;
+    /// it is carried here so the checkpoint is self-contained).
     pub config: SmcConfig,
     /// The flux model the tracker fits against.
     pub model: FluxModel,
@@ -126,28 +125,25 @@ pub(crate) fn decode_rng_words(rng: &[String]) -> Result<[u64; 4], EngineError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluxprint_geometry::Point2;
-    use fluxprint_smc::{TrackerState, UserTrackState, WeightedSample};
+    use std::sync::Arc;
+
+    use fluxprint_geometry::Rect;
+    use fluxprint_smc::Tracker;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn checkpoint() -> CompactCheckpoint {
-        let tracker = TrackerState {
-            config: SmcConfig::default(),
-            model: FluxModel::default(),
-            users: vec![UserTrackState {
-                samples: vec![WeightedSample {
-                    position: Point2::new(1.0, 2.0),
-                    weight: 1.0,
-                }],
-                t_last: 0.0,
-                initialized: false,
-                history: Vec::new(),
-            }],
-            last_step_time: 0.0,
+        let config = SmcConfig {
+            keep_m: 1,
+            ..SmcConfig::default()
         };
+        let field = Arc::new(Rect::square(30.0).unwrap());
+        let mut rng = StdRng::seed_from_u64(1);
+        let tracker = Tracker::new(1, field, FluxModel::default(), config, 0.0, &mut rng).unwrap();
         CompactCheckpoint {
             version: CHECKPOINT_VERSION,
-            config: tracker.config,
-            model: tracker.model,
+            config,
+            model: FluxModel::default(),
             tracker: tracker.compact(2),
             rng: encode_rng([1, u64::MAX, 0x0123_4567_89ab_cdef, 42]),
             users: vec![UserState::Active],

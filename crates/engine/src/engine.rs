@@ -171,8 +171,6 @@ impl Engine {
         telemetry::counter(names::ENGINE_SESSIONS, 1);
         let rng = own.unwrap_or_else(|| StdRng::from_state(state_of(rng)));
         Ok(Session {
-            boundary: Arc::clone(&self.boundary),
-            model: self.model,
             node_positions: Arc::clone(&self.node_positions),
             tracker,
             rng,
@@ -201,8 +199,9 @@ impl Engine {
     /// well-formed RNG encoding, lifecycle states parallel to the
     /// tracker's users, and a warm state a live session can reach (hot
     /// flags parallel to the users, an escape cadence below
-    /// [`WARM_ESCAPE_EVERY`]). The tracker snapshot follows (see
-    /// [`CompactTrackerState::expand`](fluxprint_smc::CompactTrackerState::expand)).
+    /// [`WARM_ESCAPE_EVERY`]). The tracker snapshot follows, decoded
+    /// straight into the live tracker (see
+    /// [`Tracker::from_compact`](fluxprint_smc::Tracker::from_compact)).
     ///
     /// # Errors
     ///
@@ -229,8 +228,6 @@ impl Engine {
         )?;
         telemetry::counter(names::ENGINE_RESTORES, 1);
         Ok(Session {
-            boundary: Arc::clone(&self.boundary),
-            model: checkpoint.model,
             node_positions: Arc::clone(&self.node_positions),
             tracker,
             rng: StdRng::from_state(rng),

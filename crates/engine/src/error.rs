@@ -50,12 +50,6 @@ pub enum EngineError {
     },
     /// Checkpoint JSON could not be encoded or decoded.
     CheckpointCodec(String),
-    /// A read-only grid access named a hibernated session; revive it
-    /// first (submit a round and drain, or use a mutable accessor).
-    SessionHibernated {
-        /// The hibernated session's id.
-        session: usize,
-    },
     /// A grid call named a session id the grid does not hold.
     UnknownSession {
         /// The offending session id.
@@ -105,9 +99,6 @@ impl fmt::Display for EngineError {
                 write!(f, "lifecycle transition not allowed: {transition}")
             }
             EngineError::CheckpointCodec(msg) => write!(f, "checkpoint codec: {msg}"),
-            EngineError::SessionHibernated { session } => {
-                write!(f, "session {session} is hibernated; revive before reading")
-            }
             EngineError::UnknownSession { index, sessions } => {
                 write!(f, "session {index} unknown to this {sessions}-session grid")
             }
@@ -177,7 +168,6 @@ mod tests {
                 transition: "resume departed",
             },
             EngineError::CheckpointCodec("bad json".into()),
-            EngineError::SessionHibernated { session: 3 },
             EngineError::UnknownSession {
                 index: 9,
                 sessions: 2,

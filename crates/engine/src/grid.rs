@@ -52,13 +52,15 @@
 //! track is frozen, so its samples, `Δt` origins and RNG stream position
 //! are its whole state and stay as they are. Submitting to a cold
 //! resident only queues the round: the drain worker that ingests it
-//! marks it hot again (as does [`session_mut`](Grid::session_mut)), and
-//! its first round rebuilds the template, as after any restore. Revival
-//! cannot fail, and eviction and revival are bit-transparent, so a fleet
-//! run with any eviction threshold is bit-identical to the
-//! always-resident run. [`Grid::checkpoint`] and
-//! [`Grid::session_checkpoint`] encode hibernated residents *without
-//! reviving them*, and [`Grid::restore`] adopts hibernated entries cold.
+//! marks it hot again (as does [`session_mut`](Grid::session_mut),
+//! since lifecycle calls mutate), and its first round rebuilds the
+//! template, as after any restore. Revival cannot fail, and eviction and
+//! revival are bit-transparent, so a fleet run with any eviction
+//! threshold is bit-identical to the always-resident run. Reading a cold
+//! resident wakes nothing: [`Grid::session`] returns it as it lies,
+//! [`Grid::checkpoint`] and [`Grid::session_checkpoint`] encode it
+//! *without reviving it*, and [`Grid::restore`] adopts hibernated
+//! entries cold.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -405,9 +407,10 @@ impl Grid {
     }
 
     /// Total bytes the hibernated residents hold: for each, its
-    /// [`Session`]'s inline size plus the samples, heading histories,
-    /// lifecycle states and warm flags it owns, counted by length (no
-    /// spare capacity or allocator overhead). Hot residents count 0.
+    /// [`Session`]'s inline size plus the per-user tracks (each holding
+    /// its heading history inline), samples, lifecycle states and warm
+    /// flags it owns, counted by length (no spare capacity or allocator
+    /// overhead). Hot residents count 0.
     pub fn hibernated_bytes(&self) -> usize {
         self.residents
             .iter()
@@ -457,21 +460,16 @@ impl Grid {
         &self.engine
     }
 
-    /// Read access to a resident session.
+    /// Read access to a resident session, hot or hibernated. A cold
+    /// resident is a complete [`Session`] without its template, so it is
+    /// read as it lies and stays cold: estimates, lifecycle states and
+    /// checkpoints read the same as on the hot session.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::UnknownSession`] for an unknown id and
-    /// [`EngineError::SessionHibernated`] for a cold resident (a shared
-    /// reference cannot revive; use [`session_mut`](Grid::session_mut)
-    /// or submit a round and drain).
+    /// Returns [`EngineError::UnknownSession`] for an unknown id.
     pub fn session(&self, id: SessionId) -> Result<&Session, EngineError> {
-        let resident = &self.residents[self.locate(id)?];
-        if resident.cold {
-            Err(EngineError::SessionHibernated { session: id.0 })
-        } else {
-            Ok(&resident.session)
-        }
+        Ok(&self.residents[self.locate(id)?].session)
     }
 
     /// Mutable access to a resident session, reviving it if it is

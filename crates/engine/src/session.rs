@@ -6,9 +6,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use fluxprint_fluxmodel::FluxModel;
 use fluxprint_fluxpar::Pool;
-use fluxprint_geometry::{Boundary, Point2};
+use fluxprint_geometry::Point2;
 use fluxprint_netsim::ObservationRound;
 use fluxprint_smc::{SmcError, StepOutcome, Tracker};
 use fluxprint_solver::{CacheScratch, FluxObjective};
@@ -80,8 +79,6 @@ pub enum UserState {
 /// points reuse a caller-owned [`CacheScratch`] across rounds.
 #[derive(Debug, Clone)]
 pub struct Session {
-    pub(crate) boundary: Arc<dyn Boundary>,
-    pub(crate) model: FluxModel,
     pub(crate) node_positions: Arc<[Point2]>,
     pub(crate) tracker: Tracker,
     pub(crate) rng: StdRng,
@@ -326,8 +323,8 @@ impl Session {
             )?);
         }
         let objective = FluxObjective::new(
-            Arc::clone(&self.boundary),
-            self.model,
+            Arc::clone(self.tracker.boundary()),
+            *self.tracker.model(),
             positions,
             round.fluxes.clone(),
         )?;
@@ -435,7 +432,7 @@ impl Session {
             version: CHECKPOINT_VERSION,
             config: *self.tracker.config(),
             model: *self.tracker.model(),
-            tracker: self.tracker.state().compact(history_cap),
+            tracker: self.tracker.compact(history_cap),
             rng: encode_rng(self.rng.state()),
             users: self.users.clone(),
             rounds_ingested: self.rounds_ingested,
@@ -444,10 +441,11 @@ impl Session {
     }
 
     /// The bytes this session occupies without its template: its inline
-    /// size plus the samples, heading histories, lifecycle states and
-    /// warm flags it owns, counted by length (no spare capacity or
-    /// allocator overhead). This is what a hibernated grid resident costs
-    /// (see [`Grid::hibernated_bytes`](crate::Grid::hibernated_bytes)).
+    /// size plus the per-user tracks (each holding its heading history
+    /// inline), samples, lifecycle states and warm flags it owns, counted
+    /// by length (no spare capacity or allocator overhead). This is what
+    /// a hibernated grid resident costs (see
+    /// [`Grid::hibernated_bytes`](crate::Grid::hibernated_bytes)).
     pub(crate) fn cold_bytes(&self) -> usize {
         let warm = self
             .warm

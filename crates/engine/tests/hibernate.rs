@@ -10,8 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fluxprint_engine::{
-    CompactCheckpoint, Engine, EngineError, Grid, GridConfig, SessionConfig, SessionId,
-    StepOutcome, Submit,
+    CompactCheckpoint, Engine, Grid, GridConfig, Session, SessionConfig, SessionId, StepOutcome,
+    Submit,
 };
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::Point2;
@@ -67,6 +67,13 @@ fn assert_outcomes_bit_identical(a: &StepOutcome, b: &StepOutcome) {
         assert_eq!(sa.to_bits(), sb.to_bits());
     }
     assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+}
+
+/// User 0's estimate reads bit for bit the same on both sessions.
+fn assert_same_estimate(a: &Session, b: &Session) {
+    let (ea, eb) = (a.estimate(0).unwrap(), b.estimate(0).unwrap());
+    assert_eq!(ea.x.to_bits(), eb.x.to_bits());
+    assert_eq!(ea.y.to_bits(), eb.y.to_bits());
 }
 
 fn grid_config(hibernate_after: u64) -> GridConfig {
@@ -162,6 +169,8 @@ fn evict_revive_cycles_are_bit_transparent() {
 
     let mut grid = Grid::open(engine.clone(), &grid_config(1)).unwrap();
     let id = grid.open_session(&config(1), 200).unwrap();
+    // Fed in step with the grid, for reads between rounds.
+    let mut reference = engine.open_session(&config(1), 200).unwrap();
     let mut got = Vec::new();
     for round in &trace {
         // Idle drains push the resident over the threshold and out.
@@ -170,12 +179,11 @@ fn evict_revive_cycles_are_bit_transparent() {
         assert!(grid.is_hibernated(id).unwrap(), "two idle drains evict");
         assert_eq!(grid.hot_sessions(), 0);
         assert!(grid.hibernated_bytes() > 0);
-        // A cold resident refuses read access. Submit only queues; the
-        // drain that ingests the round revives it.
-        assert!(matches!(
-            grid.session(id),
-            Err(EngineError::SessionHibernated { session: 0 })
-        ));
+        // A cold resident is read as it lies and stays cold. Submit only
+        // queues; the drain that ingests the round revives it.
+        assert_same_estimate(grid.session(id).unwrap(), &reference);
+        assert!(grid.is_hibernated(id).unwrap(), "a read must not revive");
+        reference.ingest(round).unwrap();
         assert_eq!(grid.submit(id, round.clone()).unwrap(), Submit::Queued);
         assert!(grid.is_hibernated(id).unwrap(), "submit must not revive");
         assert_eq!(grid.drain().unwrap(), 1);
@@ -292,10 +300,11 @@ fn checkpoint_round_trips_cold_residents_without_revival() {
     assert_eq!(revived.sessions(), 2);
     assert_eq!(revived.hibernated_sessions(), 1);
     assert!(revived.is_hibernated(idle).unwrap());
-    assert!(matches!(
-        revived.session(idle),
-        Err(EngineError::SessionHibernated { session: 1 })
-    ));
+    assert_same_estimate(revived.session(idle).unwrap(), grid.session(idle).unwrap());
+    assert!(
+        revived.is_hibernated(idle).unwrap(),
+        "a read must not revive"
+    );
 
     // Reference: the original grid continues uninterrupted.
     grid.submit(idle, trace[5].clone()).unwrap();

@@ -1,6 +1,7 @@
 //! Hibernation encodes and decodes nothing: evicting and reviving grid
 //! residents moves the grid's hibernation counters and never the
-//! engine's checkpoint or restore counters.
+//! engine's checkpoint or restore counters, and reading a cold resident
+//! revives nothing.
 //!
 //! The assertions are exact deltas of process-global counters, so this
 //! file holds a single test: any other test running in the same process
@@ -72,6 +73,15 @@ fn evict_revive_cycles_move_no_checkpoint_or_restore_counter() {
         }
         assert_eq!(grid.drain().unwrap(), (SESSIONS / 2) as u64);
         assert_eq!(grid.hibernated_sessions(), SESSIONS / 2);
+        // The half just evicted is read and estimated as it lies; the
+        // exact revival count below would see any wake-up.
+        for (s, &id) in ids.iter().enumerate() {
+            if (s + i) % 2 == 1 {
+                let estimate = grid.session(id).unwrap().estimate(0).unwrap();
+                assert!(estimate.x.is_finite() && estimate.y.is_finite());
+                assert!(grid.is_hibernated(id).unwrap(), "a read must not revive");
+            }
+        }
     }
     let after = fluxprint_telemetry::snapshot();
     let delta = |name| after.counter(name) - before.counter(name);

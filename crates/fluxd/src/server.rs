@@ -591,9 +591,13 @@ impl Core {
         Ok(id.index() as u32)
     }
 
-    fn estimate(&mut self, session: u32, user: u32) -> Result<(f64, f64), EngineError> {
-        let live = self.grid.session_mut(SessionId(session as usize))?;
-        let point = live.estimate(user as usize)?;
+    /// A user's estimate; a hibernated session is read as it lies and
+    /// stays cold.
+    fn estimate(&self, session: u32, user: u32) -> Result<(f64, f64), EngineError> {
+        let point = self
+            .grid
+            .session(SessionId(session as usize))?
+            .estimate(user as usize)?;
         Ok((point.x, point.y))
     }
 

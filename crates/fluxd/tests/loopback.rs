@@ -400,8 +400,8 @@ fn hibernating_server_matches_solo_sessions() {
         }
     }
 
-    // Session 0 sat out the last drain, so it is cold. Its checkpoint is
-    // encoded as it lies; the query then revives it.
+    // Session 0 sat out the last drain, so it is cold. Its checkpoint and
+    // the query read it as it lies.
     assert_eq!(
         client.checkpoint(sessions[0]).expect("checkpoint arrives"),
         checkpoint_json(&solos[0]),

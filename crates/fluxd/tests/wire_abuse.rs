@@ -201,30 +201,33 @@ fn credit_overrun_is_refused_and_kills_the_connection() {
     server.shutdown().expect("clean shutdown");
 }
 
-/// An `OpenSession` frame asking for `u32::MAX` predictions per user is
-/// refused with a typed engine error when the session opens, before any
-/// round could allocate for them, and the daemon keeps serving.
+/// An `OpenSession` frame asking for `u32::MAX` users, or `u32::MAX`
+/// predictions per user, is refused with a typed engine error when the
+/// session opens, before anything is sized by the count, and the same
+/// connection then opens a one-user session.
 #[test]
-fn oversized_prediction_count_is_refused_at_open() {
+fn oversized_counts_are_refused_at_open() {
     let server = spawn_server();
     let mut client = Client::connect(server.addr()).expect("client connects");
-    let spec = |n_predictions| SessionSpec {
+    let spec = |users, n_predictions| SessionSpec {
         seed: 7,
-        users: 1,
+        users,
         n_predictions,
         keep_m: 4,
         warm: false,
         start_time: 0.0,
     };
-    match client.open_session(&spec(u32::MAX)) {
-        Err(FluxdError::Remote {
-            code: ErrorCode::Engine,
-            detail,
-        }) => assert!(detail.contains("n_predictions"), "{detail}"),
-        other => panic!("expected an engine refusal, got {other:?}"),
+    for (users, n_predictions, field) in [(1, u32::MAX, "n_predictions"), (u32::MAX, 16, "users")] {
+        match client.open_session(&spec(users, n_predictions)) {
+            Err(FluxdError::Remote {
+                code: ErrorCode::Engine,
+                detail,
+            }) => assert!(detail.contains(field), "{detail}"),
+            other => panic!("expected an engine refusal of {field}, got {other:?}"),
+        }
     }
     client
-        .open_session(&spec(16))
+        .open_session(&spec(1, 16))
         .expect("a valid spec still opens");
     client.goodbye().expect("clean goodbye");
     server.shutdown().expect("clean shutdown");

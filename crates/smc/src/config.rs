@@ -17,6 +17,15 @@ const MAX_KEEP_M: usize = 1 << 16;
 /// failing here.
 pub const MAX_N_PREDICTIONS: usize = 100_000;
 
+/// The most users [`Tracker::new`](crate::Tracker::new) opens a tracker
+/// for: about fifty times the 20 users of the paper's largest trace
+/// (Figure 10). The tracker sizes a record per user before anything
+/// else runs, so a wire spec or a scenario asking for `u32::MAX` users
+/// would abort the process on that allocation instead of failing here.
+/// A join adds one user at a time, and a restored checkpoint's user
+/// count is bounded by the document's own length.
+pub const MAX_USERS: usize = 1024;
+
 /// Parameters of the Sequential Monte Carlo tracker.
 ///
 /// Defaults follow §5.B: `N = 1000` predictions, `M = 10` kept samples,

@@ -19,6 +19,13 @@
 //! 4. **Asynchronous gate** — a user whose best-fit stretch `q → 0` did not
 //!    collect this window: its samples and `Δt` origin are left untouched.
 //!
+//! Per user, the tracker keeps only what those steps read: its weighted
+//! samples, its `Δt` origin, whether it has ever matched, and its last
+//! two estimates for the §4.C heading refinement. That live state is the
+//! tracker's only one: [`Tracker::compact`] packs it into the one
+//! serialized form, [`CompactTrackerState`], and [`Tracker::from_compact`]
+//! decodes that straight back into it, bit for bit.
+//!
 //! # Example
 //!
 //! ```
@@ -60,10 +67,10 @@ mod state;
 mod tracker;
 
 pub use association::{associate, Association};
-pub use config::{SmcConfig, MAX_N_PREDICTIONS};
+pub use config::{SmcConfig, MAX_N_PREDICTIONS, MAX_USERS};
 pub use error::SmcError;
 pub use estimate::{effective_sample_size, weighted_mean, WeightedSample};
-pub use state::{CompactTrackerState, CompactUserTrackState, TrackerState, UserTrackState};
+pub use state::{CompactTrackerState, CompactUserTrackState};
 pub use tracker::{
     StepOutcome, Tracker, ACTIVITY_MIN_GAIN, ACTIVITY_THRESHOLD, EXPLORE_ACCEPT_RATIO,
     EXPLORE_FRACTION, WARM_SHRINK,

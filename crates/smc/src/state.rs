@@ -1,165 +1,84 @@
-//! Tracker state snapshots and their one serialized form.
+//! Tracker state: the live per-user record and its one serialized form.
 //!
-//! A [`Tracker`](crate::Tracker) is a live object holding an
-//! `Arc<dyn Boundary>`; the boundary is scenario geometry, not tracker
-//! state. Everything else — per-user weighted samples, freeze times,
-//! initialization flags, the §4.C heading history, the configuration,
-//! and the flux model — is captured by [`TrackerState`], a plain
-//! in-memory snapshot that [`Tracker::state`](crate::Tracker::state)
-//! produces.
+//! Algorithm 4.1 keeps per user only its weighted samples
+//! `⟨P(i), w(i)⟩`, the §4.E `Δt` origin, whether it has ever matched an
+//! observation and, for the §4.C heading refinement, its last two
+//! estimates. A [`Tracker`](crate::Tracker) holds exactly that per user,
+//! in one crate-private record, beside its configuration, flux model,
+//! boundary and step clock.
 //!
 //! The serialized form is [`CompactTrackerState`]: per-user pools of raw
 //! `f64` bit patterns, packed as base64, without the configuration or
-//! model. [`TrackerState::compact`] writes it and
-//! [`CompactTrackerState::expand`] reads it back, checking every
-//! invariant the live tracker relies on;
-//! [`Tracker::from_compact`](crate::Tracker::from_compact) revives a
-//! tracker from it against a caller-supplied boundary.
+//! model. [`Tracker::compact`](crate::Tracker::compact) packs it straight
+//! from the live users, and
+//! [`Tracker::from_compact`](crate::Tracker::from_compact) decodes it
+//! straight into them against a caller-supplied configuration, model and
+//! boundary, checking every invariant the live tracker relies on.
 //!
 //! The round-trip is exact: every float is preserved bit-for-bit, so a
 //! revived tracker continues producing bit-identical
 //! [`StepOutcome`](crate::StepOutcome)s — the engine crate's checkpoint
 //! guarantee builds directly on this.
 
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use fluxprint_fluxmodel::FluxModel;
-use fluxprint_geometry::Point2;
+use fluxprint_geometry::{deployment, Boundary, Point2};
 
-use crate::{SmcConfig, SmcError, WeightedSample};
+use crate::{SmcError, WeightedSample};
 
-/// Snapshot of one tracked user: the `<P(i), w(i)>` duples of §4.D plus
-/// the asynchronous-gate bookkeeping of §4.E.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UserTrackState {
+/// One tracked user: the `⟨P(i), w(i)⟩` duples of §4.D plus the
+/// asynchronous-gate bookkeeping of §4.E. The tracker's only per-user
+/// state; [`pack`](UserTrack::pack) and [`unpack`](UserTrack::unpack)
+/// convert it to and from its compact form.
+#[derive(Debug, Clone)]
+pub(crate) struct UserTrack {
     /// The user's current weighted position samples.
-    pub samples: Vec<WeightedSample>,
+    pub(crate) samples: Vec<WeightedSample>,
     /// Time of the user's last detected collection (the `Δt` origin).
-    pub t_last: f64,
+    pub(crate) t_last: f64,
     /// Whether the user has ever matched an observation (uninitialized
     /// users predict uniformly over the whole field).
-    pub initialized: bool,
-    /// The last up-to-two active-round estimates with their times, for
-    /// the heading-aware prediction refinement of §4.C.
-    pub history: Vec<(f64, Point2)>,
+    pub(crate) initialized: bool,
+    /// The last two active-round estimates with their times, oldest
+    /// first, for the heading-aware prediction refinement of §4.C. After
+    /// a user's first active round only the newer slot is filled.
+    pub(crate) history: [Option<(f64, Point2)>; 2],
 }
 
-/// Complete tracker state: configuration, flux model, and every user's
-/// track. Produced by [`Tracker::state`](crate::Tracker::state) and
-/// [`CompactTrackerState::expand`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrackerState {
-    /// The tracker's configuration.
-    pub config: SmcConfig,
-    /// The flux model the tracker fits against.
-    pub model: FluxModel,
-    /// Per-user track state, in user-index order.
-    pub users: Vec<UserTrackState>,
-    /// Time of the most recent step (or the start time).
-    pub last_step_time: f64,
-}
-
-impl TrackerState {
-    /// Validates every invariant the live tracker relies on: a valid
-    /// configuration, a positive finite model floor, a finite step
-    /// clock, and at least one user, each with a nonempty set of
-    /// finite, nonnegatively weighted samples, at most two history
-    /// entries, and a finite `Δt` origin no later than the step clock
-    /// (the tracker only ever sets `t_last` to a step time, and a later
-    /// one would make the next prediction disc's radius
-    /// `v_max·(t − t_last)` negative).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmcError::ZeroUsers`] for an empty user list and
-    /// [`SmcError::BadConfig`] for any other violation.
-    pub fn validate(&self) -> Result<(), SmcError> {
-        self.config.validate()?;
-        if !(self.model.d_floor().is_finite() && self.model.d_floor() > 0.0) {
-            return Err(SmcError::BadConfig {
-                field: "state.model.d_floor",
-            });
+impl UserTrack {
+    /// A user that has matched no observation yet, with `Δt` origin `t0`
+    /// and the uninformed prior of §4.C: `keep_m` uniform random samples
+    /// of equal weight over `boundary`.
+    pub(crate) fn unseen<R: Rng + ?Sized>(
+        boundary: &dyn Boundary,
+        keep_m: usize,
+        t0: f64,
+        rng: &mut R,
+    ) -> Self {
+        let samples = (0..keep_m)
+            .map(|_| WeightedSample {
+                position: deployment::random_point(boundary, rng),
+                weight: 1.0 / keep_m as f64,
+            })
+            .collect();
+        UserTrack {
+            samples,
+            t_last: t0,
+            initialized: false,
+            history: [None; 2],
         }
-        if self.users.is_empty() {
-            return Err(SmcError::ZeroUsers);
-        }
-        if !self.last_step_time.is_finite() {
-            return Err(SmcError::BadConfig {
-                field: "state.last_step_time",
-            });
-        }
-        for user in &self.users {
-            if user.samples.is_empty() {
-                return Err(SmcError::BadConfig {
-                    field: "state.samples",
-                });
-            }
-            for s in &user.samples {
-                if !(s.weight.is_finite() && s.weight >= 0.0) {
-                    return Err(SmcError::BadConfig {
-                        field: "state.samples.weight",
-                    });
-                }
-                if !(s.position.x.is_finite() && s.position.y.is_finite()) {
-                    return Err(SmcError::BadConfig {
-                        field: "state.samples.position",
-                    });
-                }
-            }
-            if !(user.t_last.is_finite() && user.t_last <= self.last_step_time) {
-                return Err(SmcError::BadConfig {
-                    field: "state.t_last",
-                });
-            }
-            if user.history.len() > 2 {
-                return Err(SmcError::BadConfig {
-                    field: "state.history",
-                });
-            }
-        }
-        Ok(())
     }
-}
 
-/// Compact snapshot of one tracked user: the same information as
-/// [`UserTrackState`] in a pooled, base64-packed form.
-///
-/// Positions and weights are deduplicated into per-user pools of raw
-/// little-endian `f64` bit patterns; each sample is then a `(position,
-/// weight)` pair of `u16` pool indices, which is why
-/// [`SmcConfig::keep_m`] is bounded by the index range. The encoding is
-/// quantization-free — every float survives bit-for-bit — so
-/// [`CompactTrackerState::expand`] inverts
-/// [`compact`](UserTrackState::compact) exactly. Sample *count*
-/// information is carried redundantly in [`n`](Self::n) so a truncated
-/// pool or index blob is refused instead of silently shrinking the
-/// sample set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompactUserTrackState {
-    /// Unique sample positions: base64 of little-endian `(x, y)` bit
-    /// pairs, 16 bytes per entry, in first-seen order.
-    pub pos_pool: String,
-    /// Unique sample weights: base64 of little-endian `f64` bits, 8
-    /// bytes per entry, in first-seen order.
-    pub w_pool: String,
-    /// Per-sample pool indices: base64 of little-endian `u16` pairs
-    /// `(position index, weight index)`, 4 bytes per sample.
-    pub samples: String,
-    /// Sample count (must match the decoded length of `samples`).
-    pub n: u32,
-    /// Time of the user's last detected collection.
-    pub t_last: f64,
-    /// Whether the user has ever matched an observation.
-    pub initialized: bool,
-    /// Heading history, truncated to the snapshot's `history_cap`
-    /// (newest entries kept).
-    pub history: Vec<(f64, Point2)>,
-}
+    /// Records an active round's estimate, dropping the older of the two
+    /// the history holds.
+    pub(crate) fn record(&mut self, t: f64, estimate: Point2) {
+        self.history = [self.history[1], Some((t, estimate))];
+    }
 
-impl UserTrackState {
     /// Packs this user's track into its compact form, keeping at most
     /// the `history_cap` newest history entries.
-    pub fn compact(&self, history_cap: u32) -> CompactUserTrackState {
+    pub(crate) fn pack(&self, history_cap: u32) -> CompactUserTrackState {
         let mut pos_pool: Vec<u8> = Vec::new();
         let mut pos_index: Vec<(u64, u64)> = Vec::new();
         let mut w_pool: Vec<u8> = Vec::new();
@@ -188,7 +107,8 @@ impl UserTrackState {
             pairs.extend_from_slice(&(pi as u16).to_le_bytes());
             pairs.extend_from_slice(&(wi as u16).to_le_bytes());
         }
-        let skip = self.history.len().saturating_sub(history_cap as usize);
+        let mut history: Vec<(f64, Point2)> = self.history.iter().flatten().copied().collect();
+        history.drain(..history.len().saturating_sub(history_cap as usize));
         CompactUserTrackState {
             pos_pool: b64_encode(&pos_pool),
             w_pool: b64_encode(&w_pool),
@@ -196,89 +116,140 @@ impl UserTrackState {
             n: self.samples.len() as u32,
             t_last: self.t_last,
             initialized: self.initialized,
-            history: self.history[skip..].to_vec(),
+            history,
         }
+    }
+
+    /// Decodes a compact track: at most `min(history_cap, 2)` history
+    /// entries, pools of whole entries, a sample blob matching `n`, and
+    /// in-range indices. The float invariants are
+    /// [`check`](UserTrack::check)'s.
+    pub(crate) fn unpack(
+        compact: &CompactUserTrackState,
+        history_cap: u32,
+    ) -> Result<Self, SmcError> {
+        let bad = |field| SmcError::BadConfig { field };
+        if compact.history.len() > history_cap.min(2) as usize {
+            return Err(bad("compact.history"));
+        }
+        let words = entries::<8>(&compact.pos_pool).ok_or(bad("compact.pos_pool"))?;
+        let (positions, odd) = words.as_chunks::<2>();
+        if positions.is_empty() || !odd.is_empty() {
+            return Err(bad("compact.pos_pool"));
+        }
+        let weights = entries::<8>(&compact.w_pool)
+            .filter(|w| !w.is_empty())
+            .ok_or(bad("compact.w_pool"))?;
+        let pairs = entries::<4>(&compact.samples)
+            .filter(|p| p.len() == compact.n as usize && compact.n > 0)
+            .ok_or(bad("compact.samples"))?;
+        let mut samples = Vec::with_capacity(pairs.len());
+        for [p0, p1, w0, w1] in pairs {
+            let position = positions.get(usize::from(u16::from_le_bytes([p0, p1])));
+            let weight = weights.get(usize::from(u16::from_le_bytes([w0, w1])));
+            let (Some(&[x, y]), Some(&w)) = (position, weight) else {
+                return Err(bad("compact.samples"));
+            };
+            samples.push(WeightedSample {
+                position: Point2::new(f64_le(x), f64_le(y)),
+                weight: f64_le(w),
+            });
+        }
+        // Newest last, so a single entry fills the newer slot, as
+        // `record` leaves it.
+        let mut history = [None; 2];
+        for (slot, &entry) in history.iter_mut().rev().zip(compact.history.iter().rev()) {
+            *slot = Some(entry);
+        }
+        Ok(UserTrack {
+            samples,
+            t_last: compact.t_last,
+            initialized: compact.initialized,
+            history,
+        })
+    }
+
+    /// Checks the float invariants the live tracker relies on: finite,
+    /// nonnegatively weighted samples at finite positions, and a finite
+    /// `Δt` origin no later than the step clock `last_step_time` (the
+    /// tracker only ever sets `t_last` to a step time, and a later one
+    /// would make the next prediction disc's radius `v_max·(t − t_last)`
+    /// negative).
+    pub(crate) fn check(&self, last_step_time: f64) -> Result<(), SmcError> {
+        let bad = |field| SmcError::BadConfig { field };
+        for s in &self.samples {
+            if !(s.weight.is_finite() && s.weight >= 0.0) {
+                return Err(bad("state.samples.weight"));
+            }
+            if !(s.position.x.is_finite() && s.position.y.is_finite()) {
+                return Err(bad("state.samples.position"));
+            }
+        }
+        if !(self.t_last.is_finite() && self.t_last <= last_step_time) {
+            return Err(bad("state.t_last"));
+        }
+        Ok(())
     }
 }
 
-impl CompactUserTrackState {
-    /// Decodes the blobs: pools of whole entries, a sample blob matching
-    /// `n`, and in-range indices. The float invariants are
-    /// [`TrackerState::validate`]'s.
-    fn decode(&self) -> Result<UserTrackState, SmcError> {
-        let pos_bytes = b64_decode(&self.pos_pool).ok_or(SmcError::BadConfig {
-            field: "compact.pos_pool",
-        })?;
-        if pos_bytes.is_empty() || pos_bytes.len() % 16 != 0 {
-            return Err(SmcError::BadConfig {
-                field: "compact.pos_pool",
-            });
-        }
-        let positions: Vec<Point2> = pos_bytes
-            .chunks_exact(16)
-            .map(|c| {
-                Point2::new(
-                    // fluxlint: allow(no-panic) — chunks_exact(16) guarantees 8-byte halves
-                    f64::from_bits(u64::from_le_bytes(c[..8].try_into().expect("8 bytes"))),
-                    // fluxlint: allow(no-panic) — chunks_exact(16) guarantees 8-byte halves
-                    f64::from_bits(u64::from_le_bytes(c[8..].try_into().expect("8 bytes"))),
-                )
-            })
-            .collect();
-        let w_bytes = b64_decode(&self.w_pool).ok_or(SmcError::BadConfig {
-            field: "compact.w_pool",
-        })?;
-        if w_bytes.is_empty() || w_bytes.len() % 8 != 0 {
-            return Err(SmcError::BadConfig {
-                field: "compact.w_pool",
-            });
-        }
-        let weights: Vec<f64> = w_bytes
-            .chunks_exact(8)
-            // fluxlint: allow(no-panic) — chunks_exact(8) guarantees 8-byte chunks
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect();
-        let pair_bytes = b64_decode(&self.samples).ok_or(SmcError::BadConfig {
-            field: "compact.samples",
-        })?;
-        if pair_bytes.len() % 4 != 0 || pair_bytes.len() / 4 != self.n as usize || self.n == 0 {
-            return Err(SmcError::BadConfig {
-                field: "compact.samples",
-            });
-        }
-        let mut samples = Vec::with_capacity(self.n as usize);
-        for pair in pair_bytes.chunks_exact(4) {
-            // fluxlint: allow(no-panic) — chunks_exact(4) guarantees 2-byte halves
-            let pi = u16::from_le_bytes(pair[..2].try_into().expect("2 bytes")) as usize;
-            // fluxlint: allow(no-panic) — chunks_exact(4) guarantees 2-byte halves
-            let wi = u16::from_le_bytes(pair[2..].try_into().expect("2 bytes")) as usize;
-            let (position, weight) = match (positions.get(pi), weights.get(wi)) {
-                (Some(&p), Some(&w)) => (p, w),
-                _ => {
-                    return Err(SmcError::BadConfig {
-                        field: "compact.samples",
-                    })
-                }
-            };
-            samples.push(WeightedSample { position, weight });
-        }
-        Ok(UserTrackState {
-            samples,
-            t_last: self.t_last,
-            initialized: self.initialized,
-            history: self.history.clone(),
-        })
-    }
+/// Decodes a base64 blob of whole `N`-byte entries: `None` for malformed
+/// base64 or a partial last entry.
+fn entries<const N: usize>(blob: &str) -> Option<Vec<[u8; N]>> {
+    let bytes = b64_decode(blob)?;
+    let (entries, tail) = bytes.as_chunks::<N>();
+    tail.is_empty().then(|| entries.to_vec())
+}
+
+/// A little-endian `f64` bit pattern.
+fn f64_le(bytes: [u8; 8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(bytes))
+}
+
+/// Compact snapshot of one tracked user: its samples, `Δt` origin,
+/// initialization flag and heading history in a pooled, base64-packed
+/// form.
+///
+/// Positions and weights are deduplicated into per-user pools of raw
+/// little-endian `f64` bit patterns; each sample is then a `(position,
+/// weight)` pair of `u16` pool indices, which is why
+/// [`SmcConfig::keep_m`](crate::SmcConfig::keep_m) is bounded by the
+/// index range. The encoding is quantization-free — every float survives
+/// bit-for-bit — so [`Tracker::from_compact`](crate::Tracker::from_compact)
+/// inverts [`Tracker::compact`](crate::Tracker::compact) exactly. Sample
+/// *count* information is carried redundantly in [`n`](Self::n) so a
+/// truncated pool or index blob is refused instead of silently shrinking
+/// the sample set.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CompactUserTrackState {
+    /// Unique sample positions: base64 of little-endian `(x, y)` bit
+    /// pairs, 16 bytes per entry, in first-seen order.
+    pub pos_pool: String,
+    /// Unique sample weights: base64 of little-endian `f64` bits, 8
+    /// bytes per entry, in first-seen order.
+    pub w_pool: String,
+    /// Per-sample pool indices: base64 of little-endian `u16` pairs
+    /// `(position index, weight index)`, 4 bytes per sample.
+    pub samples: String,
+    /// Sample count (must match the decoded length of `samples`).
+    pub n: u32,
+    /// Time of the user's last detected collection.
+    pub t_last: f64,
+    /// Whether the user has ever matched an observation.
+    pub initialized: bool,
+    /// Heading history, oldest first, truncated to the snapshot's
+    /// `history_cap` (newest entries kept).
+    pub history: Vec<(f64, Point2)>,
 }
 
 /// Compact snapshot of a whole tracker: the per-user compact tracks plus
-/// the step clock, *without* the configuration or flux model — both are
-/// engine-level scenario knowledge a caller supplies back at
-/// [`expand`](Self::expand) time, so a fleet of thousands of compact
-/// snapshots does not repeat them.
+/// the step clock, *without* the configuration or flux model. The caller
+/// supplies both back at
+/// [`Tracker::from_compact`](crate::Tracker::from_compact); the engine's
+/// session checkpoint carries them beside this snapshot as fields of its
+/// own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompactTrackerState {
-    /// Maximum history entries kept per user at pack time. Expansion
+    /// Maximum history entries kept per user at pack time. Decoding
     /// with a cap below 2 is refused when the supplied configuration's
     /// `heading_bias` is nonzero: the heading refinement reads the full
     /// two-entry history, so truncating it would change KPIs. With the
@@ -289,65 +260,6 @@ pub struct CompactTrackerState {
     pub users: Vec<CompactUserTrackState>,
     /// Time of the most recent step (or the start time).
     pub last_step_time: f64,
-}
-
-impl TrackerState {
-    /// Packs this snapshot into its compact form, keeping at most
-    /// `history_cap` history entries per user. A cap of 2 (the live
-    /// tracker's own bound) loses nothing; see
-    /// [`CompactTrackerState::history_cap`] for when smaller caps are
-    /// safe.
-    pub fn compact(&self, history_cap: u32) -> CompactTrackerState {
-        CompactTrackerState {
-            history_cap,
-            users: self.users.iter().map(|u| u.compact(history_cap)).collect(),
-            last_step_time: self.last_step_time,
-        }
-    }
-}
-
-impl CompactTrackerState {
-    /// Expands the compact snapshot into a [`TrackerState`] under a
-    /// caller-supplied configuration and flux model, bit-for-bit equal
-    /// to the one it was packed from (minus any history entries the cap
-    /// truncated). Each blob is decoded once and the result validated
-    /// once.
-    ///
-    /// # Errors
-    ///
-    /// [`SmcError::BadConfig`] with a `compact.*` field for a malformed
-    /// blob or a history longer than the cap, and with field
-    /// `compact.history_cap` when the pack-time cap was below 2 but
-    /// `config.heading_bias` is nonzero (the truncation would change
-    /// stepping); then the errors of [`TrackerState::validate`].
-    pub fn expand(&self, config: SmcConfig, model: FluxModel) -> Result<TrackerState, SmcError> {
-        let users = self
-            .users
-            .iter()
-            .map(|user| {
-                if user.history.len() > self.history_cap.min(2) as usize {
-                    return Err(SmcError::BadConfig {
-                        field: "compact.history",
-                    });
-                }
-                user.decode()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // fluxlint: allow(float-eq) — exact-zero sentinel: any nonzero bias reads history[1]
-        if self.history_cap < 2 && config.heading_bias != 0.0 {
-            return Err(SmcError::BadConfig {
-                field: "compact.history_cap",
-            });
-        }
-        let state = TrackerState {
-            config,
-            model,
-            users,
-            last_step_time: self.last_step_time,
-        };
-        state.validate()?;
-        Ok(state)
-    }
 }
 
 const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -421,6 +333,12 @@ fn b64_decode(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use fluxprint_fluxmodel::FluxModel;
+    use fluxprint_geometry::Rect;
+
+    use crate::{SmcConfig, Tracker};
 
     fn sample(x: f64, y: f64, w: f64) -> WeightedSample {
         WeightedSample {
@@ -429,107 +347,92 @@ mod tests {
         }
     }
 
-    fn valid_state() -> TrackerState {
-        TrackerState {
-            config: SmcConfig::default(),
-            model: FluxModel::default(),
-            users: vec![UserTrackState {
-                samples: vec![sample(1.0, 2.0, 0.5), sample(3.0, 4.0, 0.5)],
-                t_last: 0.0,
-                initialized: true,
-                history: vec![(1.0, Point2::new(2.0, 2.0))],
-            }],
+    /// A user tracked since step time 1, with one history entry.
+    fn valid_user() -> UserTrack {
+        UserTrack {
+            samples: vec![sample(1.0, 2.0, 0.5), sample(3.0, 4.0, 0.5)],
+            t_last: 0.0,
+            initialized: true,
+            history: [None, Some((1.0, Point2::new(2.0, 2.0)))],
+        }
+    }
+
+    fn document(users: &[UserTrack], history_cap: u32) -> CompactTrackerState {
+        CompactTrackerState {
+            history_cap,
+            users: users.iter().map(|u| u.pack(history_cap)).collect(),
             last_step_time: 1.0,
         }
     }
 
-    #[test]
-    fn valid_state_passes() {
-        valid_state().validate().unwrap();
+    fn revive_with(c: &CompactTrackerState, config: SmcConfig) -> Result<Tracker, SmcError> {
+        let field = Arc::new(Rect::square(30.0).unwrap());
+        Tracker::from_compact(c, config, FluxModel::default(), field)
     }
 
-    #[test]
-    fn empty_users_rejected() {
-        let mut s = valid_state();
-        s.users.clear();
-        assert!(matches!(s.validate(), Err(SmcError::ZeroUsers)));
+    fn revive(c: &CompactTrackerState) -> Result<Tracker, SmcError> {
+        revive_with(c, SmcConfig::default())
     }
 
+    fn assert_refused(c: &CompactTrackerState, field: &str) {
+        match revive(c) {
+            Err(SmcError::BadConfig { field: got }) => assert_eq!(got, field),
+            other => panic!("expected BadConfig({field}), got {other:?}"),
+        }
+    }
+
+    /// Every invariant the live tracker relies on is refused with its
+    /// own field, from a packed document.
     #[test]
     fn bad_fields_rejected() {
-        let mut s = valid_state();
-        s.users[0].samples.clear();
+        revive(&document(&[valid_user()], 2)).unwrap();
         assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.samples"
-            })
+            revive(&document(&[], 2)),
+            Err(SmcError::ZeroUsers)
         ));
 
-        let mut s = valid_state();
-        s.users[0].samples[0].weight = f64::NAN;
-        assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.samples.weight"
-            })
-        ));
+        // No samples at all: the position pool is empty.
+        let mut user = valid_user();
+        user.samples.clear();
+        assert_refused(&document(&[user], 2), "compact.pos_pool");
 
-        let mut s = valid_state();
-        s.users[0].samples[1].position = Point2::new(f64::INFINITY, 0.0);
-        assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.samples.position"
-            })
-        ));
+        let mut user = valid_user();
+        user.samples[0].weight = f64::NAN;
+        assert_refused(&document(&[user], 2), "state.samples.weight");
 
-        let mut s = valid_state();
-        s.users[0].t_last = f64::NAN;
-        assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.t_last"
-            })
-        ));
+        let mut user = valid_user();
+        user.samples[1].position = Point2::new(f64::INFINITY, 0.0);
+        assert_refused(&document(&[user], 2), "state.samples.position");
 
-        let mut s = valid_state();
-        s.users[0].history = vec![
+        let mut user = valid_user();
+        user.t_last = f64::NAN;
+        assert_refused(&document(&[user], 2), "state.t_last");
+
+        // Three history entries: more than the tracker ever holds.
+        let mut c = document(&[valid_user()], 3);
+        c.users[0].history = vec![
             (0.0, Point2::new(0.0, 0.0)),
             (1.0, Point2::new(1.0, 1.0)),
             (2.0, Point2::new(2.0, 2.0)),
         ];
-        assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.history"
-            })
-        ));
+        assert_refused(&c, "compact.history");
 
         // A `Δt` origin later than the step clock: the next prediction
         // disc would have a negative radius.
-        let mut s = valid_state();
-        s.users[0].t_last = s.last_step_time + 0.5;
-        assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.t_last"
-            })
-        ));
+        let mut user = valid_user();
+        user.t_last = 1.5;
+        assert_refused(&document(&[user], 2), "state.t_last");
 
-        let mut s = valid_state();
-        s.last_step_time = f64::NEG_INFINITY;
-        assert!(matches!(
-            s.validate(),
-            Err(SmcError::BadConfig {
-                field: "state.last_step_time"
-            })
-        ));
+        let mut c = document(&[valid_user()], 2);
+        c.last_step_time = f64::NEG_INFINITY;
+        assert_refused(&c, "state.last_step_time");
 
-        let mut s = valid_state();
-        s.config.keep_m = 0;
+        let bad = SmcConfig {
+            keep_m: 0,
+            ..SmcConfig::default()
+        };
         assert!(matches!(
-            s.validate(),
+            revive_with(&document(&[valid_user()], 2), bad),
             Err(SmcError::BadConfig { field: "keep_m" })
         ));
     }
@@ -550,12 +453,12 @@ mod tests {
         assert!(b64_decode("TW!u").is_none(), "non-alphabet byte");
     }
 
-    /// A state with awkward floats (negative zero, subnormals, shared
-    /// positions and weights) survives compact → expand bit-for-bit.
+    /// A track with awkward floats (negative zero, subnormals, shared
+    /// positions and weights) survives pack → unpack bit-for-bit.
     #[test]
     fn compact_round_trip_is_bit_exact() {
-        let mut state = valid_state();
-        state.users[0].samples = vec![
+        let mut user = valid_user();
+        user.samples = vec![
             sample(-0.0, 1.5e-310, 0.25),
             sample(3.0, 4.0, 0.25),
             // Duplicate position with a new weight, duplicate weight
@@ -563,55 +466,49 @@ mod tests {
             sample(-0.0, 1.5e-310, 0.5),
             sample(7.0, -2.0, 0.25),
         ];
-        state.users[0].history = vec![(1.0, Point2::new(2.0, 2.0)), (2.0, Point2::new(3.0, -0.0))];
-        let compact = state.compact(2);
-        assert_eq!(compact.users[0].n, 4);
-        let back = compact.expand(state.config, state.model).unwrap();
-        assert_eq!(back.users.len(), state.users.len());
-        for (a, b) in back.users.iter().zip(&state.users) {
-            assert_eq!(a.samples.len(), b.samples.len());
-            for (sa, sb) in a.samples.iter().zip(&b.samples) {
-                assert_eq!(sa.position.x.to_bits(), sb.position.x.to_bits());
-                assert_eq!(sa.position.y.to_bits(), sb.position.y.to_bits());
-                assert_eq!(sa.weight.to_bits(), sb.weight.to_bits());
-            }
-            assert_eq!(a.t_last.to_bits(), b.t_last.to_bits());
-            assert_eq!(a.initialized, b.initialized);
-            assert_eq!(a.history.len(), b.history.len());
-            for ((ta, pa), (tb, pb)) in a.history.iter().zip(&b.history) {
-                assert_eq!(ta.to_bits(), tb.to_bits());
-                assert_eq!(pa.x.to_bits(), pb.x.to_bits());
-                assert_eq!(pa.y.to_bits(), pb.y.to_bits());
-            }
+        user.record(2.0, Point2::new(3.0, -0.0));
+        let packed = user.pack(2);
+        assert_eq!(packed.n, 4);
+        let back = UserTrack::unpack(&packed, 2).unwrap();
+        assert_eq!(back.samples.len(), user.samples.len());
+        for (sa, sb) in back.samples.iter().zip(&user.samples) {
+            assert_eq!(sa.position.x.to_bits(), sb.position.x.to_bits());
+            assert_eq!(sa.position.y.to_bits(), sb.position.y.to_bits());
+            assert_eq!(sa.weight.to_bits(), sb.weight.to_bits());
         }
-        assert_eq!(
-            back.last_step_time.to_bits(),
-            state.last_step_time.to_bits()
-        );
+        assert_eq!(back.t_last.to_bits(), user.t_last.to_bits());
+        assert_eq!(back.initialized, user.initialized);
+        for (a, b) in back.history.iter().zip(&user.history) {
+            let (ta, pa) = a.unwrap();
+            let (tb, pb) = b.unwrap();
+            assert_eq!(ta.to_bits(), tb.to_bits());
+            assert_eq!(pa.x.to_bits(), pb.x.to_bits());
+            assert_eq!(pa.y.to_bits(), pb.y.to_bits());
+        }
+        assert_eq!(back.pack(2), packed);
         // The pools actually deduplicated: 3 unique positions, 2 unique
         // weights, out of 4 samples.
-        assert_eq!(
-            b64_decode(&compact.users[0].pos_pool).unwrap().len(),
-            3 * 16
-        );
-        assert_eq!(b64_decode(&compact.users[0].w_pool).unwrap().len(), 2 * 8);
+        assert_eq!(b64_decode(&packed.pos_pool).unwrap().len(), 3 * 16);
+        assert_eq!(b64_decode(&packed.w_pool).unwrap().len(), 2 * 8);
     }
 
     #[test]
     fn compact_truncates_history_keeping_newest() {
-        let mut state = valid_state();
-        state.users[0].history = vec![(1.0, Point2::new(1.0, 1.0)), (2.0, Point2::new(2.0, 2.0))];
-        let compact = state.compact(1);
-        assert_eq!(compact.users[0].history, vec![(2.0, Point2::new(2.0, 2.0))]);
+        let mut user = valid_user();
+        user.record(2.0, Point2::new(3.0, 3.0));
+        let compact = document(&[user], 1);
+        assert_eq!(compact.users[0].history, vec![(2.0, Point2::new(3.0, 3.0))]);
         // With the default heading_bias = 0 the truncation is
-        // semantics-preserving and expands fine…
-        compact.expand(state.config, state.model).unwrap();
+        // semantics-preserving and decodes fine…
+        revive(&compact).unwrap();
         // …but a heading-biased config reads the full history, so the
         // lossy cap is refused.
-        let mut biased = state.config;
-        biased.heading_bias = 0.3;
+        let biased = SmcConfig {
+            heading_bias: 0.3,
+            ..SmcConfig::default()
+        };
         assert!(matches!(
-            compact.expand(biased, state.model),
+            revive_with(&compact, biased),
             Err(SmcError::BadConfig {
                 field: "compact.history_cap"
             })
@@ -620,67 +517,40 @@ mod tests {
 
     #[test]
     fn compact_expand_rejects_malformed_blobs() {
-        let state = valid_state();
-        let good = state.compact(2);
-        let expand = |c: &CompactTrackerState| c.expand(state.config, state.model);
+        let good = document(&[valid_user()], 2);
 
         let mut c = good.clone();
         c.users[0].pos_pool = "!!!".into();
-        assert!(matches!(
-            expand(&c),
-            Err(SmcError::BadConfig {
-                field: "compact.pos_pool"
-            })
-        ));
+        assert_refused(&c, "compact.pos_pool");
 
         let mut c = good.clone();
         c.users[0].w_pool = String::new();
-        assert!(matches!(
-            expand(&c),
-            Err(SmcError::BadConfig {
-                field: "compact.w_pool"
-            })
-        ));
+        assert_refused(&c, "compact.w_pool");
 
         // Sample count disagreeing with the blob.
         let mut c = good.clone();
         c.users[0].n += 1;
-        assert!(matches!(
-            expand(&c),
-            Err(SmcError::BadConfig {
-                field: "compact.samples"
-            })
-        ));
+        assert_refused(&c, "compact.samples");
 
         // An index pointing past the pool.
         let mut c = good.clone();
         c.users[0].samples = b64_encode(&[0xff, 0xff, 0, 0]);
         c.users[0].n = 1;
-        assert!(matches!(
-            expand(&c),
-            Err(SmcError::BadConfig {
-                field: "compact.samples"
-            })
-        ));
+        assert_refused(&c, "compact.samples");
 
         // History longer than the declared cap.
         let mut c = good.clone();
         c.history_cap = 0;
-        assert!(matches!(
-            expand(&c),
-            Err(SmcError::BadConfig {
-                field: "compact.history"
-            })
-        ));
+        assert_refused(&c, "compact.history");
 
         let mut c = good;
         c.users.clear();
-        assert!(matches!(expand(&c), Err(SmcError::ZeroUsers)));
+        assert!(matches!(revive(&c), Err(SmcError::ZeroUsers)));
     }
 
     #[test]
     fn compact_json_round_trips() {
-        let compact = valid_state().compact(2);
+        let compact = document(&[valid_user()], 2);
         let json = serde_json::to_string(&compact).unwrap();
         let back: CompactTrackerState = serde_json::from_str(&json).unwrap();
         assert_eq!(back, compact);

@@ -10,9 +10,9 @@ use fluxprint_solver::{CacheScratch, FluxObjective};
 use fluxprint_stats::WeightedAlias;
 use fluxprint_telemetry::{self as telemetry, names};
 
+use crate::state::UserTrack;
 use crate::{
-    associate, weighted_mean, CompactTrackerState, SmcConfig, SmcError, TrackerState,
-    UserTrackState, WeightedSample,
+    associate, weighted_mean, CompactTrackerState, SmcConfig, SmcError, WeightedSample, MAX_USERS,
 };
 
 /// Candidate-budget divisor for hot users on warm rounds: a hot user
@@ -63,16 +63,6 @@ pub struct StepOutcome {
     pub residual: f64,
 }
 
-#[derive(Debug, Clone)]
-struct UserTrack {
-    samples: Vec<WeightedSample>,
-    t_last: f64,
-    initialized: bool,
-    /// The last two active-round estimates with their times, for the
-    /// heading-aware prediction refinement of §4.C.
-    history: Vec<(f64, Point2)>,
-}
-
 /// Sequential Monte Carlo tracker for `K` mobile users (Algorithm 4.1).
 ///
 /// Feed it one [`FluxObjective`] per observation window via
@@ -94,8 +84,10 @@ impl Tracker {
     ///
     /// # Errors
     ///
-    /// Returns [`SmcError::ZeroUsers`] for `k == 0` and
-    /// [`SmcError::BadConfig`] for an invalid configuration.
+    /// Returns [`SmcError::ZeroUsers`] for `k == 0`,
+    /// [`SmcError::BadConfig`] with field `users` for `k` above
+    /// [`MAX_USERS`], and [`SmcError::BadConfig`] for an invalid
+    /// configuration.
     pub fn new<R: Rng + ?Sized>(
         k: usize,
         boundary: Arc<dyn Boundary>,
@@ -107,19 +99,12 @@ impl Tracker {
         if k == 0 {
             return Err(SmcError::ZeroUsers);
         }
+        if k > MAX_USERS {
+            return Err(SmcError::BadConfig { field: "users" });
+        }
         config.validate()?;
         let users = (0..k)
-            .map(|_| UserTrack {
-                samples: (0..config.keep_m)
-                    .map(|_| WeightedSample {
-                        position: deployment::random_point(boundary.as_ref(), rng),
-                        weight: 1.0 / config.keep_m as f64,
-                    })
-                    .collect(),
-                t_last: t0,
-                initialized: false,
-                history: Vec::new(),
-            })
+            .map(|_| UserTrack::unseen(boundary.as_ref(), config.keep_m, t0, rng))
             .collect();
         Ok(Tracker {
             config,
@@ -145,83 +130,96 @@ impl Tracker {
         &self.model
     }
 
+    /// The field boundary the tracker predicts within.
+    pub fn boundary(&self) -> &Arc<dyn Boundary> {
+        &self.boundary
+    }
+
     /// Time of the most recent step (or the start time).
     pub fn time(&self) -> f64 {
         self.last_step_time
     }
 
-    /// Snapshots the tracker's complete state: per-user samples, freeze
-    /// times, heading histories, the configuration, and the flux model.
-    /// The boundary is scenario geometry, not tracker state — supply it
-    /// again at [`from_compact`](Tracker::from_compact).
-    pub fn state(&self) -> TrackerState {
-        TrackerState {
-            config: self.config,
-            model: self.model,
-            users: self
-                .users
-                .iter()
-                .map(|u| UserTrackState {
-                    samples: u.samples.clone(),
-                    t_last: u.t_last,
-                    initialized: u.initialized,
-                    history: u.history.clone(),
-                })
-                .collect(),
+    /// Bytes of the buffers the tracker owns: the per-user records, each
+    /// holding its heading history inline, and their samples, counted by
+    /// length, so spare capacity and allocator overhead are left out.
+    pub fn heap_bytes(&self) -> usize {
+        let samples: usize = self
+            .users
+            .iter()
+            .map(|u| std::mem::size_of_val(u.samples.as_slice()))
+            .sum();
+        std::mem::size_of_val(self.users.as_slice()) + samples
+    }
+
+    /// Packs every user's track, with at most the `history_cap` newest
+    /// heading-history entries, and the step clock into the compact form.
+    /// A cap of 2 (the live tracker's own bound) loses nothing; see
+    /// [`CompactTrackerState::history_cap`] for when smaller caps are
+    /// safe. Supply the configuration, model and boundary again at
+    /// [`from_compact`](Tracker::from_compact).
+    pub fn compact(&self, history_cap: u32) -> CompactTrackerState {
+        CompactTrackerState {
+            history_cap,
+            users: self.users.iter().map(|u| u.pack(history_cap)).collect(),
             last_step_time: self.last_step_time,
         }
     }
 
-    /// Bytes of the buffers the tracker owns: the per-user entries with
-    /// their samples and heading histories, counted by length, so spare
-    /// capacity and allocator overhead are left out.
-    pub fn heap_bytes(&self) -> usize {
-        let tracks: usize = self
-            .users
-            .iter()
-            .map(|u| {
-                std::mem::size_of_val(u.samples.as_slice())
-                    + std::mem::size_of_val(u.history.as_slice())
-            })
-            .sum();
-        std::mem::size_of_val(self.users.as_slice()) + tracks
-    }
-
-    /// Revives a tracker from a compact snapshot (see
-    /// [`TrackerState::compact`]) under the caller's configuration and
-    /// flux model, and the field boundary it tracked over. Each blob is
-    /// decoded once and the result validated once (see
-    /// [`CompactTrackerState::expand`]).
-    ///
-    /// Restore is exact: the revived tracker produces bit-identical
-    /// [`StepOutcome`]s to the one the snapshot was taken from, given the
-    /// same observation and RNG streams.
+    /// Revives a tracker from a [`compact`](Tracker::compact) snapshot
+    /// under the caller's configuration and flux model, and the field
+    /// boundary it tracked over. Each blob is decoded once, straight into
+    /// the live per-user records, and every invariant the tracker relies
+    /// on is checked. Restore is exact: the revived tracker produces
+    /// bit-identical [`StepOutcome`]s to the one the snapshot was taken
+    /// from, given the same observation and RNG streams.
     ///
     /// # Errors
     ///
-    /// As [`CompactTrackerState::expand`].
+    /// [`SmcError::BadConfig`] with a `compact.*` field for a malformed
+    /// blob or a history longer than `min(history_cap, 2)`, and with
+    /// field `compact.history_cap` for a cap below 2 under a nonzero
+    /// `heading_bias` (the truncation would change stepping); then the
+    /// configuration's own errors, [`SmcError::ZeroUsers`], and a
+    /// `state.*` field for a nonpositive model floor, a non-finite step
+    /// clock, or a non-finite or negative sample weight, a non-finite
+    /// position, or a `Δt` origin that is non-finite or after the clock.
     pub fn from_compact(
         compact: &CompactTrackerState,
         config: SmcConfig,
         model: FluxModel,
         boundary: Arc<dyn Boundary>,
     ) -> Result<Self, SmcError> {
-        let state = compact.expand(config, model)?;
+        let bad = |field| SmcError::BadConfig { field };
+        let users = compact
+            .users
+            .iter()
+            .map(|user| UserTrack::unpack(user, compact.history_cap))
+            .collect::<Result<Vec<_>, _>>()?;
+        // fluxlint: allow(float-eq) — exact-zero sentinel: any nonzero bias reads the history
+        if compact.history_cap < 2 && config.heading_bias != 0.0 {
+            return Err(bad("compact.history_cap"));
+        }
+        config.validate()?;
+        if !(model.d_floor().is_finite() && model.d_floor() > 0.0) {
+            return Err(bad("state.model.d_floor"));
+        }
+        if users.is_empty() {
+            return Err(SmcError::ZeroUsers);
+        }
+        let last_step_time = compact.last_step_time;
+        if !last_step_time.is_finite() {
+            return Err(bad("state.last_step_time"));
+        }
+        for user in &users {
+            user.check(last_step_time)?;
+        }
         Ok(Tracker {
-            config: state.config,
+            config,
             boundary,
-            model: state.model,
-            users: state
-                .users
-                .into_iter()
-                .map(|u| UserTrack {
-                    samples: u.samples,
-                    t_last: u.t_last,
-                    initialized: u.initialized,
-                    history: u.history,
-                })
-                .collect(),
-            last_step_time: state.last_step_time,
+            model,
+            users,
+            last_step_time,
         })
     }
 
@@ -253,18 +251,13 @@ impl Tracker {
     /// uniform random samples — the uninformed prior of §4.C. The user's
     /// `Δt` origin is the current step time. Returns the new user's index.
     pub fn add_user<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let samples = (0..self.config.keep_m)
-            .map(|_| WeightedSample {
-                position: deployment::random_point(self.boundary.as_ref(), rng),
-                weight: 1.0 / self.config.keep_m as f64,
-            })
-            .collect();
-        self.users.push(UserTrack {
-            samples,
-            t_last: self.last_step_time,
-            initialized: false,
-            history: Vec::new(),
-        });
+        let user = UserTrack::unseen(
+            self.boundary.as_ref(),
+            self.config.keep_m,
+            self.last_step_time,
+            rng,
+        );
+        self.users.push(user);
         self.users.len() - 1
     }
 
@@ -448,17 +441,13 @@ impl Tracker {
                 // Optional §4.C refinement: bias part of the prediction
                 // into a forward cone along the estimated heading. The
                 // biased draws stay inside the v_max·Δt disc.
-                let heading = if self.config.heading_bias > 0.0 && user.history.len() == 2 {
-                    let (t0, p0) = user.history[0];
-                    let (t1, p1) = user.history[1];
-                    let dt = t1 - t0;
-                    if dt > 0.0 {
+                let heading = match user.history {
+                    [Some((t0, p0)), Some((t1, p1))]
+                        if self.config.heading_bias > 0.0 && t1 - t0 > 0.0 =>
+                    {
                         (p1 - p0).normalized()
-                    } else {
-                        None
                     }
-                } else {
-                    None
+                    _ => None,
                 };
                 let n_prior = n - n_explore;
                 let n_biased = heading
@@ -572,10 +561,7 @@ impl Tracker {
             user.t_last = t;
             user.initialized = true;
             let estimate = weighted_mean(&user.samples);
-            user.history.push((t, estimate));
-            if user.history.len() > 2 {
-                user.history.remove(0);
-            }
+            user.record(t, estimate);
         }
         self.last_step_time = t;
 
@@ -930,6 +916,18 @@ mod tests {
         assert!(matches!(
             Tracker::new(1, field(), FluxModel::default(), bad, 0.0, &mut rng),
             Err(SmcError::BadConfig { .. })
+        ));
+        // One past the user bound is refused before any user is sized.
+        assert!(matches!(
+            Tracker::new(
+                MAX_USERS + 1,
+                field(),
+                FluxModel::default(),
+                small_config(),
+                0.0,
+                &mut rng
+            ),
+            Err(SmcError::BadConfig { field: "users" })
         ));
         let tracker = Tracker::new(
             2,

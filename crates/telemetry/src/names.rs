@@ -137,9 +137,9 @@ pub const HIST_SMC_ROUND_RESIDUAL: &str = "smc.round.residual";
 /// distribution; the name predates the drain's shared work list).
 pub const HIST_GRID_QUEUE_DEPTH: &str = "grid.shard.queue_depth";
 /// In-memory bytes of each session turning cold (eviction or cold
-/// adoption): its inline size plus the samples, heading histories,
-/// lifecycle states and warm flags it owns, by length (the figure
-/// `Grid::hibernated_bytes` sums).
+/// adoption): its inline size plus the per-user tracks (each holding its
+/// heading history inline), samples, lifecycle states and warm flags it
+/// owns, by length (the figure `Grid::hibernated_bytes` sums).
 pub const HIST_GRID_HIBERNATE_BYTES: &str = "grid.hibernate.bytes";
 /// Frame service latency in milliseconds: request frame decoded →
 /// response frame handed to the connection's writer.

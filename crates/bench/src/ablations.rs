@@ -225,8 +225,8 @@ pub fn run_ablation_smoothing(spec: RunSpec) -> serde_json::Value {
     );
     let mut out = Vec::new();
     for (name, smooth) in [("smoothed (default)", true), ("raw per-node flux", false)] {
-        let mut errs = Vec::new();
-        for trial in 0..trials {
+        // Trials are independent; run them on the shared worker pool.
+        let errs: Vec<f64> = fluxprint_fluxpar::pool().map_indexed(trials, |trial| {
             let mut rng = StdRng::seed_from_u64(spec.rng_seed(16_000 + trial as u64));
             let users = random_static_users(1, 5, &mut rng);
             let scenario = paper_builder()
@@ -236,12 +236,10 @@ pub fn run_ablation_smoothing(spec: RunSpec) -> serde_json::Value {
             let mut config = AttackConfig::default();
             config.search.samples = 4000;
             config.smooth = smooth;
-            errs.push(
-                run_instant_localization(&scenario, 0.0, &config, &mut rng)
-                    .expect("attack runs")
-                    .mean_error,
-            );
-        }
+            run_instant_localization(&scenario, 0.0, &config, &mut rng)
+                .expect("attack runs")
+                .mean_error
+        });
         reporter.row(&[name.to_string(), f(mean(&errs))]);
         out.push(json!({ "variant": name, "mean_error": mean(&errs) }));
     }
@@ -264,10 +262,8 @@ pub fn run_ablation_solvers(spec: RunSpec) -> serde_json::Value {
         &["method", "mean error", "success rate (err < 2)"],
     );
     let model = FluxModel::default();
-    let mut lm1_errs = Vec::new();
-    let mut lm10_errs = Vec::new();
-    let mut rs_errs = Vec::new();
-    for trial in 0..trials {
+    // Trials are independent; run them on the shared worker pool.
+    let per_trial = fluxprint_fluxpar::pool().map_indexed(trials, |trial| {
         let mut rng = StdRng::seed_from_u64(spec.rng_seed(17_000 + trial as u64));
         let net = NetworkBuilder::new()
             .field(Rect::square(FIELD_SIDE).expect("valid field"))
@@ -304,8 +300,8 @@ pub fn run_ablation_solvers(spec: RunSpec) -> serde_json::Value {
             }
             best.1
         };
-        lm1_errs.push(lm_best_of(1, &mut rng));
-        lm10_errs.push(lm_best_of(10, &mut rng));
+        let lm1 = lm_best_of(1, &mut rng);
+        let lm10 = lm_best_of(10, &mut rng);
 
         // Derivative-free: random search + Nelder–Mead (the pipeline).
         let cfg = fluxprint_solver::RandomSearchConfig {
@@ -314,8 +310,10 @@ pub fn run_ablation_solvers(spec: RunSpec) -> serde_json::Value {
         };
         let fits =
             fluxprint_solver::random_search(&objective, 1, &cfg, &mut rng).expect("search runs");
-        rs_errs.push(fits[0].positions[0].distance(truth));
-    }
+        [lm1, lm10, fits[0].positions[0].distance(truth)]
+    });
+    let column = |i: usize| per_trial.iter().map(|t| t[i]).collect::<Vec<f64>>();
+    let [lm1_errs, lm10_errs, rs_errs] = [0, 1, 2].map(column);
     let success =
         |errs: &[f64]| errs.iter().filter(|&&e| e < 2.0).count() as f64 / errs.len() as f64;
     reporter.row(&[
@@ -392,9 +390,8 @@ pub fn run_ablation_countermeasures(spec: RunSpec) -> serde_json::Value {
     let energy_model = EnergyModel::default();
     let mut out = Vec::new();
     for (name, defense) in defenses {
-        let mut errs = Vec::new();
-        let mut energy = Vec::new();
-        for trial in 0..trials {
+        // Trials are independent; run them on the shared worker pool.
+        let per_trial = fluxprint_fluxpar::pool().map_indexed(trials, |trial| {
             let mut rng = StdRng::seed_from_u64(spec.rng_seed(18_000 + trial as u64));
             let users = random_static_users(1, 5, &mut rng);
             let scenario = ScenarioBuilder::new()
@@ -404,11 +401,9 @@ pub fn run_ablation_countermeasures(spec: RunSpec) -> serde_json::Value {
             let mut config = AttackConfig::default();
             config.search.samples = 3000;
             config.defense = defense;
-            errs.push(
-                run_instant_localization(&scenario, 0.0, &config, &mut rng)
-                    .expect("attack runs")
-                    .mean_error,
-            );
+            let err = run_instant_localization(&scenario, 0.0, &config, &mut rng)
+                .expect("attack runs")
+                .mean_error;
             // Energy bill of one defended window (jitter only perturbs the
             // adversary's *readings*, so its radio cost is the baseline's).
             let mut flux = scenario.simulate_window(0.0, &mut rng).expect("window");
@@ -424,12 +419,12 @@ pub fn run_ablation_countermeasures(spec: RunSpec) -> serde_json::Value {
                 Countermeasure::DummySinks { count, stretch } => count as f64 * stretch,
                 _ => 0.0,
             };
-            energy.push(
-                energy_model
-                    .price_uniform(&scenario.network, &flux, stretch_sum + dummy_stretch)
-                    .total,
-            );
-        }
+            let energy = energy_model
+                .price_uniform(&scenario.network, &flux, stretch_sum + dummy_stretch)
+                .total;
+            (err, energy)
+        });
+        let (errs, energy): (Vec<f64>, Vec<f64>) = per_trial.into_iter().unzip();
         let m = mean(&errs);
         let e = mean(&energy);
         if baseline.is_nan() {
@@ -543,8 +538,8 @@ pub fn run_ablation_noise(spec: RunSpec) -> serde_json::Value {
     ];
     let mut out = Vec::new();
     for (name, noise) in channels {
-        let mut errs = Vec::new();
-        for trial in 0..trials {
+        // Trials are independent; run them on the shared worker pool.
+        let errs: Vec<f64> = fluxprint_fluxpar::pool().map_indexed(trials, |trial| {
             let mut rng = StdRng::seed_from_u64(spec.rng_seed(20_000 + trial as u64));
             let users = random_static_users(1, 5, &mut rng);
             let scenario = ScenarioBuilder::new()
@@ -554,12 +549,10 @@ pub fn run_ablation_noise(spec: RunSpec) -> serde_json::Value {
             let mut config = AttackConfig::default();
             config.search.samples = 3000;
             config.noise = noise;
-            errs.push(
-                run_instant_localization(&scenario, 0.0, &config, &mut rng)
-                    .expect("attack runs")
-                    .mean_error,
-            );
-        }
+            run_instant_localization(&scenario, 0.0, &config, &mut rng)
+                .expect("attack runs")
+                .mean_error
+        });
         reporter.row(&[name.to_string(), f(mean(&errs))]);
         out.push(json!({ "channel": name, "mean_error": mean(&errs) }));
     }

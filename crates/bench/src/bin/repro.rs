@@ -215,7 +215,7 @@ fn main() -> ExitCode {
             _ => usage(),
         }
     }
-    if let Some(warning) = fluxprint_fluxpar::threads_env_warning_once() {
+    if let Some(warning) = fluxprint_fluxpar::threads_env_warning() {
         eprintln!("repro: {warning}");
     }
     let registry_mode = mode.plan.is_some() || mode.report.is_some() || !mode.imports.is_empty();

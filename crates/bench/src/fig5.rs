@@ -4,7 +4,7 @@
 //! average error 0.97 (1 user), 1.27 (2 users), 1.63 (3 users); largest
 //! errors 1.78 and 2.06 for the 2- and 3-user cases.
 
-use fluxprint_core::{run_instant_localization, AttackConfig, SnifferSpec};
+use fluxprint_core::{run_instant_localization, AttackConfig, InstantReport, SnifferSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
@@ -15,10 +15,26 @@ use crate::RunSpec;
 /// Paper-reported averages for 1/2/3 users.
 pub const PAPER_MEAN: [f64; 3] = [0.97, 1.27, 1.63];
 
+/// One Figure 5 trial: `k` static users localized from the full map's
+/// flux, with the random-search sample count of `spec`'s effort. Public
+/// so the golden-fixture test can pin instant localization on the exact
+/// fig5 inputs.
+pub fn localization_trial(spec: RunSpec, k: usize, trial: usize) -> InstantReport {
+    let mut rng = StdRng::seed_from_u64(spec.rng_seed(5000 + (k * 100 + trial) as u64));
+    let users = random_static_users(k, 5, &mut rng);
+    let scenario = paper_builder()
+        .users(users)
+        .build(&mut rng)
+        .expect("scenario builds");
+    let mut config = AttackConfig::default();
+    config.sniffer = SnifferSpec::All; // Figure 5 fits the full map
+    config.search.samples = spec.effort.trials(4000, 10_000);
+    run_instant_localization(&scenario, 0.0, &config, &mut rng).expect("attack runs")
+}
+
 /// Runs the Figure 5 cases.
 pub fn run_fig5(spec: RunSpec) -> serde_json::Value {
     let trials = spec.effort.trials(3, 10);
-    let samples = spec.effort.trials(4000, 10_000);
     let report = Reporter::new();
     report.table(
         "Figure 5: instant localization (full-map flux, top-10 NLS fits)",
@@ -32,25 +48,12 @@ pub fn run_fig5(spec: RunSpec) -> serde_json::Value {
 
     let mut out = Vec::new();
     for k in 1..=3usize {
-        let mut means = Vec::new();
-        let mut maxes: Vec<f64> = Vec::new();
-        for trial in 0..trials {
-            let mut rng = StdRng::seed_from_u64(spec.rng_seed(5000 + (k * 100 + trial) as u64));
-            let users = random_static_users(k, 5, &mut rng);
-            let scenario = paper_builder()
-                .users(users)
-                .build(&mut rng)
-                .expect("scenario builds");
-            let mut config = AttackConfig::default();
-            config.sniffer = SnifferSpec::All; // Figure 5 fits the full map
-            config.search.samples = samples;
-            let attack =
-                run_instant_localization(&scenario, 0.0, &config, &mut rng).expect("attack runs");
-            means.push(attack.mean_error);
-            maxes.push(attack.max_error);
-        }
+        // Trials are independent; run them on the shared worker pool.
+        let attacks = fluxprint_fluxpar::pool()
+            .map_indexed(trials, |trial| localization_trial(spec, k, trial));
+        let means: Vec<f64> = attacks.iter().map(|a| a.mean_error).collect();
         let m = mean(&means);
-        let mx = maxes.iter().cloned().fold(0.0, f64::max);
+        let mx = attacks.iter().map(|a| a.max_error).fold(0.0, f64::max);
         report.row(&[k.to_string(), f(m), f(mx), f(PAPER_MEAN[k - 1])]);
         out.push(json!({
             "users": k,

@@ -54,17 +54,16 @@ pub fn run_fig6a(spec: RunSpec) -> serde_json::Value {
         let mut row = vec![k.to_string()];
         let mut values = Vec::new();
         for (pi, &pct) in percentages.iter().enumerate() {
-            let errs: Vec<f64> = (0..trials)
-                .map(|t| {
-                    localization_error(
-                        paper_builder(),
-                        k,
-                        SnifferSpec::Percentage(pct),
-                        samples,
-                        spec.rng_seed((6000 + k * 1000 + pi * 100 + t) as u64),
-                    )
-                })
-                .collect();
+            // Trials are independent; run them on the shared worker pool.
+            let errs: Vec<f64> = fluxprint_fluxpar::pool().map_indexed(trials, |t| {
+                localization_error(
+                    paper_builder(),
+                    k,
+                    SnifferSpec::Percentage(pct),
+                    samples,
+                    spec.rng_seed((6000 + k * 1000 + pi * 100 + t) as u64),
+                )
+            });
             let m = mean(&errs);
             row.push(f(m));
             values.push(m);
@@ -98,17 +97,16 @@ pub fn run_fig6b(spec: RunSpec) -> serde_json::Value {
         let mut values = Vec::new();
         for (ni, &n) in node_counts.iter().enumerate() {
             let side = (n as f64).sqrt().round() as usize;
-            let errs: Vec<f64> = (0..trials)
-                .map(|t| {
-                    localization_error(
-                        paper_builder().grid_nodes(side, side),
-                        k,
-                        SnifferSpec::Count(90),
-                        samples,
-                        spec.rng_seed((7000 + k * 1000 + ni * 100 + t) as u64),
-                    )
-                })
-                .collect();
+            // Trials are independent; run them on the shared worker pool.
+            let errs: Vec<f64> = fluxprint_fluxpar::pool().map_indexed(trials, |t| {
+                localization_error(
+                    paper_builder().grid_nodes(side, side),
+                    k,
+                    SnifferSpec::Count(90),
+                    samples,
+                    spec.rng_seed((7000 + k * 1000 + ni * 100 + t) as u64),
+                )
+            });
             let m = mean(&errs);
             row.push(f(m));
             values.push(m);

@@ -5,7 +5,7 @@
 //! ```json
 //! {
 //!   "name": "smoke",
-//!   "factors": { "sessions": [2, 16], "threads": [1, 4] },
+//!   "factors": { "sessions": [2, 16], "shards": [1, 4] },
 //!   "fixed":   { "rounds": 2, "n_predictions": 32 },
 //!   "seeds":   [0],
 //!   "gates":   { "mean_error": { "abs": 1e-9, "rel": 0.0, "direction": "lower" } }
@@ -26,11 +26,9 @@ use serde_json::Value;
 /// Parameter names the runner understands, with their defaults.
 ///
 /// * `sessions` — concurrent tracking sessions (grid sinks).
-/// * `threads` — recorded in each row but inert: a round runs on the
-///   drain worker that claims its session, so `shards` alone sets a
-///   job's parallelism. Existing plans and their baselines name it.
 /// * `shards` — grid shard count: a drain runs `min(shards, sessions)`
-///   workers.
+///   workers, and a round runs on the worker that claims its session,
+///   so this alone sets a job's parallelism.
 /// * `rounds` — observation rounds per session.
 /// * `users` — tracked users per session (the paper's K).
 /// * `n_predictions` — SMC candidate predictions per user (the paper's N).
@@ -52,7 +50,6 @@ use serde_json::Value;
 ///   `p99_latency_ms` / `backpressure_stall_ms` are recorded.
 pub const KNOWN_PARAMS: &[(&str, f64)] = &[
     ("sessions", 1.0),
-    ("threads", 1.0),
     ("shards", 1.0),
     ("rounds", 3.0),
     ("users", 1.0),
@@ -434,7 +431,7 @@ mod tests {
 
     const PLAN: &str = r#"{
         "name": "t",
-        "factors": { "threads": [1, 4], "sessions": [2] },
+        "factors": { "shards": [1, 4], "sessions": [2] },
         "fixed": { "rounds": 2, "noise_sigma": 0.05 },
         "seeds": [0, 7],
         "gates": { "mean_error": { "abs": 0.001, "rel": 0.0, "direction": "lower" } }
@@ -445,12 +442,12 @@ mod tests {
         let plan = Plan::from_json(PLAN).unwrap();
         assert_eq!(plan.name, "t");
         let jobs = plan.jobs();
-        // 2 factor assignments × 2 seeds; sessions sorts before threads.
+        // 2 factor assignments × 2 seeds; sessions sorts before shards.
         assert_eq!(jobs.len(), 4);
         assert_eq!(jobs[0].seed, 0);
         assert_eq!(jobs[1].seed, 7);
-        assert_eq!(jobs[0].count("threads"), 1);
-        assert_eq!(jobs[2].count("threads"), 4);
+        assert_eq!(jobs[0].count("shards"), 1);
+        assert_eq!(jobs[2].count("shards"), 4);
         for job in &jobs {
             assert_eq!(job.count("sessions"), 2);
             assert_eq!(job.count("rounds"), 2);
@@ -467,13 +464,13 @@ mod tests {
         assert!(Plan::from_json("{\"factors\":{}}").is_err(), "missing name");
         assert!(
             Plan::from_json(
-                "{\"name\":\"x\",\"factors\":{\"threads\":[1]},\"fixed\":{\"threads\":2}}"
+                "{\"name\":\"x\",\"factors\":{\"shards\":[1]},\"fixed\":{\"shards\":2}}"
             )
             .is_err(),
             "factor/fixed overlap"
         );
         assert!(
-            Plan::from_json("{\"name\":\"x\",\"fixed\":{\"threads\":1.5}}").is_err(),
+            Plan::from_json("{\"name\":\"x\",\"fixed\":{\"shards\":1.5}}").is_err(),
             "fractional count"
         );
     }

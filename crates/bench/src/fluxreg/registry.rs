@@ -213,7 +213,7 @@ mod tests {
     pub(crate) fn sample_row() -> Row {
         let mut params = BTreeMap::new();
         params.insert("sessions".to_string(), json!(2));
-        params.insert("threads".to_string(), json!(1));
+        params.insert("shards".to_string(), json!(1));
         let mut kpis = BTreeMap::new();
         kpis.insert("mean_error".to_string(), 0.53125);
         kpis.insert("rounds_per_s".to_string(), 1000.0);
@@ -253,7 +253,7 @@ mod tests {
         other_seed.seed = 8;
         assert_ne!(row.key(), other_seed.key());
         let mut other_params = row.clone();
-        other_params.params.insert("threads".to_string(), json!(4));
+        other_params.params.insert("shards".to_string(), json!(4));
         assert_ne!(row.key(), other_params.key());
     }
 

@@ -185,12 +185,12 @@ mod tests {
     #[test]
     fn markdown_groups_by_plan_and_keeps_registry_order() {
         let rows = vec![
-            row("a", 0, &[("threads", 1)], &[("mean_error", 0.5)]),
+            row("a", 0, &[("shards", 1)], &[("mean_error", 0.5)]),
             row("b", 0, &[("sessions", 2)], &[("rounds_per_s", 1234.5)]),
             row(
                 "a",
                 1,
-                &[("threads", 4)],
+                &[("shards", 4)],
                 &[("mean_error", 0.25), ("extra", 1.0)],
             ),
         ];
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn html_escapes_and_carries_every_row() {
-        let rows = vec![row("x<y", 3, &[("threads", 2)], &[("k", 1.0)])];
+        let rows = vec![row("x<y", 3, &[("shards", 2)], &[("k", 1.0)])];
         let page = html(&rows);
         assert!(page.contains("x&lt;y"));
         assert!(page.contains("<td>3</td>"));

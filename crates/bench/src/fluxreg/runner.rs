@@ -357,7 +357,7 @@ fn drive_served(
 }
 
 fn run_job(plan: &Plan, job: &Job, commit: Option<&str>) -> Result<Row, String> {
-    for required in ["sessions", "rounds", "users", "threads", "shards"] {
+    for required in ["sessions", "rounds", "users", "shards"] {
         if job.count(required) == 0 {
             return Err(format!("parameter {required:?} must be at least 1"));
         }

@@ -38,7 +38,7 @@ fn plan_hash_survives_field_reordering_but_not_parameter_changes() {
     let reordered = r#"{
       "seeds": [0],
       "gates": { "mean_error": { "direction": "both", "rel": 0.0, "abs": 1e-12 } },
-      "fixed": { "shards": 1, "threads": 1, "sniffers": 12, "keep_m": 4,
+      "fixed": { "shards": 1, "sniffers": 12, "keep_m": 4,
                  "n_predictions": 16, "users": 1, "rounds": 2, "sessions": 1 },
       "name": "plan-tiny"
     }"#;

@@ -23,7 +23,7 @@ fn tiny_plan() -> Plan {
         r#"{
             "name": "runner-tiny",
             "fixed": { "sessions": 2, "rounds": 2, "n_predictions": 24, "keep_m": 4,
-                       "sniffers": 16, "threads": 1, "shards": 1 },
+                       "sniffers": 16, "shards": 1 },
             "seeds": [0]
         }"#,
     )
@@ -80,24 +80,24 @@ fn tiny_plan_produces_a_complete_deterministic_row() {
 }
 
 /// A drain runs `min(shards, sessions)` workers, so a job oversubscribes
-/// the host only when both exceed its cores; `threads` plays no part.
+/// the host only when both exceed its cores.
 #[test]
 fn oversubscribed_counts_drain_workers() {
     let _registry = registry_lock();
     let many = fluxprint_bench::trace::available_parallelism() + 1;
-    let oversubscribed = |sessions: usize, threads: usize| {
+    let oversubscribed = |sessions: usize, shards: usize| {
         let plan = Plan::from_json(&format!(
             r#"{{ "name": "runner-oversubscribed",
                   "fixed": {{ "sessions": {sessions}, "rounds": 1, "n_predictions": 8,
-                             "keep_m": 2, "sniffers": 16, "threads": {threads},
-                             "shards": {many} }},
+                             "keep_m": 2, "sniffers": 16, "shards": {shards} }},
                   "seeds": [0] }}"#
         ))
         .unwrap();
         run_plan(&plan, None).unwrap()[0].run_meta["oversubscribed"].as_bool()
     };
-    assert_eq!(oversubscribed(many, 1), Some(true));
+    assert_eq!(oversubscribed(many, many), Some(true));
     assert_eq!(oversubscribed(1, many), Some(false));
+    assert_eq!(oversubscribed(many, 1), Some(false));
 }
 
 #[test]
@@ -107,7 +107,7 @@ fn duty_cycled_hibernating_job_reports_residency_kpis() {
         r#"{
             "name": "runner-hibernate",
             "fixed": { "sessions": 4, "rounds": 4, "n_predictions": 24, "keep_m": 4,
-                       "sniffers": 16, "threads": 1, "shards": 1,
+                       "sniffers": 16, "shards": 1,
                        "hibernate_after": 1, "active_pct": 50 },
             "seeds": [0]
         }"#,
@@ -136,7 +136,7 @@ fn duty_cycled_hibernating_job_reports_residency_kpis() {
 fn serve_mode_matches_the_in_process_deterministic_kpis() {
     let _registry = registry_lock();
     let fixed = r#""sessions": 2, "rounds": 3, "n_predictions": 24, "keep_m": 4,
-                    "sniffers": 16, "threads": 1, "shards": 2"#;
+                    "sniffers": 16, "shards": 2"#;
     let in_process = Plan::from_json(&format!(
         r#"{{ "name": "runner-serve", "fixed": {{ {fixed} }}, "seeds": [0] }}"#
     ))

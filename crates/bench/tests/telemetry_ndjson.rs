@@ -122,29 +122,45 @@ fn quick_fig4_emits_schema_valid_telemetry() {
     let delta = |name| after.counter(name) - before.counter(name);
     assert!(delta(names::SOLVER_RESIDUAL_EXACT) <= delta(names::SOLVER_GRAM_COMBO_EVALS));
 
-    // A random search on an explicit 2-thread pool (the solver's one
-    // pool dispatch), so the dispatch counters move even when
-    // `FLUXPRINT_THREADS=1` pins the process-wide pool.
+    // One random search runs on the calling thread, so each kept fit's
+    // Nelder–Mead refinement nests under the search span at any pool
+    // width (same test, same reason).
     let before = after;
     let config = fluxprint_solver::RandomSearchConfig {
         samples: 64,
         top_m: 2,
     };
-    fluxprint_solver::random_search_with(
+    fluxprint_solver::random_search(
         &objective,
         2,
         &config,
         &mut rand::rngs::StdRng::seed_from_u64(9),
-        &fluxprint_fluxpar::Pool::with_threads(2),
     )
     .expect("random search runs");
     let after = fluxprint_telemetry::snapshot();
-    for name in [names::FLUXPAR_TASKS, names::FLUXPAR_THREADS] {
-        assert!(
-            after.counter(name) > before.counter(name),
-            "counter {name} did not move across a pooled random search"
-        );
-    }
+    let spans = |snap: &fluxprint_telemetry::Snapshot, path: &str| {
+        snap.spans.get(path).map_or(0, |stat| stat.count)
+    };
+    let nested = format!("{}/{}", names::SPAN_RANDOM_SEARCH, names::SPAN_NELDER_MEAD);
+    assert_eq!(
+        spans(&after, &nested) - spans(&before, &nested),
+        config.top_m as u64,
+        "each kept fit refines under {nested}"
+    );
+    assert_eq!(
+        spans(&after, names::SPAN_NELDER_MEAD),
+        spans(&before, names::SPAN_NELDER_MEAD),
+        "no refinement may land at the top level"
+    );
+
+    // An explicit 2-thread dispatch moves the pool's counters even when
+    // `FLUXPRINT_THREADS=1` pins the process-wide pool.
+    let before = after;
+    fluxprint_fluxpar::Pool::with_threads(2).map_indexed(4, |i| i * i);
+    let after = fluxprint_telemetry::snapshot();
+    let delta = |name| after.counter(name) - before.counter(name);
+    assert_eq!(delta(names::FLUXPAR_TASKS), 4, "one task per item");
+    assert_eq!(delta(names::FLUXPAR_THREADS), 2, "two workers ran");
 
     // Drive a streaming-engine session through a checkpoint/restore cycle
     // (same test, same reason) and check every engine counter moves.

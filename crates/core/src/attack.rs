@@ -307,7 +307,7 @@ fn score_round(
 /// [`fluxprint_engine::Session`], packages each simulated window as an
 /// [`fluxprint_netsim::ObservationRound`], and ingests them in time
 /// order. The output contract is pinned by the committed golden fixture
-/// in `crates/bench/tests/golden_fig7.rs`, and the `engine_equivalence`
+/// in `crates/bench/tests/golden.rs`, and the `engine_equivalence`
 /// integration test asserts that an interrupted (checkpoint/restore)
 /// session reproduces this uninterrupted loop bit-for-bit.
 ///

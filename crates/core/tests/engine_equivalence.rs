@@ -4,7 +4,7 @@
 //! bit-for-bit, and the adapter itself must be a pure function of
 //! (scenario, config, seed). The adapter's absolute output stream is
 //! pinned separately by the committed golden fixture in
-//! `crates/bench/tests/golden_fig7.rs`.
+//! `crates/bench/tests/golden.rs`.
 //!
 //! CI runs this file at `FLUXPRINT_THREADS=1` and `=4`; bit-identity must
 //! hold at every thread count.

@@ -1,9 +1,10 @@
 //! A blocking fluxd client with credit-window bookkeeping.
 //!
 //! [`Client::submit`] enforces the protocol's flow control on the
-//! sending side: when the credit window is exhausted it blocks reading
-//! acks — stalling *itself*, exactly as the protocol intends — and
-//! accounts the stalled time so load generators can report it. Served
+//! sending side: it splits a batch into frames no larger than the credit
+//! window, and when the window is exhausted it blocks reading acks —
+//! stalling *itself*, exactly as the protocol intends — and accounts the
+//! stalled time so load generators can report it. Served
 //! outcomes accumulate per session ([`Client::take_outcomes`]) and
 //! per-ack service latencies are logged for tail-latency reporting.
 
@@ -31,6 +32,7 @@ pub struct Client {
     stream: TcpStream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
+    window: u32,
     credits: u32,
     outstanding: u64,
     in_flight: BTreeMap<u32, Vec<InFlight>>,
@@ -45,7 +47,9 @@ impl Client {
     /// # Errors
     ///
     /// [`FluxdError::Io`] on connect failure, [`FluxdError::Remote`]
-    /// when the server refuses the handshake (e.g. version skew).
+    /// when the server refuses the handshake (e.g. version skew),
+    /// [`FluxdError::BadConfig`] (`credits`) when it grants no credit
+    /// window.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, FluxdError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -53,6 +57,7 @@ impl Client {
             stream,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
+            window: 0,
             credits: 0,
             outstanding: 0,
             in_flight: BTreeMap::new(),
@@ -62,10 +67,12 @@ impl Client {
         };
         client.send(&Request::Hello { version: VERSION })?;
         match client.next_response()? {
-            Response::Welcome { credits, .. } => {
+            Response::Welcome { credits, .. } if credits > 0 => {
+                client.window = credits;
                 client.credits = credits;
                 Ok(client)
             }
+            Response::Welcome { .. } => Err(FluxdError::BadConfig { field: "credits" }),
             Response::Error { code, detail } => Err(FluxdError::Remote { code, detail }),
             _ => Err(FluxdError::Unexpected { what: "welcome" }),
         }
@@ -110,35 +117,39 @@ impl Client {
         }
     }
 
-    /// Submits a batch of rounds, blocking (and accounting stall time)
-    /// until the credit window allows the whole batch.
+    /// Submits a batch of rounds as consecutive frames of at most the
+    /// connection's credit window (the credits granted at `Welcome`).
+    /// Before each frame it blocks, accounting stall time, until enough
+    /// acks have returned credits for it. A batch larger than the window
+    /// therefore goes out in window-sized frames, never as one frame the
+    /// server would refuse.
     ///
     /// # Errors
     ///
     /// [`FluxdError::Remote`] on a server-side refusal,
     /// [`FluxdError::Io`]/[`FluxdError::Closed`] on transport failure.
     pub fn submit(&mut self, session: u32, rounds: &[ObservationRound]) -> Result<(), FluxdError> {
-        if rounds.is_empty() {
-            return Ok(());
-        }
-        let need = rounds.len() as u32;
-        if self.credits < need {
-            let t0 = telemetry::clock_ns();
-            while self.credits < need {
-                self.pump_one()?;
+        // `connect` refuses a zero window, so every chunk is non-empty.
+        for frame in rounds.chunks(self.window as usize) {
+            let need = frame.len() as u32;
+            if self.credits < need {
+                let t0 = telemetry::clock_ns();
+                while self.credits < need {
+                    self.pump_one()?;
+                }
+                self.stall_ns += telemetry::clock_ns().saturating_sub(t0);
             }
-            self.stall_ns += telemetry::clock_ns().saturating_sub(t0);
+            let t_sent = telemetry::clock_ns();
+            self.wbuf.clear();
+            crate::protocol::encode_submit_into(&mut self.wbuf, session, frame)?;
+            self.stream.write_all(&self.wbuf)?;
+            self.credits -= need;
+            self.outstanding += u64::from(need);
+            self.in_flight.entry(session).or_default().push(InFlight {
+                t_sent,
+                remaining: need,
+            });
         }
-        let t_sent = telemetry::clock_ns();
-        self.wbuf.clear();
-        crate::protocol::encode_submit_into(&mut self.wbuf, session, rounds)?;
-        self.stream.write_all(&self.wbuf)?;
-        self.credits -= need;
-        self.outstanding += u64::from(need);
-        self.in_flight.entry(session).or_default().push(InFlight {
-            t_sent,
-            remaining: need,
-        });
         Ok(())
     }
 

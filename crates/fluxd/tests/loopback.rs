@@ -1,7 +1,8 @@
 //! Loopback serving correctness: trajectories served over TCP must be
 //! bit-identical to the same workload ingested in-process, with
-//! concurrent connections interleaving arbitrarily and a slowed client
-//! stalling only itself on its credit window. Honors
+//! concurrent connections interleaving arbitrarily, a slowed client
+//! stalling only itself on its credit window, and a batch longer than
+//! the window going out in window-sized frames. Honors
 //! `FLUXPRINT_THREADS` for the server grid so CI can pin the worker
 //! count (the determinism contract holds at any value).
 
@@ -12,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fluxprint_engine::{Engine, GridConfig, SessionConfig};
-use fluxprint_fluxd::{server, Client, ServerConfig, SessionSpec, WireOutcome};
+use fluxprint_fluxd::{server, Client, FluxdError, ServerConfig, SessionSpec, WireOutcome};
 use fluxprint_fluxmodel::FluxModel;
 use fluxprint_geometry::{Point2, Rect};
 use fluxprint_netsim::{Network, NetworkBuilder, NoiseModel, ObservationRound, Sniffer};
@@ -279,6 +280,49 @@ fn credit_window_stalls_a_fast_client_without_corrupting_results() {
         *slow_stall_ns > 0,
         "the slowed client stalls on its own window"
     );
+    server.shutdown().expect("clean shutdown");
+}
+
+/// A batch one round longer than the credit window goes out as
+/// window-sized frames, where waiting for credits the window can never
+/// hold would block forever, and is served bit-identically. The client
+/// runs on its own thread, so a hang fails the test in bounded time
+/// (the hung thread is left behind, not joined).
+#[test]
+fn a_batch_longer_than_the_window_is_split_into_frames() {
+    const WINDOW: usize = 2;
+    let net = test_network();
+    let trace = test_trace(&net);
+    let reference = reference_outcomes(&net, &trace, 1);
+    let server = spawn_server(&net, WINDOW, 0);
+    let addr = server.addr();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let converse = || -> Result<(u32, Vec<WireOutcome>), FluxdError> {
+            let mut client = Client::connect(addr)?;
+            let window = client.credits();
+            let session = client.open_session(&SessionSpec {
+                seed: session_seed(0),
+                ..spec()
+            })?;
+            for batch in trace.chunks(WINDOW + 1) {
+                client.submit(session, batch)?;
+            }
+            client.wait_acks()?;
+            let outcomes = client.take_outcomes(session);
+            client.goodbye()?;
+            Ok((window, outcomes))
+        };
+        drop(tx.send(converse()));
+    });
+    let (window, outcomes) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("an over-window submit returns")
+        .expect("the conversation succeeds");
+    client.join().expect("client thread");
+    assert_eq!(window, WINDOW as u32, "window mirrors queue capacity");
+    assert_bit_identical(0, &outcomes, &reference[0]);
     server.shutdown().expect("clean shutdown");
 }
 

@@ -201,6 +201,35 @@ fn credit_overrun_is_refused_and_kills_the_connection() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// A peer that welcomes with a zero credit window could never take a
+/// round, so the client refuses it at the handshake instead of blocking
+/// on its first submit.
+#[test]
+fn client_refuses_a_zero_credit_welcome() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut prefix = [0u8; 4];
+        stream.read_exact(&mut prefix).expect("hello prefix");
+        let mut body = vec![0u8; u32::from_le_bytes(prefix) as usize];
+        stream.read_exact(&mut body).expect("hello body");
+        let mut welcome = Vec::new();
+        Response::Welcome {
+            version: VERSION,
+            credits: 0,
+        }
+        .encode_into(&mut welcome)
+        .expect("welcome encodes");
+        stream.write_all(&welcome).expect("write welcome");
+    });
+    assert!(matches!(
+        Client::connect(addr),
+        Err(FluxdError::BadConfig { field: "credits" })
+    ));
+    peer.join().expect("peer thread");
+}
+
 /// An `OpenSession` frame asking for `u32::MAX` users, or `u32::MAX`
 /// predictions per user, is refused with a typed engine error when the
 /// session opens, before anything is sized by the count, and the same

@@ -62,5 +62,5 @@ pub use error::SolverError;
 pub use levenberg_marquardt::{levenberg_marquardt, SmoothSolverReport};
 pub use nelder_mead::nelder_mead;
 pub use objective::{FluxObjective, SinkFit};
-pub use random_search::{random_search, random_search_with, refine_fit, RandomSearchConfig};
+pub use random_search::{random_search, refine_fit, RandomSearchConfig};
 pub use scoring::{CacheScratch, Conditioner, ScoringCache, Slot};

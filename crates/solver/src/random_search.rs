@@ -4,7 +4,6 @@
 
 use rand::Rng;
 
-use fluxprint_fluxpar::Pool;
 use fluxprint_geometry::{deployment, Point2};
 use fluxprint_telemetry::{self as telemetry, names};
 
@@ -32,17 +31,23 @@ impl Default for RandomSearchConfig {
 }
 
 /// Draws `config.samples` random joint hypotheses of `k` sink positions,
-/// NNLS-fits each, and returns the `top_m` fits sorted by residual
-/// (best first).
+/// NNLS-fits each as it is drawn, and returns the `top_m` fits sorted by
+/// residual (best first; equal residuals keep draw order).
 ///
 /// For `k > 1` the candidate pool also gets one greedy *sequential* fit:
 /// sinks placed one at a time, each conditioned on those already placed
 /// (the sparse-sampling analogue of the §3.C briefing). Joint K-tuple
 /// sampling covers all sinks at once only with probability ∝
 /// (hit-area / field-area)^K, so this seed removes the rare gross
-/// outliers at K = 3–4. Each kept fit is then polished by
+/// outliers at K = 3–4. Each kept fit is then polished in place by
 /// [`refine_fit`] on a 200-evaluation Nelder–Mead budget before the
 /// final ranking.
+///
+/// The search runs on the caller's thread and holds one hypothesis and
+/// the `top_m` best-list at a time. Evaluation never draws from `rng`,
+/// so the output is a pure function of the objective, `k`, the config
+/// and the RNG's state. Parallelism comes from running whole searches
+/// side by side (the figure harness's trials), never from splitting one.
 ///
 /// # Errors
 ///
@@ -53,27 +58,6 @@ pub fn random_search<R: Rng + ?Sized>(
     k: usize,
     config: &RandomSearchConfig,
     rng: &mut R,
-) -> Result<Vec<SinkFit>, SolverError> {
-    random_search_with(objective, k, config, rng, fluxprint_fluxpar::pool())
-}
-
-/// [`random_search`] on an explicit worker pool.
-///
-/// The RNG stream is consumed exactly as in the sequential implementation:
-/// every random draw happens up front on the caller's thread, and only the
-/// (draw-order-indexed) NNLS evaluations fan out to the pool. Together with
-/// draw-order reductions this makes the result bit-identical for a given
-/// seed at any thread count.
-///
-/// # Errors
-///
-/// As for [`random_search`].
-pub fn random_search_with<R: Rng + ?Sized>(
-    objective: &FluxObjective,
-    k: usize,
-    config: &RandomSearchConfig,
-    rng: &mut R,
-    pool: &Pool,
 ) -> Result<Vec<SinkFit>, SolverError> {
     if k == 0 {
         return Err(SolverError::ZeroSinks);
@@ -94,34 +78,23 @@ pub fn random_search_with<R: Rng + ?Sized>(
     let _span = telemetry::span(names::SPAN_RANDOM_SEARCH);
     let boundary = objective.boundary();
     telemetry::counter(names::SOLVER_RANDOM_SEARCH_SAMPLES, config.samples as u64);
-    // Draw every joint hypothesis up front (identical RNG consumption to
-    // the interleaved draw/evaluate loop, since evaluation never touches
-    // the RNG), then fan the evaluations out to the pool.
-    let mut draws = vec![Point2::ORIGIN; config.samples * k];
-    for p in draws.iter_mut() {
-        *p = deployment::random_point(boundary, rng);
-    }
-    let fits = pool.map_indexed(config.samples, |s| {
-        objective.evaluate(&draws[s * k..(s + 1) * k])
-    });
     // Keep a bounded best-list in draw order; `samples` can be large, so
     // the ranking never sorts all of them.
     let mut best: Vec<SinkFit> = Vec::with_capacity(config.top_m + 1);
-    for fit in fits {
-        insert_bounded(&mut best, fit?, config.top_m);
+    let mut hypothesis = vec![Point2::ORIGIN; k];
+    for _ in 0..config.samples {
+        for p in hypothesis.iter_mut() {
+            *p = deployment::random_point(boundary, rng);
+        }
+        insert_bounded(&mut best, objective.evaluate(&hypothesis)?, config.top_m);
     }
     if k > 1 {
         let per_stage = (config.samples / (2 * k)).max(200);
-        let fit = sequential_greedy(objective, k, per_stage, rng, pool)?;
+        let fit = sequential_greedy(objective, k, per_stage, rng)?;
         insert_bounded(&mut best, fit, config.top_m);
     }
-
-    // Each kept fit refines independently of the others.
-    let refined = pool.map_indexed(best.len(), |i| {
-        refine_fit(objective, &best[i], REFINE_EVALS)
-    });
-    for (slot, fit) in best.iter_mut().zip(refined) {
-        *slot = fit?;
+    for fit in best.iter_mut() {
+        *fit = refine_fit(objective, fit, REFINE_EVALS)?;
     }
     best.sort_by(|a, b| a.residual.total_cmp(&b.residual));
     Ok(best)
@@ -177,37 +150,21 @@ fn sequential_greedy<R: Rng + ?Sized>(
     k: usize,
     per_stage: usize,
     rng: &mut R,
-    pool: &Pool,
 ) -> Result<SinkFit, SolverError> {
     let boundary = objective.boundary();
     let mut placed: Vec<Point2> = Vec::with_capacity(k);
     telemetry::counter(names::SOLVER_RANDOM_SEARCH_SAMPLES, (k * per_stage) as u64);
     for _ in 0..k {
-        // Stages are sequentially dependent (each conditions on the sinks
-        // already placed), but one stage's candidates are not: draw them
-        // all, evaluate on the pool, reduce in draw order.
-        let candidates: Vec<Point2> = (0..per_stage)
-            .map(|_| deployment::random_point(boundary, rng))
-            .collect();
-        let evals = pool.map_with(
-            per_stage,
-            || {
-                let mut hypothesis = placed.clone();
-                hypothesis.push(Point2::ORIGIN);
-                hypothesis
-            },
-            |hypothesis, c| {
-                if let Some(slot) = hypothesis.last_mut() {
-                    *slot = candidates[c];
-                }
-                objective.evaluate(hypothesis).map(|fit| fit.residual)
-            },
-        );
+        // Each candidate takes the next slot in turn; the first best of
+        // the stage keeps it.
         let mut stage_best: Option<(Point2, f64)> = None;
-        for (candidate, eval) in candidates.iter().zip(evals) {
-            let residual = eval?;
+        for _ in 0..per_stage {
+            let candidate = deployment::random_point(boundary, rng);
+            placed.push(candidate);
+            let residual = objective.evaluate(&placed)?.residual;
+            placed.pop();
             if stage_best.is_none_or(|(_, r)| residual < r) {
-                stage_best = Some((*candidate, residual));
+                stage_best = Some((candidate, residual));
             }
         }
         // per_stage >= 1 is enforced by the caller's config validation.
@@ -310,43 +267,6 @@ mod tests {
             let fit = obj.evaluate(&[start]).unwrap();
             let refined = refine_fit(&obj, &fit, 400).unwrap();
             assert!(refined.residual <= fit.residual + 1e-9);
-        }
-    }
-
-    #[test]
-    fn bit_identical_across_thread_counts() {
-        let truth = [(Point2::new(8.0, 8.0), 2.0), (Point2::new(22.0, 22.0), 2.5)];
-        let obj = objective_for(&truth);
-        let cfg = RandomSearchConfig {
-            samples: 600,
-            top_m: 4,
-        };
-        let run = |threads: usize| {
-            let mut rng = StdRng::seed_from_u64(7);
-            random_search_with(
-                &obj,
-                2,
-                &cfg,
-                &mut rng,
-                &fluxprint_fluxpar::Pool::with_threads(threads),
-            )
-            .unwrap()
-        };
-        let single = run(1);
-        for threads in [2, 8] {
-            let multi = run(threads);
-            assert_eq!(single.len(), multi.len(), "{threads} threads");
-            for (a, b) in single.iter().zip(&multi) {
-                assert_eq!(a.positions, b.positions, "{threads} threads");
-                assert_eq!(
-                    a.residual.to_bits(),
-                    b.residual.to_bits(),
-                    "{threads} threads"
-                );
-                for (qa, qb) in a.stretches.iter().zip(&b.stretches) {
-                    assert_eq!(qa.to_bits(), qb.to_bits(), "{threads} threads");
-                }
-            }
         }
     }
 

@@ -99,12 +99,6 @@ fn default_time(scenario: &Scenario, args: &Args) -> f64 {
 }
 
 fn run() -> Result<(), String> {
-    // Surface a misconfigured thread budget once, before any work: a
-    // malformed FLUXPRINT_THREADS silently falls back to the platform
-    // default, which is easy to misread as a performance bug.
-    if let Some(warning) = fluxprint_fluxpar::threads_env_warning() {
-        eprintln!("fluxprint: {warning}");
-    }
     let args = parse_args()?;
     match args.command.as_str() {
         "example-spec" => {
